@@ -30,6 +30,17 @@ else
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q $COV_FLAGS
 
+echo "== layered benchmark harness (bench/tests + quick run) =="
+# The benchmark of BENCHMARK.json, as a correctness gate rather than a
+# number: the harness' own tests, then a tenth-length run of all six
+# workloads (< 30 s).  Exit 1 means a harness check failed -- fast path
+# == reference, serve == simulator, request conservation, or one
+# reconstructed span walk per completed request -- so a src/ change
+# that breaks one fails here instead of at the next benchmark run.
+# The harness puts src/ on the path itself.
+python3 -m pytest bench/tests -q
+python3 -m bench --quick
+
 echo "== audited simulation smoke =="
 # Every shipped scheme under the full correctness audit layer (runtime
 # invariants, differential oracles, shadow replay); exits non-zero on

@@ -64,6 +64,7 @@ from repro.core.piggyback import (
     REPORT_BYTES,
     SKIPPED_NODE_BYTES,
     TAG_BYTES,
+    NodeReport,
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
@@ -461,7 +462,11 @@ class CacheNode:
         # frame keeps the FULL original path (the decision's node-id set
         # and the cost accounting both need it) plus the indices the walk
         # bypassed.  An unreachable origin attachment has nothing left to
-        # fail over to and the error propagates downstream.
+        # fail over to and the error propagates downstream.  Every frame
+        # owns its ``reports`` and ``skipped`` lists: the receiver appends
+        # to them, and a same-process receiver is handed the very dict
+        # built here, so a list shared with the next candidate's frame
+        # (or kept here) would leak one hop's additions into another.
         skipped = list(message.get("skipped", []))
         next_index = index + 1
         while True:
@@ -472,8 +477,8 @@ class CacheNode:
                 "object_id": object_id,
                 "size": size,
                 "time": now,
-                "reports": reports,
-                "skipped": skipped,
+                "reports": list(reports),
+                "skipped": list(skipped),
             }
             if span is not None:
                 upstream["trace"] = {
@@ -610,8 +615,6 @@ class CacheNode:
         """Reports in the form the scheme's decision step expects."""
         if not self._coordinated:
             return reports
-        from repro.core.piggyback import NodeReport
-
         return [NodeReport.from_dict(raw) for raw in reports]
 
     # -- control plane -------------------------------------------------------

@@ -8,7 +8,7 @@ owns -- wired together over the existing TCP transport, so a request
 walk crosses shard boundaries with ordinary ``fwd`` frames and nothing
 above the transport changes.
 
-Three pieces:
+Four pieces:
 
 * :class:`HashRing` / :class:`ShardPlan` -- a consistent-hash
   assignment of network nodes to shards.  The ring is what makes the
@@ -18,6 +18,10 @@ Three pieces:
   shard is the shard that owns its attachment node
   (:meth:`ShardPlan.client_shard`), so any frontend that can hash a
   node id routes clients without consulting a directory.
+* :func:`shard_forwarder` -- the one rule for a hop between two nodes:
+  frames exist only at process boundaries.  A hop inside the shard is a
+  direct call on the hosted node's handler; a hop that leaves it is a
+  TCP frame.
 * :class:`ShardSpec` / :func:`_shard_worker_main` -- the picklable
   work order shipped to each ``spawn`` worker, and the worker's
   entrypoint: bind the owned nodes on TCP, rendezvous the address maps
@@ -28,9 +32,21 @@ Three pieces:
   fleet down in order.
 
 Semantics are unchanged by construction: every node still runs the same
-scheme steps on the same private state, paths still come from the shared
-routing table, and same-shard forwards short-circuit through the
-in-process transport (codec round trip included).  Admission control
+scheme steps on the same private state, and paths still come from the
+shared routing table.  A same-shard forward skips the codec, so what the
+codec's copy gave for free is a contract instead
+(:func:`~repro.serve.transport.direct_call`): every ``fwd`` frame a node
+builds owns its ``reports`` and ``skipped`` lists, a reply is never read
+again by the node that returned it (``decision``, ``inserted`` and
+``evictions`` are advanced hop by hop by design), frames hold only
+values the codec maps to themselves, and a handler exception or ``busy``
+reply raises what a framed call raises.  Input checks stay where outside
+input arrives: field validation on every hop, frame-size and JSON checks
+on every frame read from a socket.  ``InProcessTransport`` keeps its
+codec round trip -- it is the reference the simulator oracles compare
+against -- and no worker holds one.
+
+Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
 the backpressure story: an overloaded shard sheds instead of queueing
 without bound, and clients retry or fail over around it.  The
@@ -45,11 +61,12 @@ import hashlib
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.serve.node import ResilienceConfig
+from repro.serve.node import CacheNode, Forwarder, ResilienceConfig
 from repro.serve.protocol import MSG_STATS
 from repro.serve.tracing import shard_trace_path
+from repro.serve.transport import TCPTransport, Transport, direct_call
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.workload.catalog import ObjectCatalog
@@ -180,6 +197,29 @@ class ShardSpec:
     trace_sample_every: int = 1
 
 
+def shard_forwarder(
+    hosted: Mapping[int, CacheNode],
+    transport: Transport,
+    peers: Mapping[int, Tuple[str, int]],
+) -> Forwarder:
+    """How the nodes of one shard reach an upstream node.
+
+    A hop to a node this process hosts is a direct call (no frame; see
+    the module docstring for the contract), a hop that leaves the shard
+    an ordinary frame on ``transport``.  ``hosted`` and ``peers`` are
+    read at call time: the worker fills them after its nodes, which
+    need the forwarder, exist.
+    """
+
+    async def forward(node_id: int, message: dict) -> dict:
+        node = hosted.get(node_id)
+        if node is not None:
+            return await direct_call(node.handle, message)
+        return await transport.call(peers[node_id], message)
+
+    return forward
+
+
 def _shard_worker_main(spec: ShardSpec, conn) -> None:
     """Entrypoint of one shard worker process (spawn-safe, module level).
 
@@ -212,9 +252,7 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
     from repro.obs.export import JsonlTraceWriter
     from repro.obs.probe import Probe
     from repro.serve.metrics_http import MetricsServer
-    from repro.serve.node import CacheNode
     from repro.serve.tracing import NodeTracer
-    from repro.serve.transport import InProcessTransport, TCPTransport
     from repro.sim.factory import build_scheme
 
     async def serve() -> None:
@@ -232,18 +270,9 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         transport = TCPTransport(
             host=spec.host, call_timeout=spec.rpc_timeout
         )
-        local = InProcessTransport()
         peers: Dict[int, Tuple[str, int]] = {}
-        owned = set(spec.nodes)
-
-        async def forward(node_id: int, message: dict) -> dict:
-            # Same-shard hops short-circuit in process (through the real
-            # codec); cross-shard hops are ordinary TCP frames.
-            if node_id in owned:
-                return await local.call(node_id, message)
-            return await transport.call(peers[node_id], message)
-
         nodes: Dict[int, CacheNode] = {}
+        forward = shard_forwarder(nodes, transport, peers)
         addresses: Dict[int, Tuple[str, int]] = {}
         metrics_servers: List[MetricsServer] = []
         metrics_addresses: Dict[int, Tuple[str, int]] = {}
@@ -256,7 +285,7 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
                 sample_every=spec.trace_sample_every,
                 kinds=("span",),
             )
-        for node_id in sorted(owned):
+        for node_id in sorted(spec.nodes):
             node = CacheNode(
                 node_id,
                 build_scheme(
@@ -282,7 +311,6 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
             addresses[node_id] = await transport.start_node(
                 node_id, node.handle
             )
-            await local.start_node(node_id, node.handle)
             if spec.metrics:
                 server = MetricsServer(node.registry, host=spec.host, port=0)
                 metrics_servers.append(server)
@@ -318,7 +346,6 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         for server in metrics_servers:
             await server.close()
         await transport.close()
-        await local.close()
         if trace_writer is not None:
             # Close before acking stop: the parent may read the span
             # files the moment stop() returns.
@@ -547,8 +574,6 @@ async def fetch_stats(
     tests and smoke scripts assert on counters (``busy_rejections``,
     ``cross_shard_fwds``, hits/misses) while the fleet is still serving.
     """
-    from repro.serve.transport import TCPTransport
-
     transport = TCPTransport()
     stats: Dict[int, dict] = {}
     try:

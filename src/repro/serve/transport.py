@@ -17,7 +17,8 @@ between them.  Two implementations:
 Handlers are ``async (dict) -> dict``.  A handler exception is converted
 into an ``error`` frame by the hosting side and surfaces at the caller
 as :class:`~repro.serve.protocol.RemoteProtocolError` -- identically on
-both transports.
+both transports and on :func:`direct_call`, the frame-free call a shard
+worker makes between two nodes it hosts itself.
 """
 
 from __future__ import annotations
@@ -165,6 +166,23 @@ async def _dispatch(handler: Handler, message: dict) -> dict:
         return await handler(message)
     except Exception as error:  # noqa: BLE001 - the frame carries the type
         return error_message(error)
+
+
+async def direct_call(handler: Handler, message: dict) -> dict:
+    """One call to a handler of this process, with no frame in between.
+
+    Error parity: the hosting side (:func:`_dispatch`) and the calling
+    side (:func:`~repro.serve.protocol.raise_if_error`) are the ones
+    every transport uses, so a handler exception is the same
+    non-retryable ``RemoteProtocolError`` and a ``busy`` reply the same
+    retryable ``NodeBusy`` a framed call raises.  Value isolation, which
+    the codec's copy gave for free, is a contract here: ``message``
+    shares no list or dict the caller will mutate or put into another
+    frame, the handler never reads its reply again once it has returned
+    it, and both hold only values the codec maps to themselves
+    (``TestWireCleanliness`` in ``tests/test_scheme_conformance.py``).
+    """
+    return raise_if_error(await _dispatch(handler, message))
 
 
 class InProcessTransport(Transport):
@@ -344,6 +362,7 @@ class TCPTransport(Transport):
         self, address: Tuple[str, int], message: dict
     ) -> dict:
         reader, writer = await self._connection(address)
+        reusable = False
         try:
             if self.call_timeout is None:
                 reply = await self._round_trip(reader, writer, message)
@@ -352,32 +371,31 @@ class TCPTransport(Transport):
                     self._round_trip(reader, writer, message),
                     timeout=self.call_timeout,
                 )
+            if reply is None:
+                raise ProtocolError(
+                    f"peer {address[0]}:{address[1]} closed the connection "
+                    "before replying"
+                )
+            reusable = not self._closed
         except asyncio.TimeoutError:
-            # The connection may still carry a late reply; never pool it.
-            writer.close()
             raise CallTimeout(
                 f"call to {address[0]}:{address[1]} exceeded "
                 f"{self.call_timeout}s"
             ) from None
-        except ProtocolError:
-            writer.close()
-            raise
         except ConnectionError as error:
-            writer.close()
             raise ProtocolError(
                 f"connection to {address[0]}:{address[1]} failed "
                 f"mid-call: {error!r}"
             ) from error
-        if reply is None:
-            writer.close()
-            raise ProtocolError(
-                f"peer {address[0]}:{address[1]} closed the connection "
-                "before replying"
-            )
-        if self._closed:
-            writer.close()
-        else:
-            self._pools.setdefault(address, []).append((reader, writer))
+        finally:
+            # Only a connection whose call ran to a complete reply goes
+            # back to the pool; after a deadline, a cancellation or any
+            # other failure it may still carry a late reply, so it is
+            # closed -- never left open and unowned.
+            if reusable:
+                self._pools.setdefault(address, []).append((reader, writer))
+            else:
+                writer.close()
         return raise_if_error(reply)
 
     async def close(self) -> None:

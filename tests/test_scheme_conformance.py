@@ -15,6 +15,10 @@ honor the same contracts, whatever its placement rule:
   survives anywhere.
 * **Bit-exact sim-vs-serve replay** -- the in-process cluster reproduces
   the simulator's ``MetricsSummary`` exactly, on both architectures.
+* **Wire cleanliness** -- every frame a node sends or returns is a fixed
+  point of the frame codec (same values, same types), so two nodes
+  behave the same whether a shard plan puts a frame between them or
+  hands the dict over directly (``repro.serve.shard.shard_forwarder``).
 
 New schemes get all of this for free by being registered; see
 ``docs/schemes.md``.
@@ -29,7 +33,9 @@ import pytest
 
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
-from repro.serve import Cluster, LoadGenerator
+from repro.serve import Cluster, InProcessTransport, LoadGenerator
+from repro.serve.protocol import HEADER_BYTES, decode_payload, encode_frame
+from repro.serve.transport import Transport
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import SCHEME_NAMES, build_scheme
@@ -119,9 +125,11 @@ def simulate(arch, catalog, scheme_name, trace, updates=()):
     return engine.run(trace, updates=updates)
 
 
-def serve_replay(arch, catalog, scheme_name, trace, updates=()):
+def serve_replay(arch, catalog, scheme_name, trace, updates=(), transport=None):
     async def scenario():
-        cluster = Cluster.build(arch, catalog, scheme_name, config=CONFIG)
+        cluster = Cluster.build(
+            arch, catalog, scheme_name, config=CONFIG, transport=transport
+        )
         await cluster.start()
         loadgen = LoadGenerator(
             cluster,
@@ -269,3 +277,94 @@ class TestBitExactReplay:
         assert report.summary == sim.summary
         assert report.requests_total == sim.requests_total
         assert report.requests_measured == sim.requests_measured
+
+
+def same_value_and_type(a, b) -> bool:
+    """Deep equality that also tells 1 from 1.0 from True, list from tuple."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(
+            type(k) is str and same_value_and_type(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_value_and_type, a, b))
+    return a == b
+
+
+def is_codec_fixed_point(frame) -> bool:
+    try:
+        decoded = decode_payload(encode_frame(frame)[HEADER_BYTES:])
+    except (TypeError, ValueError):
+        return False  # not JSON at all: a set, an object, ...
+    return same_value_and_type(frame, decoded)
+
+
+class FrameAudit(Transport):
+    """An in-process transport that checks frames as they are handed over.
+
+    Requests are checked as the caller passes them in and replies as the
+    handler returns them -- before the inner transport's codec round
+    trip could launder either.
+    """
+
+    def __init__(self) -> None:
+        self.inner = InProcessTransport()
+        self.kinds: set = set()
+        self.dirty: list = []
+
+    def check(self, frame: dict) -> None:
+        self.kinds.add(frame.get("type"))
+        if not is_codec_fixed_point(frame):
+            self.dirty.append(repr(frame))
+
+    async def start_node(self, node_id, handler):
+        async def audited(message):
+            reply = await handler(message)
+            self.check(reply)
+            return reply
+
+        return await self.inner.start_node(node_id, audited)
+
+    async def call(self, address, message):
+        self.check(message)
+        return await self.inner.call(address, message)
+
+    async def close(self) -> None:
+        await self.inner.close()
+
+
+class TestWireCleanliness:
+    """What makes a direct same-shard hop equal to a framed one."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "fwd", "path": (1, 2)},
+            {"type": "resp", "inserted": {3}},
+            {"type": "resp", "decision": {"cache_at": frozenset()}},
+            {"type": "resp", "per_node": {4: 1}},
+            {"type": "fwd", "reports": [object()]},
+        ],
+        ids=["tuple", "set", "frozenset", "int-key", "object"],
+    )
+    def test_the_check_rejects_what_the_codec_would_change(self, frame):
+        assert not is_codec_fixed_point(frame)
+
+    @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+    def test_every_frame_is_a_codec_fixed_point(self, seeded_trace, scheme_name):
+        trace, catalog = seeded_trace
+        updates = generate_update_events(
+            num_objects=WORKLOAD.num_objects,
+            duration=trace[len(trace) - 1].time,
+            update_rate=0.5,
+            seed=9,
+        )
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        audit = FrameAudit()
+        report = serve_replay(
+            arch, catalog, scheme_name, trace, updates=updates, transport=audit
+        )
+        assert report.errors == 0 and report.updates_applied > 0
+        assert {"get", "fwd", "resp", "inv", "inv-ok"} <= audit.kinds
+        assert audit.dirty == []

@@ -1,14 +1,17 @@
 """The sharded cluster: ring assignment, worker fleet, backpressure.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * the consistent-hash plan is a deterministic, stable, total partition
   of the topology (pure functions, no processes);
-* a two-shard **multi-process** TCP run replays a trace with zero
-  client-visible errors and the exact hit/miss totals of the simulator
-  -- sharding is an ownership split, never a behavior change -- while
-  the ``cross_shard_fwds`` counters prove walks really crossed the
-  process boundary;
+* a **multi-process** TCP run -- one shard (every hop a direct call) or
+  two (direct and framed hops mixed) -- replays a trace with zero
+  client-visible errors and the simulator's exact summary and per-node
+  counters -- sharding is an ownership split, never a behavior change
+  -- while the ``cross_shard_fwds`` counters prove walks crossed the
+  process boundary exactly when there is one;
+* a same-shard hop, which carries no frame, still fails, sheds and
+  isolates values the way a framed hop does;
 * admission control sheds with retryable ``busy`` frames once a node's
   inflight bound is hit, and never fires under sequential replay.
 """
@@ -33,7 +36,17 @@ from repro.serve import (
     TCPTransport,
     fetch_stats,
 )
-from repro.serve.protocol import MSG_GET
+from repro.obs.instruments import Instruments
+from repro.obs.registry import StatRegistry
+from repro.serve.node import CacheNode, ResilienceConfig
+from repro.serve.protocol import (
+    MSG_GET,
+    MSG_RESP,
+    NodeUnreachable,
+    RemoteProtocolError,
+)
+from repro.serve.shard import shard_forwarder
+from repro.serve.transport import RetryPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
@@ -136,20 +149,35 @@ class TestShardPlan:
             ShardPlan.compute(arch, len(arch.network.nodes()) + 1)
 
 
+def coordinated_scheme(arch, catalog):
+    """The scheme every node, and the simulator, is built from."""
+    cost_model = LatencyCostModel(arch.network, catalog.mean_size)
+    capacity = CONFIG.capacity_bytes(catalog.total_bytes)
+    dcache = CONFIG.dcache_entries(catalog.total_bytes, catalog.mean_size)
+    return build_scheme("coordinated", cost_model, capacity, dcache)
+
+
 class TestShardedClusterLive:
-    def test_two_shard_run_matches_simulator(self, scenario):
-        """The acceptance oracle: multi-process == simulator, exactly."""
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_two_shard_run_matches_simulator(self, scenario, num_shards):
+        """The acceptance oracle: multi-process == simulator, exactly.
+
+        One shard makes every hop a direct call, two mix direct calls
+        with TCP frames; neither may move a single per-node counter.
+        """
         arch, trace, catalog = scenario
         cost_model = LatencyCostModel(arch.network, catalog.mean_size)
-        capacity = CONFIG.capacity_bytes(catalog.total_bytes)
-        dcache = CONFIG.dcache_entries(catalog.total_bytes, catalog.mean_size)
-        scheme = build_scheme("coordinated", cost_model, capacity, dcache)
+        registry = StatRegistry()
         sim = SimulationEngine(
-            arch, cost_model, scheme, warmup_fraction=CONFIG.warmup_fraction
-        ).run(trace)
+            arch,
+            cost_model,
+            coordinated_scheme(arch, catalog),
+            warmup_fraction=CONFIG.warmup_fraction,
+        ).run(trace, instruments=Instruments(registry=registry))
+        expected = registry.snapshot()
 
         cluster = ShardedCluster(
-            arch, catalog, "coordinated", num_shards=2, config=CONFIG
+            arch, catalog, "coordinated", num_shards=num_shards, config=CONFIG
         )
         addresses = cluster.start()
         try:
@@ -179,11 +207,17 @@ class TestShardedClusterLive:
         assert report.summary.byte_hit_ratio == sim.summary.byte_hit_ratio
         assert report.summary.mean_hops == sim.summary.mean_hops
         assert report.summary.mean_latency == sim.summary.mean_latency
-        # Walks crossed the process boundary; the partition is real.
+        for node in arch.network.nodes():
+            live = stats[node]["stats"]
+            for counter in ("hits", "misses", "insertions", "evictions"):
+                assert live.get(counter, 0) == expected.get(node, {}).get(
+                    counter, 0
+                ), f"node {node} {counter}"
+        # Walks crossed a process boundary exactly when there is one.
         live_xfwd = sum(
             s["stats"].get("cross_shard_fwds", 0) for s in stats.values()
         )
-        assert live_xfwd > 0
+        assert live_xfwd > 0 if num_shards == 2 else live_xfwd == 0
         # The workers' final stats agree with what the wire reported.
         final_xfwd = sum(
             n["stats"].get("cross_shard_fwds", 0) for n in final.values()
@@ -221,6 +255,175 @@ class TestShardedClusterLive:
         assert sum(n["requests_handled"] for n in final.values()) > 0
 
 
+def get_frame(record, object_id):
+    return {
+        "type": MSG_GET,
+        "client_id": record.client_id,
+        "server_id": record.server_id,
+        "object_id": object_id,
+        "size": 100,
+        "time": 0.0,
+    }
+
+
+def host(scenario, node_ids, forward, options=None):
+    """Cache nodes wired to ``forward``; ``options`` per node id."""
+    arch, _, catalog = scenario
+    return {
+        node_id: CacheNode(
+            node_id,
+            coordinated_scheme(arch, catalog),
+            arch.request_path,
+            forward,
+            **(options or {}).get(node_id, {}),
+        )
+        for node_id in node_ids
+    }
+
+
+class GatedLink:
+    """Stands in for the link out of the shard: calls queue at a gate,
+    keeping the walks that reached it in flight in the nodes below."""
+
+    def __init__(self, far: InProcessTransport) -> None:
+        self.far = far
+        self.gate = asyncio.Event()
+        self.frames: list = []
+
+    async def call(self, address, message: dict) -> dict:
+        self.frames.append(message)
+        await self.gate.wait()
+        return await self.far.call(address, message)
+
+
+class TestSameShardHops:
+    """A hop inside a shard carries no frame (``shard_forwarder``); what
+    the codec round trip gave it for free must hold all the same."""
+
+    def test_handler_error_surfaces_as_over_a_frame(self, scenario):
+        arch, trace, _ = scenario
+        record = trace[0]
+        path = arch.request_path(record.client_id, record.server_id)
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        async def walk(framed: bool):
+            wire = InProcessTransport()
+            nodes = {}
+            forward = shard_forwarder(
+                {} if framed else nodes, wire, {n: n for n in path}
+            )
+            nodes.update(host(scenario, path, forward))
+            for node_id, node in nodes.items():
+                await wire.start_node(node_id, node.handle)
+            nodes[path[1]].scheme.lookup_step = boom
+            with pytest.raises(RemoteProtocolError) as caught:
+                await forward(path[0], get_frame(record, 1))
+            ingress = nodes[path[0]].registry.node(path[0])
+            return (
+                str(caught.value),
+                ingress.rpc_retries,
+                ingress.failovers,
+                nodes[path[2]].requests_handled,
+            )
+
+        direct = run(walk(framed=False))
+        # The framed text; not retried, not failed over, went no further.
+        assert direct == ("RemoteProtocolError: ValueError: boom", 0, 0, 0)
+        assert direct == run(walk(framed=True))
+
+    def test_hop_at_its_bound_sheds_and_the_walk_fails_over(self, scenario):
+        arch, trace, _ = scenario
+        record = trace[0]
+        path = arch.request_path(record.client_id, record.server_id)
+        ingress, bounded = path[0], path[1]
+
+        async def two_walks():
+            far = InProcessTransport()
+            link = GatedLink(far)
+            near = {}
+            forward = shard_forwarder(near, link, {n: n for n in path[2:]})
+            near.update(
+                host(
+                    scenario,
+                    [ingress, bounded],
+                    forward,
+                    {bounded: {"max_inflight": 1}},
+                )
+            )
+            for node_id, node in host(scenario, path[2:], far.call).items():
+                await far.start_node(node_id, node.handle)
+
+            async def reaches_the_link(walk, frames):
+                while len(link.frames) < frames:
+                    assert not walk.done(), walk.result()
+                    await asyncio.sleep(0.005)
+
+            # The first walk holds the bounded node's only slot while it
+            # waits at the link; the second finds the node at its bound.
+            first = asyncio.ensure_future(
+                forward(ingress, get_frame(record, 1))
+            )
+            await reaches_the_link(first, 1)
+            second = asyncio.ensure_future(
+                forward(ingress, get_frame(record, 2))
+            )
+            await reaches_the_link(second, 2)
+            link.gate.set()
+            replies = await asyncio.gather(first, second)
+            return replies, near, link.frames
+
+        replies, near, frames = run(two_walks())
+        assert [reply["type"] for reply in replies] == [MSG_RESP, MSG_RESP]
+        shed = near[bounded].registry.node(bounded)
+        attempts = ResilienceConfig().retry.attempts
+        # Shed on every attempt, before any cache state was touched ...
+        assert shed.busy_rejections == attempts
+        assert near[bounded].requests_handled == 1 and shed.misses == 1
+        # ... and the walk went round the busy hop instead of failing.
+        upstream = near[ingress].registry.node(ingress)
+        assert upstream.rpc_retries == attempts - 1
+        assert upstream.failovers == 1
+        assert (frames[0]["index"], frames[0]["skipped"]) == (2, [])
+        assert (frames[1]["index"], frames[1]["skipped"]) == (2, [1])
+
+    def test_each_candidate_frame_owns_its_lists(self, scenario):
+        """A hosted receiver is handed the frame dict itself and appends
+        to its lists; what it added must not reach the next candidate."""
+        arch, trace, _ = scenario
+        record = trace[0]
+        path = arch.request_path(record.client_id, record.server_id)
+        seen = []
+
+        async def forward(node_id, message):
+            seen.append(
+                (node_id, list(message["reports"]), list(message["skipped"]))
+            )
+            if len(seen) == 1:
+                message["reports"].append({"n": node_id, "d": False})
+                message["skipped"].append(99)
+                raise NodeUnreachable("down after touching its frame")
+            return {
+                "type": MSG_RESP,
+                "hit_index": message["index"],
+                "decision": {"cache_at": [], "gain": 0.0, "acc": 0.0},
+                "inserted": [],
+                "evictions": 0,
+            }
+
+        once = ResilienceConfig(retry=RetryPolicy(attempts=1))
+        node = host(
+            scenario, [path[0]], forward, {path[0]: {"resilience": once}}
+        )[path[0]]
+        reply = run(node.handle(get_frame(record, 1)))
+        assert reply["type"] == MSG_RESP
+        (_, first_reports, _), (target, reports, skipped) = seen
+        assert target == path[2]
+        assert reports == first_reports and len(reports) == 1
+        assert skipped == [1]
+
+
 class TestAdmissionControl:
     def test_busy_shed_and_counted(self, scenario):
         """A node at its inflight bound sheds with a retryable busy frame."""
@@ -245,15 +448,7 @@ class TestAdmissionControl:
 
             async def one(object_id: int):
                 return await cluster.transport.call(
-                    ingress,
-                    {
-                        "type": MSG_GET,
-                        "client_id": record.client_id,
-                        "server_id": record.server_id,
-                        "object_id": object_id,
-                        "size": 100,
-                        "time": 0.0,
-                    },
+                    ingress, get_frame(record, object_id)
                 )
 
             results = await asyncio.gather(

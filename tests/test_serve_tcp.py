@@ -268,6 +268,46 @@ class TestTransportPool:
         assert elapsed < 5.0
         assert isinstance(outcome, (ProtocolError, ConnectionError))
 
+    def test_cancelled_call_closes_its_connection(self):
+        """A call that ends in cancellation took its connection out of
+        the pool; it must close it, not leave it open and unowned."""
+        from repro.serve.transport import TCPTransport
+
+        async def scenario():
+            transport = TCPTransport(drain_timeout=0.3)
+            never = asyncio.Event()
+
+            async def silent(message):
+                await never.wait()
+                return {"type": "pong"}
+
+            address = await transport.start_node(0, silent)
+            opened = []
+            connect = transport._connection
+
+            async def recording_connect(target):
+                connection = await connect(target)
+                opened.append(connection)
+                return connection
+
+            transport._connection = recording_connect
+            call = asyncio.ensure_future(
+                transport.call(address, {"type": "ping"})
+            )
+            await asyncio.sleep(0.05)  # let the call block on the peer
+            call.cancel()
+            outcome = await asyncio.gather(call, return_exceptions=True)
+            (_, writer), = opened
+            closing = writer.is_closing()
+            pooled = transport._pools.get(tuple(address), [])
+            await transport.close()
+            return outcome[0], closing, pooled
+
+        outcome, closing, pooled = run(scenario())
+        assert isinstance(outcome, asyncio.CancelledError)
+        assert closing
+        assert pooled == []
+
     def test_connection_cap_bounds_server_side_concurrency(self):
         from repro.serve.transport import TCPTransport
 

@@ -216,7 +216,7 @@ wait "$SERVE_PID" || true
 SERVE_PID=""
 echo "chaos smoke survived the fault plan with zero client-visible errors"
 
-echo "== sharded serve smoke (two worker processes, open-loop load) =="
+echo "== sharded serve smoke (two worker processes, open-loop load, updates) =="
 # The cluster split across two shard worker processes, driven open-loop
 # (requests fire at retimed trace timestamps regardless of completions).
 # Gates: zero client-visible errors AND zero rejections -- at this
@@ -232,16 +232,42 @@ SERVE_PID=$!
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro loadgen \
     --manifest "$SERVE_DIR/sharded.json" --mode open --speedup 300 \
     --requests 1500 --wait 60 --json "$SERVE_DIR/sharded_report.json"
+# Writes beside reads on the same two workers: a short sequential pass
+# with an in-band update stream.  Each update is one inv frame to one
+# node, relayed inside each shard; the client's accounting must still
+# show every cache node reached by every update.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro loadgen \
+    --manifest "$SERVE_DIR/sharded.json" --mode sequential \
+    --coherency inband --update-rate 5 \
+    --requests 600 --wait 60 --json "$SERVE_DIR/sharded_updates_report.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 SERVE_PID=""
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python - \
-    "$SERVE_DIR/sharded_report.json" "$SERVE_DIR/sharded_snapshot.json" <<'EOF'
+    "$SERVE_DIR/sharded_report.json" "$SERVE_DIR/sharded_snapshot.json" \
+    "$SERVE_DIR/sharded_updates_report.json" "$SERVE_DIR/sharded.json" <<'EOF'
 import json, sys
+
+from repro.experiments.presets import SMALL_SCALE, build_architecture
 
 report = json.load(open(sys.argv[1]))
 assert report["errors"] == 0, f"client-visible errors: {report['errors']}"
 assert report["rejected"] == 0, f"rejected requests: {report['rejected']}"
+updated = json.load(open(sys.argv[3]))
+manifest = json.load(open(sys.argv[4]))
+cache_nodes = len(build_architecture(
+    manifest["arch"],
+    SMALL_SCALE.with_seed(manifest["seed"]).workload,
+    seed=manifest["seed"],
+).cache_nodes)
+assert updated["errors"] == 0, f"errors beside updates: {updated['errors']}"
+assert updated["updates_applied"] > 0, "the update stream was empty"
+assert updated["coherency"]["inv_frames"] == (
+    updated["updates_applied"] * cache_nodes
+), (updated["coherency"], updated["updates_applied"], cache_nodes)
+print(f"sequential sharded updates: {updated['updates_applied']} updates x "
+      f"{cache_nodes} cache nodes, {updated['copies_invalidated']} copies "
+      "invalidated, 0 errors")
 snapshot = json.load(open(sys.argv[2]))
 assert snapshot["num_shards"] == 2, snapshot["num_shards"]
 xfwd = sum(

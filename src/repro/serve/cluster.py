@@ -12,7 +12,9 @@ paths from the same shared routing table.
 
 The orchestrator also provides the control plane:
 
-* ``invalidate`` -- push-invalidate one object across all nodes;
+* ``invalidate`` -- push-invalidate one object across all cache nodes
+  (:func:`broadcast_invalidate`, shared with the wire-side
+  ``ClusterClient``: one entry frame, relayed by the nodes);
 * ``stats_snapshot`` -- the merged per-node counter registry;
 * ``enable_metrics`` -- one scrape endpoint per node
   (:class:`~repro.serve.metrics_http.MetricsServer`);
@@ -35,7 +37,17 @@ import json
 import random
 import signal as signal_module
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Awaitable,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.coherency.config import CoherencyConfig
 from repro.coherency.stats import CoherencyStats
@@ -70,6 +82,59 @@ from repro.workload.groups import GroupAssignment
 from repro.workload.updates import GroupUpdateEvent, expand_group_events
 
 SchemeFactory = Callable[[], CachingScheme]
+
+
+async def broadcast_invalidate(
+    transport: Transport,
+    addresses: Mapping[int, object],
+    targets: Iterable[int],
+    object_id: int,
+    trace: Optional[dict] = None,
+) -> Tuple[int, int, List[int]]:
+    """Push-invalidate one object at every target node that has an address.
+
+    The one place a broadcast enters the cluster: a single ``inv`` frame
+    naming every target goes to the lowest id, and the nodes relay it
+    among themselves (:meth:`CacheNode._relay_invalidate`) -- one frame
+    per process, however many nodes each hosts.  Best-effort: an entry
+    that fails retryably is skipped and the next id becomes the entry.
+    Returns ``(copies removed, nodes whose handler ran, ids not reached)``.
+    """
+    pending = sorted(node for node in targets if node in addresses)
+    skipped: List[int] = []
+    while pending:
+        frame = {"type": MSG_INV, "object_id": object_id, "nodes": pending}
+        if trace is not None:
+            frame["trace"] = trace
+        try:
+            reply = await transport.call(addresses[pending[0]], frame)
+        except RETRYABLE_ERRORS:
+            skipped.append(pending[0])
+            pending = pending[1:]
+            continue
+        # Still sorted: failed entries precede every id the relay saw.
+        return reply["removed"], reply["delivered"], skipped + reply["skipped"]
+    return 0, 0, skipped
+
+
+async def apply_inband_update(
+    invalidate: Callable[[int], Awaitable[int]],
+    event,
+    groups: Optional[GroupAssignment],
+) -> int:
+    """One update event paid in band: a group event expands to its member
+    objects and each is broadcast-invalidated.  Returns copies removed."""
+    events = [event]
+    if isinstance(event, GroupUpdateEvent):
+        if groups is None:
+            raise ValueError(
+                "group-targeted updates require a group assignment"
+            )
+        events = expand_group_events([event], groups)
+    removed = 0
+    for per_object in events:
+        removed += await invalidate(per_object.object_id)
+    return removed
 
 
 class Cluster:
@@ -413,63 +478,42 @@ class Cluster:
     async def invalidate(self, object_id: int) -> int:
         """Push-invalidate one object everywhere; returns copies removed.
 
-        Broadcasts in sorted node order -- the same order the simulator's
-        ``invalidate_object`` sweeps a shared scheme's nodes -- though
-        per-node removals are independent, so order never changes counts.
-        Best-effort under faults: an unreachable node is skipped (counted
-        in ``invalidate_skips``) rather than failing the broadcast; a
-        crashed-and-restarted node rejoins with its copy still cached,
-        the standard stale-replica window of push invalidation.
+        Per-node removals are independent, so the relay's order never
+        changes counts.  Best-effort under faults: an unreachable node
+        is skipped (counted in ``invalidate_skips``) rather than failing
+        the broadcast; a crashed-and-restarted node rejoins with its
+        copy still cached, the standard stale-replica window of push
+        invalidation.
         """
-        removed = 0
         ctx = None
         if self._trace_probe is not None and self._trace_probe.sample("span"):
             # One trace per broadcast: every node's inv span shares it,
             # so the fan-out reconstructs as one flat tree.
             self._inv_seq += 1
             ctx = {"id": f"tinv.{self._inv_seq}", "parent": None}
-        for node_id in sorted(self.addresses):
-            if node_id not in self._cache_nodes:
-                continue
-            frame = {"type": MSG_INV, "object_id": object_id}
-            if ctx is not None:
-                frame["trace"] = ctx
-            try:
-                reply = await self.transport.call(
-                    self.addresses[node_id], frame
-                )
-            except RETRYABLE_ERRORS:
-                self.invalidate_skips += 1
-                continue
-            removed += reply["removed"]
-            self._inv_frames += 1
+        removed, delivered, skipped = await broadcast_invalidate(
+            self.transport, self.addresses, self._cache_nodes, object_id, ctx
+        )
+        self._inv_frames += delivered
         self._copies_invalidated += removed
+        self.invalidate_skips += len(skipped)
         return removed
 
     async def apply_update(self, event) -> int:
         """Apply one update event through the configured coherency mode.
 
-        In-band (or no coherency configured): a group event expands to
-        its member objects and each is broadcast-invalidated -- exactly
-        what in-band mode pays for group invalidation.  Channel mode:
-        one ``pub`` frame to the broker, which sequences and fans out.
-        Returns copies removed cluster-wide (for channel mode, by the
-        synchronous fan-out; copies recovered later via catchup are not
-        in the count).
+        In-band (or no coherency configured):
+        :func:`apply_inband_update` -- exactly what in-band mode pays
+        for group invalidation.  Channel mode: one ``pub`` frame to the
+        broker, which sequences and fans out.  Returns copies removed
+        cluster-wide (for channel mode, by the synchronous fan-out;
+        copies recovered later via catchup are not in the count).
         """
         self._updates_published += 1
         if self.broker is None:
-            events = [event]
-            if isinstance(event, GroupUpdateEvent):
-                if self.groups is None:
-                    raise ValueError(
-                        "group-targeted updates require a group assignment"
-                    )
-                events = expand_group_events([event], self.groups)
-            removed = 0
-            for per_object in events:
-                removed += await self.invalidate(per_object.object_id)
-            return removed
+            return await apply_inband_update(
+                self.invalidate, event, self.groups
+            )
         if isinstance(event, GroupUpdateEvent):
             group = event.group_id
         else:

@@ -55,7 +55,11 @@ from repro.core.piggyback import INV_FRAME_BYTES
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.schemes.base import RequestOutcome
 from repro.serve.channel import merge_channel_stats
-from repro.serve.cluster import Cluster
+from repro.serve.cluster import (
+    Cluster,
+    apply_inband_update,
+    broadcast_invalidate,
+)
 from repro.serve.protocol import (
     MSG_CHSTATS,
     MSG_CHSYNC,
@@ -63,13 +67,10 @@ from repro.serve.protocol import (
     MSG_PUB,
     MSG_STATS,
     NodeBusy,
+    NodeUnreachable,
 )
 from repro.workload.trace import Trace, TraceRecord
-from repro.workload.updates import (
-    GroupUpdateEvent,
-    UpdateEvent,
-    expand_group_events,
-)
+from repro.workload.updates import GroupUpdateEvent, UpdateEvent
 
 MODES = ("sequential", "closed", "open")
 
@@ -134,34 +135,27 @@ class ClusterClient:
         return self.addresses[self.architecture.client_nodes[client_id]]
 
     async def invalidate(self, object_id: int) -> int:
-        removed = 0
-        for node_id in sorted(self.addresses):
-            if node_id not in self._cache_nodes:
-                continue
-            reply = await self.transport.call(
-                self.addresses[node_id],
-                {"type": "inv", "object_id": object_id},
-            )
-            removed += reply["removed"]
-            self._inv_frames += 1
+        """Strict broadcast: this is the oracle-mode client, so a node
+        the invalidation did not reach is an error, not a statistic."""
+        removed, delivered, skipped = await broadcast_invalidate(
+            self.transport, self.addresses, self._cache_nodes, object_id
+        )
+        self._inv_frames += delivered
         self._copies_invalidated += removed
+        if skipped:
+            raise NodeUnreachable(
+                f"invalidation of object {object_id} did not reach "
+                f"nodes {skipped}"
+            )
         return removed
 
     async def apply_update(self, event) -> int:
-        """Mirror of :meth:`Cluster.apply_update` over the wire."""
+        """:meth:`Cluster.apply_update`, with the broker over the wire."""
         self._updates_published += 1
         if self.broker_address is None:
-            events = [event]
-            if isinstance(event, GroupUpdateEvent):
-                if self.groups is None:
-                    raise ValueError(
-                        "group-targeted updates require a group assignment"
-                    )
-                events = expand_group_events([event], self.groups)
-            removed = 0
-            for per_object in events:
-                removed += await self.invalidate(per_object.object_id)
-            return removed
+            return await apply_inband_update(
+                self.invalidate, event, self.groups
+            )
         if isinstance(event, GroupUpdateEvent):
             group = event.group_id
         else:

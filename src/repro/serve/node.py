@@ -16,7 +16,10 @@ lookup_step` / ``decide_step`` / ``deliver_step``):
   calls -- exactly the paper's response path -- with every node applying
   the shipped decision (inserting, or refreshing its d-cache descriptor)
   and advancing the cost accumulator;
-* ``inv`` drops the node's copy of an object (push invalidation).
+* ``inv`` drops the node's copy of an object (push invalidation); an
+  ``inv`` that lists further ``nodes`` is also relayed to them -- by
+  direct hand-over inside the process, as one frame to every other
+  process -- so a broadcast costs one frame per process.
 
 Every node carries a live :class:`~repro.obs.registry.StatRegistry` fed
 the same way the simulator's engine feeds it (lookup hits/misses, serving
@@ -98,6 +101,11 @@ Forwarder = Callable[[int, dict], Awaitable[dict]]
 PathResolver = Callable[[int, int], Sequence[int]]
 
 
+def _is_id(value) -> bool:
+    """A JSON integer (``true`` is not one, though Python calls it an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _timed(span: Optional[dict], key: str, fn, *args, **kwargs):
     """Run one scheme step, accumulating its wall time into the span.
 
@@ -155,7 +163,9 @@ class CacheNode:
         (``None`` = unbounded); a request arriving at the bound is shed
         with a retryable ``busy`` frame before touching any cache state.
         ``shard_of`` maps node id -> shard id so upstream forwards that
-        leave this node's shard are counted (``cross_shard_fwds``).
+        leave this node's shard are counted (``cross_shard_fwds``) and an
+        ``inv`` relay knows which listed nodes are co-hosted (``None``:
+        all of them).
         ``tracer`` opts the node into distributed tracing (see
         :mod:`repro.serve.tracing`); ``None`` runs the exact untraced
         code path."""
@@ -254,7 +264,7 @@ class CacheNode:
             if kind == MSG_GET:
                 return await self._handle_get(message)
             if kind == MSG_INV:
-                return self._handle_invalidate(message)
+                return await self._handle_invalidate(message)
             if kind == MSG_EVENT:
                 return await self._handle_event(message)
             if kind == MSG_CHSYNC:
@@ -619,44 +629,114 @@ class CacheNode:
 
     # -- control plane -------------------------------------------------------
 
-    def _handle_invalidate(self, message: dict) -> dict:
+    async def _handle_invalidate(self, message: dict) -> dict:
+        """Drop this node's copy; relay to the other nodes the frame lists."""
         try:
             object_id = message["object_id"]
         except KeyError as missing:
             raise ProtocolError(f"inv frame missing field {missing}") from None
+        if not _is_id(object_id):
+            raise ProtocolError("inv frame object_id must be an integer")
+        nodes = message.get("nodes")
+        if "nodes" in message and not (
+            isinstance(nodes, list)
+            and all(map(_is_id, nodes))
+            and len(set(nodes)) == len(nodes)
+            and self.node_id in nodes
+            and (self._shard_of is None or set(nodes) <= self._shard_of.keys())
+        ):
+            raise ProtocolError(
+                "inv frame nodes must be a list of distinct node ids of "
+                f"this cluster that contains node {self.node_id}"
+            )
         if self._piggyback:
             # One in-band inv frame delivered to this node: priced into
             # the coordination overhead exactly as the simulator counts
             # it (channel-mode coherency never sends these).
             self.scheme.protocol_stats.invalidations += 1
         tracer = self._tracer
-        ctx = message.get("trace") if tracer is not None else None
-        if ctx is None:
+        ctx = message.get("trace")
+        if tracer is None or ctx is None:
             removed = self.scheme.invalidate_step(self.node_id, object_id)
-            return {
-                "type": MSG_INV_OK,
-                "node": self.node_id,
-                "removed": removed,
-            }
-        start = time.time()
-        t0 = time.perf_counter()
-        removed = self.scheme.invalidate_step(self.node_id, object_id)
-        tracer.emit(
-            {
-                "trace": ctx.get("id"),
-                "span": tracer.new_span_id(),
-                "parent": ctx.get("parent"),
-                "node": self.node_id,
-                "shard": tracer.shard,
-                "op": "inv",
-                "status": "ok",
-                "object": object_id,
-                "removed": removed,
-                "start": start,
-                "wall": time.perf_counter() - t0,
-            }
-        )
-        return {"type": MSG_INV_OK, "node": self.node_id, "removed": removed}
+        else:
+            start = time.time()
+            t0 = time.perf_counter()
+            removed = self.scheme.invalidate_step(self.node_id, object_id)
+            tracer.emit(
+                {
+                    "trace": ctx.get("id"),
+                    "span": tracer.new_span_id(),
+                    "parent": ctx.get("parent"),
+                    "node": self.node_id,
+                    "shard": tracer.shard,
+                    "op": "inv",
+                    "status": "ok",
+                    "object": object_id,
+                    "removed": removed,
+                    "start": start,
+                    "wall": time.perf_counter() - t0,
+                }
+            )
+        reply = {"type": MSG_INV_OK, "node": self.node_id, "removed": removed}
+        if nodes is not None:
+            reply["delivered"] = 1
+            reply["skipped"] = []
+            await self._relay_invalidate(object_id, nodes, ctx, reply)
+            reply["skipped"].sort()
+        return reply
+
+    async def _relay_invalidate(
+        self, object_id: int, nodes: list, ctx: Optional[dict], reply: dict
+    ) -> None:
+        """Carry one broadcast to the other listed nodes, folding their
+        answers into ``reply``.
+
+        Frames exist only at process boundaries: a co-hosted node is
+        handed a plain ``inv`` through the forwarder (a direct call in a
+        shard worker), every other shard gets one ``inv`` naming its
+        members, sent to the first of them, and relays it the same way.
+        Best-effort and single-attempt like any broadcast: a hand-over
+        that fails retryably lands in ``skipped`` (a remote group is
+        tried once more through its second member), without the retry
+        RNG or the breakers -- those belong to the request walks.  Every
+        relayed list is shorter than the one received, so a forged list
+        cannot loop.
+        """
+
+        plain = {"type": MSG_INV, "object_id": object_id}
+        if ctx is not None:
+            # Unchanged: every node's inv span hangs off the one
+            # context, so the broadcast reconstructs as a flat tree.
+            plain["trace"] = ctx
+
+        async def hand_over(target: int, **listed) -> bool:
+            try:
+                answer = await self._forward(target, {**plain, **listed})
+            except RETRYABLE_ERRORS:
+                reply["skipped"].append(target)
+                return False
+            reply["removed"] += answer["removed"]
+            reply["delivered"] += answer.get("delivered", 1)
+            reply["skipped"] += answer.get("skipped", [])
+            return True
+
+        async def relay(group: list) -> None:
+            if not await hand_over(group[0], nodes=group):
+                rest = group[1:]
+                if rest and not await hand_over(rest[0], nodes=rest):
+                    reply["skipped"] += rest[1:]
+
+        shard_of, home = self._shard_of, self._home_shard
+        remote: Dict[int, list] = {}
+        for node in nodes:
+            if node == self.node_id:
+                continue
+            if shard_of is not None and shard_of[node] != home:
+                remote.setdefault(shard_of[node], []).append(node)
+            else:
+                await hand_over(node)
+        if remote:
+            await asyncio.gather(*map(relay, remote.values()))
 
     async def _handle_event(self, message: dict) -> dict:
         """One pushed channel event (see :mod:`repro.serve.channel`)."""

@@ -11,7 +11,16 @@ kinds mirror the paper's online protocol (section 2.3):
 * ``resp``  -- the reply unwinding downstream: the serving position, the
   shipped placement decision (with the coordinated cost accumulator,
   advanced hop by hop), and the insertion/eviction tally.
-* ``inv``/``inv-ok``     -- push invalidation of one object.
+* ``inv``/``inv-ok``     -- push invalidation of one object.  A plain
+  ``inv`` is for its receiver alone.  With ``nodes`` -- the sorted,
+  distinct ids of the cache nodes still to be invalidated, receiver
+  included -- the receiver also relays it: a plain ``inv`` to every
+  listed node of its own process, one ``inv`` with the sub-list to the
+  first listed node of every other process.  Its ``inv-ok`` then folds
+  the whole subtree: ``removed`` (copies dropped), ``delivered`` (nodes
+  whose handler ran) and ``skipped`` (ids a best-effort, single-attempt
+  hand-over did not reach).  One broadcast is thus one frame per
+  process, not one per node.
 * ``sub``/``sub-ok``, ``pub``/``pub-ok``, ``event``/``event-ok``,
   ``catchup``/``catchup-ok``, ``chsync``/``chsync-ok``,
   ``chstats``/``chstats-ok`` -- the out-of-band invalidation channel

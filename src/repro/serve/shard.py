@@ -21,7 +21,10 @@ Four pieces:
 * :func:`shard_forwarder` -- the one rule for a hop between two nodes:
   frames exist only at process boundaries.  A hop inside the shard is a
   direct call on the hosted node's handler; a hop that leaves it is a
-  TCP frame.
+  TCP frame.  The rule covers both planes: the ``fwd`` hops of a
+  request walk, and the ``inv`` hand-overs of an update broadcast, which
+  reaches a shard as *one* frame naming its members and is relayed to
+  them through this forwarder (:meth:`CacheNode._relay_invalidate`).
 * :class:`ShardSpec` / :func:`_shard_worker_main` -- the picklable
   work order shipped to each ``spawn`` worker, and the worker's
   entrypoint: bind the owned nodes on TCP, rendezvous the address maps
@@ -36,11 +39,12 @@ scheme steps on the same private state, and paths still come from the
 shared routing table.  A same-shard forward skips the codec, so what the
 codec's copy gave for free is a contract instead
 (:func:`~repro.serve.transport.direct_call`): every ``fwd`` frame a node
-builds owns its ``reports`` and ``skipped`` lists, a reply is never read
-again by the node that returned it (``decision``, ``inserted`` and
-``evictions`` are advanced hop by hop by design), frames hold only
-values the codec maps to themselves, and a handler exception or ``busy``
-reply raises what a framed call raises.  Input checks stay where outside
+builds owns its ``reports`` and ``skipped`` lists (every relayed ``inv``
+is a fresh dict, its ``nodes`` list read and never written), a reply is
+never read again by the node that returned it (``decision``,
+``inserted`` and ``evictions`` are advanced hop by hop by design),
+frames hold only values the codec maps to themselves, and a handler
+exception or ``busy`` reply raises what a framed call raises.  Input checks stay where outside
 input arrives: field validation on every hop, frame-size and JSON checks
 on every frame read from a socket.  ``InProcessTransport`` keeps its
 codec round trip -- it is the reference the simulator oracles compare

@@ -190,8 +190,10 @@ class InProcessTransport(Transport):
 
     ``call_timeout`` bounds one dispatch; it is meant for single-hop
     handlers (a timeout cancels the handler mid-flight, which for a
-    nested walk would abandon in-flight upstream calls), so cluster runs
-    leave it ``None`` and let injected faults model lost frames instead.
+    nested walk -- or an ``inv`` entry frame, whose dispatch spans the
+    whole relay -- would abandon in-flight nested calls), so cluster
+    runs leave it ``None`` and let injected faults model lost frames
+    instead.
     """
 
     def __init__(self, call_timeout: Optional[float] = None) -> None:
@@ -242,7 +244,9 @@ class TCPTransport(Transport):
         drain_timeout: float = 5.0,
         max_connections_per_address: Optional[int] = None,
     ) -> None:
-        """``call_timeout`` is the per-RPC deadline (``None`` = wait forever);
+        """``call_timeout`` is the per-RPC deadline (``None`` = wait forever;
+        for a ``get`` it spans the walk above the callee, for an ``inv``
+        that lists ``nodes`` the whole relay below it);
         ``drain_timeout`` bounds how long :meth:`close` waits for server-side
         connection loops to exit; ``max_connections_per_address`` caps how
         many connections this transport holds toward one destination

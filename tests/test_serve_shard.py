@@ -1,6 +1,6 @@
 """The sharded cluster: ring assignment, worker fleet, backpressure.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * the consistent-hash plan is a deterministic, stable, total partition
   of the topology (pure functions, no processes);
@@ -9,9 +9,13 @@ Four layers of guarantees:
   client-visible errors and the simulator's exact summary and per-node
   counters -- sharding is an ownership split, never a behavior change
   -- while the ``cross_shard_fwds`` counters prove walks crossed the
-  process boundary exactly when there is one;
+  process boundary exactly when there is one, and an in-band update
+  stream reaches every cache node of every shard;
 * a same-shard hop, which carries no frame, still fails, sheds and
   isolates values the way a framed hop does;
+* an update broadcast puts one ``inv`` frame on the wire per process,
+  is relayed inside each shard, skips what it cannot reach without
+  touching a walk's retry state, and refuses malformed frames;
 * admission control sheds with retryable ``busy`` frames once a node's
   inflight bound is hit, and never fires under sequential replay.
 """
@@ -19,9 +23,12 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
+from repro.cache.descriptors import ObjectDescriptor
+from repro.coherency.config import CoherencyConfig
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
 from repro.serve import (
@@ -38,19 +45,24 @@ from repro.serve import (
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
+from repro.serve.cluster import broadcast_invalidate
 from repro.serve.node import CacheNode, ResilienceConfig
 from repro.serve.protocol import (
     MSG_GET,
+    MSG_INV,
+    MSG_INV_OK,
     MSG_RESP,
     NodeUnreachable,
+    ProtocolError,
     RemoteProtocolError,
 )
 from repro.serve.shard import shard_forwarder
-from repro.serve.transport import RetryPolicy
+from repro.serve.transport import CircuitBreaker, RetryPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
+from repro.workload.updates import generate_update_events
 
 WORKLOAD = WorkloadConfig(
     num_objects=80,
@@ -61,6 +73,7 @@ WORKLOAD = WorkloadConfig(
     seed=7,
 )
 CONFIG = SimulationConfig(relative_cache_size=0.01)
+UPDATE_RATE = 4.0
 
 
 @pytest.fixture(scope="module")
@@ -167,13 +180,21 @@ class TestShardedClusterLive:
         """
         arch, trace, catalog = scenario
         cost_model = LatencyCostModel(arch.network, catalog.mean_size)
+        updates = generate_update_events(
+            num_objects=WORKLOAD.num_objects,
+            duration=trace[len(trace) - 1].time,
+            update_rate=UPDATE_RATE,
+            seed=9,
+        )
         registry = StatRegistry()
         sim = SimulationEngine(
             arch,
             cost_model,
             coordinated_scheme(arch, catalog),
             warmup_fraction=CONFIG.warmup_fraction,
-        ).run(trace, instruments=Instruments(registry=registry))
+        ).run(
+            trace, updates=updates, instruments=Instruments(registry=registry)
+        )
         expected = registry.snapshot()
 
         cluster = ShardedCluster(
@@ -185,10 +206,17 @@ class TestShardedClusterLive:
 
             async def drive():
                 client = ClusterClient(
-                    arch, cost_model, addresses, TCPTransport()
+                    arch,
+                    cost_model,
+                    addresses,
+                    TCPTransport(),
+                    coherency=CoherencyConfig(mode="inband"),
                 )
                 loadgen = LoadGenerator(
-                    client, trace, warmup_fraction=CONFIG.warmup_fraction
+                    client,
+                    trace,
+                    updates=updates,
+                    warmup_fraction=CONFIG.warmup_fraction,
                 )
                 try:
                     report = await loadgen.run(mode="sequential")
@@ -213,6 +241,13 @@ class TestShardedClusterLive:
                 assert live.get(counter, 0) == expected.get(node, {}).get(
                     counter, 0
                 ), f"node {node} {counter}"
+        # Every update reached every cache node, relayed inside each
+        # shard, and dropped exactly the copies the simulator dropped.
+        assert report.updates_applied == len(updates) == sim.updates_applied
+        assert report.copies_invalidated == sim.copies_invalidated > 0
+        assert report.coherency["inv_frames"] == len(updates) * len(
+            arch.cache_nodes
+        )
         # Walks crossed a process boundary exactly when there is one.
         live_xfwd = sum(
             s["stats"].get("cross_shard_fwds", 0) for s in stats.values()
@@ -422,6 +457,243 @@ class TestSameShardHops:
         assert target == path[2]
         assert reports == first_reports and len(reports) == 1
         assert skipped == [1]
+
+
+class CountingWire:
+    """Everything that is a frame -- client to entry node, shard to
+    shard -- crosses here, is counted, and round-trips the codec."""
+
+    def __init__(self) -> None:
+        self.inner = InProcessTransport()
+        self.frames: list = []
+        self.down: set = set()
+
+    async def call(self, address, message: dict) -> dict:
+        self.frames.append((address, message))
+        if address in self.down:
+            raise NodeUnreachable(f"node {address} is down")
+        return await self.inner.call(address, message)
+
+
+async def two_shards(scenario, wire):
+    """Both halves of a two-shard plan in this process, each behind its
+    own ``shard_forwarder``, warmed with the head of the trace."""
+    arch, trace, _ = scenario
+    plan = ShardPlan.compute(arch, 2)
+    addresses = {node: node for node in plan.assignment}
+    rngs = {node: random.Random(node) for node in plan.assignment}
+    nodes = {}
+    for shard in range(2):
+        hosted: dict = {}
+        hosted.update(
+            host(
+                scenario,
+                plan.nodes_of(shard),
+                shard_forwarder(hosted, wire, addresses),
+                {
+                    node: {"shard_of": plan.assignment, "rng": rngs[node]}
+                    for node in plan.nodes_of(shard)
+                },
+            )
+        )
+        nodes.update(hosted)
+    for node_id, node in nodes.items():
+        await wire.inner.start_node(node_id, node.handle)
+    for record in trace.records[:200]:
+        await wire.call(
+            arch.client_nodes[record.client_id],
+            {**get_frame(record, record.object_id), "size": record.size,
+             "time": record.time},
+        )
+    wire.frames.clear()
+    return plan, nodes, addresses, rngs
+
+
+def invalidations(nodes, targets):
+    return [nodes[n].scheme.protocol_stats.invalidations for n in targets]
+
+
+class TestInvalidationRelay:
+    """One ``inv`` frame per process: the entry node relays a broadcast
+    inside its shard by direct calls and sends each other shard one
+    frame (``CacheNode._relay_invalidate``)."""
+
+    def test_one_frame_per_other_shard_and_the_loop_s_outcome(self, scenario):
+        arch, trace, _ = scenario
+        targets = sorted(arch.cache_nodes)
+        objects = sorted({r.object_id for r in trace.records[:200]})
+        ctx = {"id": "tinv.1", "parent": None}
+
+        async def relayed():
+            wire = CountingWire()
+            plan, nodes, addresses, _ = await two_shards(scenario, wire)
+            before = invalidations(nodes, targets)
+            removed, delivered, skipped = await broadcast_invalidate(
+                wire, addresses, targets, objects[0], trace=ctx
+            )
+            frames = list(wire.frames)
+            counted = [
+                after - was
+                for was, after in zip(before, invalidations(nodes, targets))
+            ]
+            outcome = {objects[0]: removed}
+            for object_id in objects[1:]:
+                outcome[object_id], _, _ = await broadcast_invalidate(
+                    wire, addresses, targets, object_id
+                )
+            return plan, frames, delivered, skipped, counted, outcome
+
+        async def looped():
+            wire = CountingWire()
+            _, _, addresses, _ = await two_shards(scenario, wire)
+            outcome = {}
+            for object_id in objects:
+                outcome[object_id] = 0
+                for node in targets:
+                    reply = await wire.call(
+                        addresses[node],
+                        {"type": MSG_INV, "object_id": object_id},
+                    )
+                    outcome[object_id] += reply["removed"]
+            return outcome
+
+        plan, frames, delivered, skipped, counted, outcome = run(relayed())
+        home = plan.assignment[targets[0]]
+        away = [n for n in targets if plan.assignment[n] != home]
+        # The client's frame to the entry node, one frame to the other
+        # shard naming its members, and nothing for co-hosted nodes.
+        assert [address for address, _ in frames] == [targets[0], away[0]]
+        assert frames[0][1]["nodes"] == targets
+        assert frames[1][1]["nodes"] == away
+        assert frames[1][1]["trace"] == frames[0][1]["trace"] == ctx
+        # Every listed node's handler ran exactly once ...
+        assert (delivered, skipped) == (len(targets), [])
+        assert counted == [1] * len(targets)
+        # ... and dropped what one frame per node would have dropped.
+        assert outcome == run(looped())
+        assert sum(outcome.values()) > 0
+
+    def test_unreachable_nodes_are_skipped_not_retried(self, scenario):
+        arch, trace, _ = scenario
+        targets = sorted(arch.cache_nodes)
+        object_id = trace[0].object_id
+
+        async def broadcast(down_of):
+            wire = CountingWire()
+            plan, nodes, addresses, rngs = await two_shards(scenario, wire)
+            home = plan.assignment[targets[0]]
+            away = [n for n in targets if plan.assignment[n] != home]
+            wire.down = set(down_of(away))
+            before = invalidations(nodes, targets)
+            seeds = {n: rng.getstate() for n, rng in rngs.items()}
+            _, delivered, skipped = await broadcast_invalidate(
+                wire, addresses, targets, object_id
+            )
+            counted = {
+                n: after - was
+                for n, was, after in zip(
+                    targets, before, invalidations(nodes, targets)
+                )
+            }
+            # Best-effort means just that: no walk's retry schedule or
+            # breaker state moves because a broadcast met a dead node.
+            assert all(
+                rng.getstate() == seeds[n] for n, rng in rngs.items()
+            )
+            assert all(
+                breaker.state == CircuitBreaker.CLOSED
+                and breaker.consecutive_failures == 0
+                for node in nodes.values()
+                for breaker in node.breakers.values()
+            )
+            sent = [(address, m["nodes"]) for address, m in wire.frames]
+            return away, sent, delivered, skipped, counted
+
+        # The first node of the other shard is down: its group is
+        # reached through the second.
+        away, sent, delivered, skipped, counted = run(
+            broadcast(lambda away: away[:1])
+        )
+        assert sent == [
+            (targets[0], targets), (away[0], away), (away[1], away[1:])
+        ]
+        assert (delivered, skipped) == (len(targets) - 1, away[:1])
+        assert counted == {n: int(n != away[0]) for n in targets}
+
+        # The whole other shard is down: two tries, then its members
+        # come back as skipped while the entry's shard is delivered.
+        away, sent, delivered, skipped, counted = run(
+            broadcast(lambda away: away)
+        )
+        assert sent == [
+            (targets[0], targets), (away[0], away), (away[1], away[1:])
+        ]
+        assert (delivered, skipped) == (len(targets) - len(away), away)
+        assert counted == {n: int(n not in away) for n in targets}
+
+        # The entry itself is down: the next id becomes the entry.
+        _, sent, delivered, skipped, counted = run(
+            broadcast(lambda away: targets[:1])
+        )
+        assert sent[:2] == [(targets[0], targets), (targets[1], targets[1:])]
+        assert (delivered, skipped) == (len(targets) - 1, targets[:1])
+        assert counted == {n: int(n != targets[0]) for n in targets}
+
+
+class TestInvFrameValidation:
+    """An ``inv`` frame is outside input: a malformed one is refused
+    before it is priced as a protocol message or touches the cache."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"object_id": "7"},
+            {"object_id": 1.5},
+            {"object_id": None},
+            {"object_id": [1]},
+            {"object_id": {"a": 1}},
+            {"object_id": True},
+            {},
+            {"object_id": 1, "nodes": None},
+            {"object_id": 1, "nodes": "5"},
+            {"object_id": 1, "nodes": ["5"]},
+            {"object_id": 1, "nodes": [5, True]},
+            {"object_id": 1, "nodes": [5, 5]},
+            {"object_id": 1, "nodes": [6]},
+            {"object_id": 1, "nodes": []},
+        ],
+        ids=repr,
+    )
+    def test_malformed_frame_touches_nothing(self, scenario, fields):
+        relayed = []
+
+        async def forward(node_id, message):
+            relayed.append(node_id)
+            return {"type": MSG_INV_OK, "node": node_id, "removed": 0}
+
+        node = host(scenario, [5], forward)[5]
+        scheme = node.scheme
+        scheme.cache_at(5).insert(ObjectDescriptor(1, 100), 0.0)
+        with pytest.raises(ProtocolError):
+            run(node.handle({"type": MSG_INV, **fields}))
+        assert scheme.protocol_stats.invalidations == 0
+        assert scheme.has_object(5, 1) and relayed == []
+        # The well-formed frame next to it is served.
+        reply = run(node.handle({"type": MSG_INV, "object_id": 1}))
+        assert (reply["removed"], scheme.has_object(5, 1)) == (1, False)
+        assert scheme.protocol_stats.invalidations == 1
+
+    def test_a_node_outside_the_plan_is_refused(self, scenario):
+        node = host(
+            scenario, [5], None, {5: {"shard_of": {5: 0, 6: 1}}}
+        )[5]
+        with pytest.raises(ProtocolError):
+            run(
+                node.handle(
+                    {"type": MSG_INV, "object_id": 1, "nodes": [5, 6, 7]}
+                )
+            )
+        assert node.scheme.protocol_stats.invalidations == 0
 
 
 class TestAdmissionControl:

@@ -10,9 +10,9 @@ breaking an eligibility check so ``run_columnar`` routes everything
 through the generic loop.
 
 The floor is deliberately conservative (2x, against measured ~4-9x on
-the gated schemes, see BENCH_sim.json) so shared-box timing wobble does
-not flake the gate; the committed-baseline ratio check in
-``scripts/bench_sim.py --quick --check`` is the tight version.
+the gated schemes) so shared-box timing wobble does not flake the gate;
+the measured ratio is ``sim.fastpath.speedup_vs_ref`` of
+``python3 -m bench`` (``BENCHMARK.json``).
 
 Timing is interleaved min-of-N, same as the probe-overhead gate:
 alternate reference and fast replays so drift hits both equally.

@@ -110,16 +110,6 @@ echo "== fast-path micro speedup gate =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     benchmarks/test_micro_fastpath.py
 
-echo "== columnar fast-path throughput gate =="
-# The quick benchmark preset, checked against the committed
-# BENCH_sim.json baseline: the bit-exactness assertion runs inside the
-# benchmark (fast summary == reference summary per run), and the
-# speedup *ratio* -- fast vs reference measured back to back in one
-# process, so machine speed cancels -- must stay within 20% of the
-# baseline's embedded quick-preset ratios.
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python scripts/bench_sim.py \
-    --quick --check
-
 echo "== live serve/loadgen smoke (loopback TCP) =="
 # End to end through the serving layer: background `repro serve`, drive
 # part of the trace over real sockets with `repro loadgen`, scrape the
@@ -150,11 +140,15 @@ SERVE_PID=$!
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro loadgen \
     --manifest "$SERVE_DIR/cluster.json" --mode closed --concurrency 4 \
     --requests 2000 --wait 60 --json "$SERVE_DIR/report.json"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python - \
-    "$SERVE_DIR/cluster.json" <<'EOF'
+# scrape_handled MANIFEST REQUESTS: the handled-requests counters on the
+# nodes' /metrics must sum to at least the requests driven, and a node's
+# /healthz must say ready -- whichever process hosts the node.
+scrape_handled() {
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python - "$@" <<'EOF'
 import json, sys, urllib.request
 
 manifest = json.load(open(sys.argv[1]))
+driven = int(sys.argv[2])
 handled = 0
 for node, (host, port) in sorted(manifest["metrics"].items()):
     body = urllib.request.urlopen(
@@ -165,8 +159,14 @@ for node, (host, port) in sorted(manifest["metrics"].items()):
             handled += int(float(line.rsplit(" ", 1)[1]))
 print(f"/metrics across {len(manifest['metrics'])} nodes: "
       f"{handled} request walks handled")
-assert handled >= 2000, f"request counter did not move: {handled}"
+assert handled >= driven, f"request counter did not move: {handled}"
+health = json.load(
+    urllib.request.urlopen(f"http://{host}:{port}/healthz", timeout=10)
+)
+assert health["ready"] is True, health
 EOF
+}
+scrape_handled "$SERVE_DIR/cluster.json" 2000
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 SERVE_PID=""
@@ -222,10 +222,12 @@ echo "== sharded serve smoke (two worker processes, open-loop load, updates) =="
 # Gates: zero client-visible errors AND zero rejections -- at this
 # offered rate the cluster must absorb everything -- plus nonzero
 # cross-shard forward counters in the drain snapshot, proving walks
-# really crossed the process boundary.
+# really crossed the process boundary.  The workers' endpoints get the
+# single-process stage's scrape: a worker is a Cluster, and one that
+# drifts from it again fails here.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro serve \
     --scheme coordinated --arch hierarchical --scale small \
-    --shards 2 --no-metrics \
+    --shards 2 --coherency inband \
     --manifest "$SERVE_DIR/sharded.json" \
     --snapshot "$SERVE_DIR/sharded_snapshot.json" &
 SERVE_PID=$!
@@ -240,6 +242,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro loadgen \
     --manifest "$SERVE_DIR/sharded.json" --mode sequential \
     --coherency inband --update-rate 5 \
     --requests 600 --wait 60 --json "$SERVE_DIR/sharded_updates_report.json"
+scrape_handled "$SERVE_DIR/sharded.json" 2100
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 SERVE_PID=""

@@ -850,9 +850,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if coherency is not None and args.shards > 1:
+    if (
+        coherency is not None
+        and coherency.mode == "channel"
+        and args.shards > 1
+    ):
         print(
-            "--coherency is not supported with --shards > 1 "
+            "--coherency channel is not supported with --shards > 1 "
             "(the channel broker lives in the serve process)",
             file=sys.stderr,
         )
@@ -896,7 +900,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _serve_sharded(args, arch, generator, config, resilience, preset)
+        return _serve_sharded(
+            args, arch, generator, config, resilience, preset, coherency
+        )
 
     async def run() -> None:
         transport = TCPTransport(host=args.host, call_timeout=args.rpc_timeout)
@@ -958,13 +964,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_sharded(args, arch, generator, config, resilience, preset) -> int:
+def _serve_sharded(
+    args, arch, generator, config, resilience, preset, coherency
+) -> int:
     """Multi-process serve: one worker per shard, coordinated over pipes.
 
     The parent never hosts a node -- it spawns the shard workers, writes
     the merged manifest, and sleeps on SIGINT/SIGTERM; shutdown drains
     every worker and (with ``--snapshot``) lands the final per-node
-    stats on disk.
+    stats on disk.  ``coherency`` (in-band only) changes nothing on the
+    workers -- every node answers ``inv`` frames -- and is recorded in
+    the manifest for the load generator.
     """
     import json
     import signal as signal_module
@@ -993,7 +1003,11 @@ def _serve_sharded(args, arch, generator, config, resilience, preset) -> int:
         shard: cluster.plan.nodes_of(shard) for shard in range(args.shards)
     }
     manifest = _serve_manifest(
-        args, addresses, cluster.metrics_addresses, shards=shards
+        args,
+        addresses,
+        cluster.metrics_addresses,
+        shards=shards,
+        coherency=coherency,
     )
     Path(args.manifest).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,8 @@
 """The results warehouse: every artifact format, one queryable store.
 
 The repo's telemetry lands in disconnected files -- sweep results JSON,
-checkpoint JSONL, RunRecord sidecars, ``BENCH_sim.json`` /
-``BENCH_serve.json`` trajectories, loadgen reports, Prometheus scrapes,
+checkpoint JSONL, RunRecord sidecars, ``BENCH_serve.json``
+trajectories, loadgen reports, Prometheus scrapes,
 span traces -- and comparing the paper's claims across schemes,
 architectures or PRs meant ad-hoc scripting over the pile.  The
 warehouse is a stdlib-``sqlite3`` database with a stable table per
@@ -119,17 +119,6 @@ CREATE TABLE IF NOT EXISTS audit_violations (
     "check" TEXT,
     detail TEXT,
     request_index INTEGER,
-    source TEXT,
-    content_hash TEXT NOT NULL UNIQUE
-);
-CREATE TABLE IF NOT EXISTS bench_sim (
-    id INTEGER PRIMARY KEY,
-    preset TEXT,
-    quick INTEGER,
-    case_name TEXT,
-    reference_rps REAL,
-    fast_rps REAL,
-    speedup REAL,
     source TEXT,
     content_hash TEXT NOT NULL UNIQUE
 );
@@ -325,14 +314,6 @@ CANNED_QUERIES: Dict[str, CannedQuery] = {
             "ORDER BY architecture, scheme",
         ),
         CannedQuery(
-            "perf-trajectory",
-            "Simulator throughput trajectory across ingested BENCH_sim "
-            "baselines (PR-over-PR fast-path history)",
-            "SELECT source, preset, quick, case_name, reference_rps, "
-            "fast_rps, speedup FROM bench_sim ORDER BY source, quick, "
-            "case_name",
-        ),
-        CannedQuery(
             "saturation-knee",
             "Serving saturation-knee history across ingested BENCH_serve "
             "baselines: offered vs achieved rps and p99 at the knee",
@@ -501,7 +482,7 @@ class Warehouse:
         """Ingest one artifact file, auto-detecting its format.
 
         Understands: sweep results JSON, run-record sidecars, checkpoint
-        JSONL, ``BENCH_sim.json`` / ``BENCH_serve.json``, loadgen report
+        JSONL, ``BENCH_serve.json``, loadgen report
         JSON, cluster state snapshots, JSONL event traces (span events),
         and Prometheus text scrapes.  Raises ``ValueError`` for a file
         that matches none of them.
@@ -537,10 +518,6 @@ class Warehouse:
             result = IngestResult(source, "run records")
             for raw in document["records"]:
                 self._add_run_record(result, raw, source)
-            return result
-        if "runs" in document and "trace_build" in document:
-            result = IngestResult(source, "BENCH_sim baseline")
-            self._add_bench_sim(result, document, source, quick=False)
             return result
         if "levels" in document and "saturation" in document:
             result = IngestResult(source, "BENCH_serve baseline")
@@ -870,36 +847,6 @@ class Warehouse:
             record = dict(record)
             record.setdefault("key", key)
             self._add_run_record(result, record, source)
-
-    def _add_bench_sim(
-        self, result: IngestResult, document: dict, source: str, quick: bool
-    ) -> None:
-        preset = document.get("preset")
-        for case_name, case in sorted(
-            (document.get("runs") or {}).items()
-        ):
-            if not isinstance(case, dict):
-                continue
-            self._insert(
-                result,
-                "bench_sim",
-                ("preset", "quick", "case_name", "reference_rps", "fast_rps",
-                 "speedup", "source"),
-                (
-                    preset,
-                    1 if quick else 0,
-                    case_name,
-                    case.get("reference_rps"),
-                    case.get("fast_rps"),
-                    case.get("speedup"),
-                    source,
-                ),
-                {"preset": preset, "quick": quick, "case": case_name,
-                 "run": case},
-            )
-        nested = document.get("quick")
-        if isinstance(nested, dict) and not quick:
-            self._add_bench_sim(result, nested, source, quick=True)
 
     def _add_bench_serve(
         self, result: IngestResult, document: dict, source: str, quick: bool

@@ -10,11 +10,21 @@ a request entering at a client's attachment node walks exactly the
 delivery path the simulator would route, because every node resolves
 paths from the same shared routing table.
 
-The orchestrator also provides the control plane:
+A cluster is also what a shard worker process runs
+(:mod:`repro.serve.shard`): built with ``shard=(shard_id, assignment)``
+it hosts only the nodes the assignment gives it, reaches those by
+direct calls and every other node by frames (:func:`shard_forwarder`),
+and is otherwise the same object -- one place builds nodes, tracers and
+scrape endpoints, drains and snapshots.
+
+The orchestrator also provides the control plane
+(:class:`ControlPlane`, the part shared with the wire-side
+``ClusterClient``):
 
 * ``invalidate`` -- push-invalidate one object across all cache nodes
-  (:func:`broadcast_invalidate`, shared with the wire-side
-  ``ClusterClient``: one entry frame, relayed by the nodes);
+  (:func:`broadcast_invalidate`: one entry frame, relayed by the nodes);
+* ``apply_update`` -- one update event through the configured coherency
+  mode;
 * ``stats_snapshot`` -- the merged per-node counter registry;
 * ``enable_metrics`` -- one scrape endpoint per node
   (:class:`~repro.serve.metrics_http.MetricsServer`);
@@ -38,7 +48,6 @@ import random
 import signal as signal_module
 from pathlib import Path
 from typing import (
-    Awaitable,
     Callable,
     Dict,
     Iterable,
@@ -55,7 +64,6 @@ from repro.core.piggyback import INV_FRAME_BYTES
 from repro.costs.model import CostModel, LatencyCostModel
 from repro.obs.export import JsonlTraceWriter
 from repro.obs.probe import Probe
-from repro.obs.timers import PhaseTimers
 from repro.schemes.base import CachingScheme
 from repro.serve.channel import (
     BROKER_NODE_ID,
@@ -64,7 +72,7 @@ from repro.serve.channel import (
     merge_channel_stats,
 )
 from repro.serve.metrics_http import MetricsServer
-from repro.serve.node import CacheNode, ResilienceConfig
+from repro.serve.node import CacheNode, Forwarder, ResilienceConfig
 from repro.serve.protocol import (
     MSG_CHSYNC,
     MSG_INV,
@@ -73,7 +81,7 @@ from repro.serve.protocol import (
     RETRYABLE_ERRORS,
 )
 from repro.serve.tracing import NodeTracer, TracingConfig
-from repro.serve.transport import InProcessTransport, Transport
+from repro.serve.transport import InProcessTransport, Transport, direct_call
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.sim.factory import build_scheme
@@ -117,28 +125,132 @@ async def broadcast_invalidate(
     return 0, 0, skipped
 
 
-async def apply_inband_update(
-    invalidate: Callable[[int], Awaitable[int]],
-    event,
-    groups: Optional[GroupAssignment],
-) -> int:
-    """One update event paid in band: a group event expands to its member
-    objects and each is broadcast-invalidated.  Returns copies removed."""
-    events = [event]
-    if isinstance(event, GroupUpdateEvent):
-        if groups is None:
-            raise ValueError(
-                "group-targeted updates require a group assignment"
-            )
-        events = expand_group_events([event], groups)
-    removed = 0
-    for per_object in events:
-        removed += await invalidate(per_object.object_id)
-    return removed
+def shard_forwarder(
+    hosted: Mapping[int, CacheNode],
+    transport: Transport,
+    peers: Mapping[int, object],
+) -> Forwarder:
+    """How the nodes of one process reach an upstream node.
+
+    A hop to a node this process hosts is a direct call (no frame; see
+    :mod:`repro.serve.shard` for the contract), a hop that leaves it an
+    ordinary frame on ``transport``.  ``hosted`` and ``peers`` are read
+    at call time: the cluster fills them after its nodes, which need
+    the forwarder, exist.
+    """
+
+    async def forward(node_id: int, message: dict) -> dict:
+        node = hosted.get(node_id)
+        if node is not None:
+            return await direct_call(node.handle, message)
+        return await transport.call(peers[node_id], message)
+
+    return forward
 
 
-class Cluster:
-    """A live cascade of cache nodes over one architecture."""
+class ControlPlane:
+    """What every driver of a cluster shares, hosting nodes or not.
+
+    The architecture, cost model, transport and address map a load
+    generator drives; the coherency mode with its counters; and the one
+    ``apply_update``.  A subclass supplies :meth:`invalidate` (how
+    strict a broadcast is) and reads channel state its own way -- in
+    memory for :class:`Cluster`, over the wire for ``ClusterClient``.
+    """
+
+    def __init__(
+        self,
+        architecture: Architecture,
+        cost_model: CostModel,
+        transport: Transport,
+        addresses: Mapping[int, object],
+        coherency: Optional[CoherencyConfig],
+        groups: Optional[GroupAssignment],
+    ) -> None:
+        self.architecture = architecture
+        self.cost_model = cost_model
+        self.transport = transport
+        self.addresses: Dict[int, object] = dict(addresses)
+        # The coherency plane (inv broadcasts, channel subscriptions)
+        # only spans cache nodes: the origin is authoritative, never
+        # holds a stale copy and never subscribes (chsync on a
+        # non-subscriber is a protocol error), and the simulator prices
+        # exactly len(architecture.cache_nodes) frames per event.
+        self._cache_nodes = frozenset(architecture.cache_nodes)
+        # Coherency mode (None behaves as implicit in-band with no stats
+        # surfaced).  The broker's address (channel mode only)
+        # deliberately lives OUTSIDE self.addresses: invalidation
+        # broadcasts and node sweeps iterate the address map and must
+        # never treat the broker as a cache.
+        self.coherency = coherency
+        self.groups = groups
+        self.broker_address: Optional[object] = None
+        self._updates_published = 0
+        self._inv_frames = 0
+        self._copies_invalidated = 0
+
+    def ingress_address(self, client_id: int):
+        """The address a given client sends its ``get`` frames to."""
+        return self.addresses[self.architecture.client_nodes[client_id]]
+
+    async def invalidate(self, object_id: int) -> int:
+        """Push-invalidate one object everywhere; returns copies removed."""
+        raise NotImplementedError
+
+    async def apply_update(self, event) -> int:
+        """Apply one update event through the configured coherency mode.
+
+        In-band (or no coherency configured): a group event expands to
+        its member objects and each is broadcast-invalidated -- exactly
+        what in-band mode pays for group invalidation.  Channel mode:
+        one ``pub`` frame to the broker, which sequences and fans out.
+        Returns copies removed cluster-wide (for channel mode, by the
+        synchronous fan-out; copies recovered later via catchup are not
+        in the count).
+        """
+        self._updates_published += 1
+        grouped = isinstance(event, GroupUpdateEvent)
+        if self.broker_address is None:
+            events = [event]
+            if grouped:
+                if self.groups is None:
+                    raise ValueError(
+                        "group-targeted updates require a group assignment"
+                    )
+                events = expand_group_events(events, self.groups)
+            removed = 0
+            for per_object in events:
+                removed += await self.invalidate(per_object.object_id)
+            return removed
+        group = (
+            event.group_id if grouped
+            else self.groups.group_of(event.object_id)
+        )
+        reply = await self.transport.call(
+            self.broker_address,
+            {"type": MSG_PUB, "group": group, "time": event.time},
+        )
+        self._copies_invalidated += reply["removed"]
+        return reply["removed"]
+
+    def _inband_stats(self) -> dict:
+        """In-band accounting: the inv broadcasts this driver delivered."""
+        stats = CoherencyStats(mode="inband")
+        stats.events_published = self._updates_published
+        stats.inv_frames = self._inv_frames
+        stats.inv_bytes = self._inv_frames * INV_FRAME_BYTES
+        stats.copies_invalidated = self._copies_invalidated
+        return stats.to_dict()
+
+
+class Cluster(ControlPlane):
+    """A live cascade of cache nodes over one architecture.
+
+    ``shard=(shard_id, assignment)`` makes it one shard of a larger
+    cluster: it hosts only the nodes ``assignment`` maps to
+    ``shard_id`` and expects the other shards' addresses to be merged
+    into :attr:`addresses` before traffic arrives.
+    """
 
     def __init__(
         self,
@@ -153,34 +265,37 @@ class Cluster:
         tracing: Optional[TracingConfig] = None,
         coherency: Optional[CoherencyConfig] = None,
         groups: Optional[GroupAssignment] = None,
+        shard: Optional[Tuple[int, Mapping[int, int]]] = None,
     ) -> None:
-        if (
-            coherency is not None
-            and coherency.mode == "channel"
-            and groups is None
-        ):
-            raise ValueError(
-                "channel-mode coherency requires a group assignment "
-                "(build one from the object catalog via "
-                "CoherencyConfig.build_groups)"
-            )
-        self.architecture = architecture
-        self.cost_model = cost_model
+        if coherency is not None and coherency.mode == "channel":
+            if groups is None:
+                raise ValueError(
+                    "channel-mode coherency requires a group assignment "
+                    "(build one from the object catalog via "
+                    "CoherencyConfig.build_groups)"
+                )
+            if shard is not None:
+                raise ValueError(
+                    "channel-mode coherency cannot be sharded: every "
+                    "shard would start a broker of its own"
+                )
+        super().__init__(
+            architecture,
+            cost_model,
+            transport if transport is not None else InProcessTransport(),
+            {},
+            coherency,
+            groups,
+        )
         self.scheme_factory = scheme_factory
-        # The coherency plane (inv broadcasts, channel subscriptions)
-        # only spans cache nodes: the origin is authoritative, never
-        # holds a stale copy, and the simulator prices exactly
-        # len(architecture.cache_nodes) frames per event.
-        self._cache_nodes = frozenset(architecture.cache_nodes)
-        self.transport = transport if transport is not None else InProcessTransport()
         self.scheme_name = scheme_name
+        self.shard_id, self.shard_of = shard if shard is not None else (None, None)
         # Per-node admission bound (None = unbounded); see CacheNode.
         self.max_inflight = max_inflight
         # Distributed tracing (None = off, the exact untraced path); the
-        # JSONL span writer and phase timers are shared by every node.
+        # JSONL span writer is shared by every node.
         self.tracing = tracing
         self.trace_writer: Optional[JsonlTraceWriter] = None
-        self.phase_timers: Optional[PhaseTimers] = None
         self._trace_probe: Optional[Probe] = None
         self._inv_seq = 0
         self.resilience = (
@@ -192,22 +307,20 @@ class Cluster:
         # function of (seed, fault plan, trace).
         self.seed = seed
         self.nodes: Dict[int, CacheNode] = {}
-        self.addresses: Dict[int, object] = {}
+        # Frames exist only at process boundaries: a shard reaches the
+        # nodes it hosts directly.  An unsharded cluster frames every
+        # hop -- its transport is the oracles' reference and what a
+        # fault plan sees.
+        self._forward = shard_forwarder(
+            self.nodes if shard is not None else {},
+            self.transport,
+            self.addresses,
+        )
         self.metrics_servers: Dict[int, MetricsServer] = {}
         # Nodes skipped by best-effort invalidation broadcasts (control
         # plane's failure visibility; the data plane has its own counters).
         self.invalidate_skips = 0
-        # Coherency mode (None behaves as implicit in-band with no stats
-        # surfaced).  The broker's address deliberately lives OUTSIDE
-        # self.addresses: invalidation broadcasts and node sweeps iterate
-        # the address map and must never treat the broker as a cache.
-        self.coherency = coherency
-        self.groups = groups
         self.broker: Optional[ChannelBroker] = None
-        self.broker_address: Optional[object] = None
-        self._updates_published = 0
-        self._inv_frames = 0
-        self._copies_invalidated = 0
         self._started = False
         self._draining = False
 
@@ -224,6 +337,7 @@ class Cluster:
         max_inflight: Optional[int] = None,
         tracing: Optional[TracingConfig] = None,
         coherency: Optional[CoherencyConfig] = None,
+        shard: Optional[Tuple[int, Mapping[int, int]]] = None,
         **params,
     ) -> "Cluster":
         """Derive per-node schemes exactly as the experiment runner does.
@@ -261,17 +375,17 @@ class Cluster:
             tracing=tracing,
             coherency=coherency,
             groups=groups,
+            shard=shard,
         )
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> Dict[int, object]:
-        """Instantiate and serve every node; returns the address map."""
+        """Instantiate and serve every hosted node; returns their addresses."""
         if self._started:
             raise RuntimeError("cluster already started")
         if self.tracing is not None:
             self.trace_writer = JsonlTraceWriter(self.tracing.path)
-            self.phase_timers = PhaseTimers()
             self._trace_probe = Probe(
                 self.trace_writer,
                 sample_every=self.tracing.sample_every,
@@ -280,10 +394,14 @@ class Cluster:
                 kinds=("span",),
             )
         for node_id in sorted(self.architecture.network.nodes()):
+            if self.shard_of is not None and (
+                self.shard_of[node_id] != self.shard_id
+            ):
+                continue
             tracer = None
             if self._trace_probe is not None:
                 tracer = NodeTracer(
-                    node_id, self._trace_probe, timers=self.phase_timers
+                    node_id, self._trace_probe, shard=self.shard_id
                 )
             node = CacheNode(
                 node_id,
@@ -293,6 +411,7 @@ class Cluster:
                 resilience=self.resilience,
                 rng=random.Random(f"{self.seed}:{node_id}"),
                 max_inflight=self.max_inflight,
+                shard_of=self.shard_of,
                 tracer=tracer,
             )
             self.nodes[node_id] = node
@@ -317,15 +436,8 @@ class Cluster:
         self._started = True
         return dict(self.addresses)
 
-    async def _forward(self, node_id: int, message: dict) -> dict:
-        return await self.transport.call(self.addresses[node_id], message)
-
     async def _call_broker(self, message: dict) -> dict:
         return await self.transport.call(self.broker_address, message)
-
-    def ingress_address(self, client_id: int):
-        """The address a given client sends its ``get`` frames to."""
-        return self.addresses[self.architecture.client_nodes[client_id]]
 
     async def enable_metrics(
         self, host: str = "127.0.0.1", base_port: int = 0
@@ -499,32 +611,6 @@ class Cluster:
         self.invalidate_skips += len(skipped)
         return removed
 
-    async def apply_update(self, event) -> int:
-        """Apply one update event through the configured coherency mode.
-
-        In-band (or no coherency configured):
-        :func:`apply_inband_update` -- exactly what in-band mode pays
-        for group invalidation.  Channel mode: one ``pub`` frame to the
-        broker, which sequences and fans out.  Returns copies removed
-        cluster-wide (for channel mode, by the synchronous fan-out;
-        copies recovered later via catchup are not in the count).
-        """
-        self._updates_published += 1
-        if self.broker is None:
-            return await apply_inband_update(
-                self.invalidate, event, self.groups
-            )
-        if isinstance(event, GroupUpdateEvent):
-            group = event.group_id
-        else:
-            group = self.groups.group_of(event.object_id)
-        reply = await self._call_broker(
-            {"type": MSG_PUB, "group": group, "time": event.time}
-        )
-        removed = reply["removed"]
-        self._copies_invalidated += removed
-        return removed
-
     async def channel_sync(self) -> Dict[int, int]:
         """Sync every node to the broker's log; returns per-node pending.
 
@@ -568,9 +654,4 @@ class Cluster:
                     if node.subscriber is not None
                 ],
             )
-        stats = CoherencyStats(mode="inband")
-        stats.events_published = self._updates_published
-        stats.inv_frames = self._inv_frames
-        stats.inv_bytes = self._inv_frames * INV_FRAME_BYTES
-        stats.copies_invalidated = self._copies_invalidated
-        return stats.to_dict()
+        return self._inband_stats()

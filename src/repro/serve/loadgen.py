@@ -50,21 +50,14 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.coherency.stats import CoherencyStats
-from repro.core.piggyback import INV_FRAME_BYTES
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.schemes.base import RequestOutcome
 from repro.serve.channel import merge_channel_stats
-from repro.serve.cluster import (
-    Cluster,
-    apply_inband_update,
-    broadcast_invalidate,
-)
+from repro.serve.cluster import ControlPlane, broadcast_invalidate
 from repro.serve.protocol import (
     MSG_CHSTATS,
     MSG_CHSYNC,
     MSG_GET,
-    MSG_PUB,
     MSG_STATS,
     NodeBusy,
     NodeUnreachable,
@@ -75,14 +68,14 @@ from repro.workload.updates import GroupUpdateEvent, UpdateEvent
 MODES = ("sequential", "closed", "open")
 
 
-class ClusterClient:
+class ClusterClient(ControlPlane):
     """Client-side view of a running cluster, e.g. from a serve manifest.
 
-    Exposes the subset of :class:`~repro.serve.cluster.Cluster` the
+    The :class:`~repro.serve.cluster.ControlPlane` the
     :class:`LoadGenerator` drives -- ingress resolution, the transport,
-    the cost model, invalidation broadcast -- without owning any node,
-    so a load generator in one process can target ``repro serve`` nodes
-    in another.  The architecture must be rebuilt from the same
+    the cost model, ``apply_update`` -- without owning any node, so a
+    load generator in one process can target ``repro serve`` nodes in
+    another.  The architecture must be rebuilt from the same
     parameters the server used (the manifest records them); attachment
     and routing are deterministic given those parameters.
 
@@ -112,27 +105,11 @@ class ClusterClient:
                 "a channel-mode client needs the broker address and the "
                 "group assignment from the serve manifest"
             )
-        self.architecture = architecture
-        self.cost_model = cost_model
-        self.addresses = dict(addresses)
-        self.transport = transport
-        # Mirror of Cluster's coherency-plane scoping: only cache
-        # nodes receive inv frames or channel syncs (the origin never
-        # subscribes, and chsync on a non-subscriber is a protocol
-        # error).
-        self._cache_nodes = frozenset(architecture.cache_nodes)
-        self.coherency = coherency
-        self.groups = groups
-        self.broker_address = (
-            broker_address if coherency is not None
-            and coherency.mode == "channel" else None
+        super().__init__(
+            architecture, cost_model, transport, addresses, coherency, groups
         )
-        self._updates_published = 0
-        self._inv_frames = 0
-        self._copies_invalidated = 0
-
-    def ingress_address(self, client_id: int):
-        return self.addresses[self.architecture.client_nodes[client_id]]
+        if coherency is not None and coherency.mode == "channel":
+            self.broker_address = broker_address
 
     async def invalidate(self, object_id: int) -> int:
         """Strict broadcast: this is the oracle-mode client, so a node
@@ -147,25 +124,6 @@ class ClusterClient:
                 f"invalidation of object {object_id} did not reach "
                 f"nodes {skipped}"
             )
-        return removed
-
-    async def apply_update(self, event) -> int:
-        """:meth:`Cluster.apply_update`, with the broker over the wire."""
-        self._updates_published += 1
-        if self.broker_address is None:
-            return await apply_inband_update(
-                self.invalidate, event, self.groups
-            )
-        if isinstance(event, GroupUpdateEvent):
-            group = event.group_id
-        else:
-            group = self.groups.group_of(event.object_id)
-        reply = await self.transport.call(
-            self.broker_address,
-            {"type": MSG_PUB, "group": group, "time": event.time},
-        )
-        removed = reply["removed"]
-        self._copies_invalidated += removed
         return removed
 
     async def channel_sync(self) -> dict:
@@ -203,12 +161,7 @@ class ClusterClient:
                 if "channel" in reply:
                     node_stats.append(reply["channel"])
             return merge_channel_stats(broker["stats"], node_stats)
-        stats = CoherencyStats(mode="inband")
-        stats.events_published = self._updates_published
-        stats.inv_frames = self._inv_frames
-        stats.inv_bytes = self._inv_frames * INV_FRAME_BYTES
-        stats.copies_invalidated = self._copies_invalidated
-        return stats.to_dict()
+        return self._inband_stats()
 
     async def close(self) -> None:
         await self.transport.close()
@@ -350,7 +303,7 @@ class LoadGenerator:
 
     def __init__(
         self,
-        cluster: Cluster,
+        cluster: ControlPlane,
         trace: Trace,
         updates: Sequence["UpdateEvent | GroupUpdateEvent"] = (),
         warmup_fraction: float = 0.5,

@@ -2,13 +2,16 @@
 
 One Python process cannot push a cascade past a single core.  This
 module splits an :class:`~repro.sim.architecture.Architecture` across
-worker **shards** -- separate OS processes, each hosting the
-:class:`~repro.serve.node.CacheNode` instances of the network nodes it
+worker **shards** -- separate OS processes, each running a
+:class:`~repro.serve.cluster.Cluster` that hosts the network nodes it
 owns -- wired together over the existing TCP transport, so a request
 walk crosses shard boundaries with ordinary ``fwd`` frames and nothing
-above the transport changes.
+above the transport changes.  A worker builds no node, tracer or scrape
+endpoint itself: whatever a single-process cluster does at start, on
+``/healthz`` and ``/metrics``, while draining and in its snapshot, a
+shard does too, because it is the same object.
 
-Four pieces:
+Three pieces here, one next door:
 
 * :class:`HashRing` / :class:`ShardPlan` -- a consistent-hash
   assignment of network nodes to shards.  The ring is what makes the
@@ -18,8 +21,9 @@ Four pieces:
   shard is the shard that owns its attachment node
   (:meth:`ShardPlan.client_shard`), so any frontend that can hash a
   node id routes clients without consulting a directory.
-* :func:`shard_forwarder` -- the one rule for a hop between two nodes:
-  frames exist only at process boundaries.  A hop inside the shard is a
+* :func:`~repro.serve.cluster.shard_forwarder` (beside ``Cluster``,
+  which wires it) -- the one rule for a hop between two nodes: frames
+  exist only at process boundaries.  A hop inside the shard is a
   direct call on the hosted node's handler; a hop that leaves it is a
   TCP frame.  The rule covers both planes: the ``fwd`` hops of a
   request walk, and the ``inv`` hand-overs of an update broadcast, which
@@ -27,9 +31,9 @@ Four pieces:
   them through this forwarder (:meth:`CacheNode._relay_invalidate`).
 * :class:`ShardSpec` / :func:`_shard_worker_main` -- the picklable
   work order shipped to each ``spawn`` worker, and the worker's
-  entrypoint: bind the owned nodes on TCP, rendezvous the address maps
-  through a pipe, serve until told to stop, then drain and report
-  final per-node stats.
+  entrypoint: start a ``Cluster`` with ``shard=`` on TCP, rendezvous
+  the address maps through a pipe, serve until told to stop, then
+  ``Cluster.stop`` (drain, snapshot) and report final per-node stats.
 * :class:`ShardedCluster` -- the parent-side orchestrator: spawns the
   workers, merges and re-broadcasts the address map, and tears the
   fleet down in order.
@@ -48,7 +52,7 @@ exception or ``busy`` reply raises what a framed call raises.  Input checks stay
 input arrives: field validation on every hop, frame-size and JSON checks
 on every frame read from a socket.  ``InProcessTransport`` keeps its
 codec round trip -- it is the reference the simulator oracles compare
-against -- and no worker holds one.
+against, and an unsharded ``Cluster`` puts every hop on its transport.
 
 Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
@@ -65,12 +69,13 @@ import hashlib
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.serve.node import CacheNode, Forwarder, ResilienceConfig
+from repro.serve.cluster import Cluster
+from repro.serve.node import ResilienceConfig
 from repro.serve.protocol import MSG_STATS
-from repro.serve.tracing import shard_trace_path
-from repro.serve.transport import TCPTransport, Transport, direct_call
+from repro.serve.tracing import TracingConfig, shard_trace_path
+from repro.serve.transport import TCPTransport
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.workload.catalog import ObjectCatalog
@@ -126,10 +131,7 @@ class ShardPlan:
 
     @classmethod
     def compute(
-        cls,
-        architecture: Architecture,
-        num_shards: int,
-        replicas: int = DEFAULT_REPLICAS,
+        cls, architecture: Architecture, num_shards: int
     ) -> "ShardPlan":
         """Ring-assign every network node; guarantee no shard is empty.
 
@@ -145,7 +147,7 @@ class ShardPlan:
             raise ValueError(
                 f"cannot spread {len(nodes)} nodes over {num_shards} shards"
             )
-        ring = HashRing(list(range(num_shards)), replicas=replicas)
+        ring = HashRing(list(range(num_shards)))
         assignment = {node: ring.assign(node) for node in nodes}
         members: Dict[int, List[int]] = {s: [] for s in range(num_shards)}
         for node, shard in assignment.items():
@@ -176,12 +178,12 @@ class ShardSpec:
     """Everything one worker process needs to host its shard.
 
     Shipped through ``multiprocessing`` pickling at spawn; every field
-    is plain data.  ``assignment`` is the *full* plan (the worker needs
-    it to stamp ``cross_shard_fwds``), ``nodes`` the subset it owns.
+    is plain data.  ``assignment`` is the *full* plan: the worker hosts
+    the nodes it maps to ``shard_id`` and needs the rest to stamp
+    ``cross_shard_fwds``.
     """
 
     shard_id: int
-    nodes: List[int]
     assignment: Dict[int, int]
     architecture: Architecture
     catalog: ObjectCatalog
@@ -194,34 +196,10 @@ class ShardSpec:
     max_inflight: Optional[int] = None
     rpc_timeout: Optional[float] = None
     metrics: bool = False
-    # Distributed tracing: this worker's own span JSONL file (workers
-    # are separate processes and cannot share a file handle), or None
-    # for the exact untraced path.
-    trace_path: Optional[str] = None
-    trace_sample_every: int = 1
-
-
-def shard_forwarder(
-    hosted: Mapping[int, CacheNode],
-    transport: Transport,
-    peers: Mapping[int, Tuple[str, int]],
-) -> Forwarder:
-    """How the nodes of one shard reach an upstream node.
-
-    A hop to a node this process hosts is a direct call (no frame; see
-    the module docstring for the contract), a hop that leaves the shard
-    an ordinary frame on ``transport``.  ``hosted`` and ``peers`` are
-    read at call time: the worker fills them after its nodes, which
-    need the forwarder, exist.
-    """
-
-    async def forward(node_id: int, message: dict) -> dict:
-        node = hosted.get(node_id)
-        if node is not None:
-            return await direct_call(node.handle, message)
-        return await transport.call(peers[node_id], message)
-
-    return forward
+    # Distributed tracing into this worker's own span JSONL file
+    # (workers are separate processes and cannot share a file handle),
+    # or None for the exact untraced path.
+    tracing: Optional[TracingConfig] = None
 
 
 def _shard_worker_main(spec: ShardSpec, conn) -> None:
@@ -236,13 +214,12 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
        only after every shard acks may the parent admit traffic (a
        frame could otherwise reach a worker that cannot forward yet);
     4. parent -> worker: ``("stop",)`` -- drain in-flight walks, reply
-       ``("stats", {node: {...}})`` with the final counters, exit.
+       ``("stats", {str(node): {...}})`` with the final counters, exit.
 
     Any crash is reported as ``("error", traceback_text)`` so the parent
     fails loudly instead of hanging on a dead pipe.
     """
     import asyncio
-    import random
     import signal
 
     # The parent owns shutdown (pipe "stop"); a terminal Ctrl-C -- or a
@@ -252,80 +229,35 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
-    from repro.costs.model import LatencyCostModel
-    from repro.obs.export import JsonlTraceWriter
-    from repro.obs.probe import Probe
-    from repro.serve.metrics_http import MetricsServer
-    from repro.serve.tracing import NodeTracer
-    from repro.sim.factory import build_scheme
-
     async def serve() -> None:
-        architecture = spec.architecture
-        catalog = spec.catalog
-        cost_model = LatencyCostModel(architecture.network, catalog.mean_size)
-        capacity = spec.config.capacity_bytes(catalog.total_bytes)
-        dcache_entries = spec.config.dcache_entries(
-            catalog.total_bytes, catalog.mean_size
+        cluster = Cluster.build(
+            spec.architecture,
+            spec.catalog,
+            spec.scheme_name,
+            config=spec.config,
+            transport=TCPTransport(
+                host=spec.host, call_timeout=spec.rpc_timeout
+            ),
+            resilience=spec.resilience,
+            seed=spec.seed,
+            max_inflight=spec.max_inflight,
+            tracing=spec.tracing,
+            shard=(spec.shard_id, spec.assignment),
+            **spec.params,
         )
-        resilience = (
-            spec.resilience if spec.resilience is not None else
-            ResilienceConfig()
+        addresses = await cluster.start()
+        metrics_addresses = (
+            await cluster.enable_metrics(host=spec.host)
+            if spec.metrics
+            else {}
         )
-        transport = TCPTransport(
-            host=spec.host, call_timeout=spec.rpc_timeout
-        )
-        peers: Dict[int, Tuple[str, int]] = {}
-        nodes: Dict[int, CacheNode] = {}
-        forward = shard_forwarder(nodes, transport, peers)
-        addresses: Dict[int, Tuple[str, int]] = {}
-        metrics_servers: List[MetricsServer] = []
-        metrics_addresses: Dict[int, Tuple[str, int]] = {}
-        trace_writer = None
-        trace_probe = None
-        if spec.trace_path is not None:
-            trace_writer = JsonlTraceWriter(spec.trace_path)
-            trace_probe = Probe(
-                trace_writer,
-                sample_every=spec.trace_sample_every,
-                kinds=("span",),
-            )
-        for node_id in sorted(spec.nodes):
-            node = CacheNode(
-                node_id,
-                build_scheme(
-                    spec.scheme_name,
-                    cost_model,
-                    capacity,
-                    dcache_entries,
-                    **spec.params,
-                ),
-                architecture.request_path,
-                forward,
-                resilience=resilience,
-                rng=random.Random(f"{spec.seed}:{node_id}"),
-                max_inflight=spec.max_inflight,
-                shard_of=spec.assignment,
-                tracer=(
-                    NodeTracer(node_id, trace_probe, shard=spec.shard_id)
-                    if trace_probe is not None
-                    else None
-                ),
-            )
-            nodes[node_id] = node
-            addresses[node_id] = await transport.start_node(
-                node_id, node.handle
-            )
-            if spec.metrics:
-                server = MetricsServer(node.registry, host=spec.host, port=0)
-                metrics_servers.append(server)
-                metrics_addresses[node_id] = await server.start()
         conn.send(("addresses", addresses, metrics_addresses))
 
         loop = asyncio.get_running_loop()
         message = await loop.run_in_executor(None, conn.recv)
         if message[0] != "peers":
             raise RuntimeError(f"expected peers, got {message[0]!r}")
-        peers.update(
+        cluster.addresses.update(
             {int(n): (h, p) for n, (h, p) in message[1].items()}
         )
         conn.send(("ready",))
@@ -333,28 +265,10 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         message = await loop.run_in_executor(None, conn.recv)
         if message[0] != "stop":
             raise RuntimeError(f"expected stop, got {message[0]!r}")
-        # Drain: let in-flight walks unwind before the sockets go away.
-        deadline = loop.time() + 10.0
-        while any(node.inflight for node in nodes.values()):
-            if loop.time() >= deadline:
-                break
-            await asyncio.sleep(0.01)
-        stats = {
-            node_id: {
-                "requests_handled": node.requests_handled,
-                "cached_bytes": node.scheme.total_cached_bytes(),
-                "stats": node.registry.snapshot().get(node_id, {}),
-            }
-            for node_id, node in sorted(nodes.items())
-        }
-        for server in metrics_servers:
-            await server.close()
-        await transport.close()
-        if trace_writer is not None:
-            # Close before acking stop: the parent may read the span
-            # files the moment stop() returns.
-            trace_writer.close()
-        conn.send(("stats", stats))
+        # Drained, sockets and the span file closed before the ack: the
+        # parent may read the span files the moment stop() returns.
+        snapshot = await cluster.stop()
+        conn.send(("stats", snapshot["nodes"]))
 
     try:
         asyncio.run(serve())
@@ -390,7 +304,6 @@ class ShardedCluster:
         max_inflight: Optional[int] = None,
         rpc_timeout: Optional[float] = None,
         metrics: bool = False,
-        replicas: int = DEFAULT_REPLICAS,
         trace_path: Optional[str] = None,
         trace_sample_every: int = 1,
     ) -> None:
@@ -408,9 +321,7 @@ class ShardedCluster:
         # Base span-file path; worker i writes shard_trace_path(base, i).
         self.trace_path = trace_path
         self.trace_sample_every = trace_sample_every
-        self.plan = ShardPlan.compute(
-            architecture, num_shards, replicas=replicas
-        )
+        self.plan = ShardPlan.compute(architecture, num_shards)
         self.addresses: Dict[int, Tuple[str, int]] = {}
         self.metrics_addresses: Dict[int, Tuple[str, int]] = {}
         self.final_stats: Dict[int, dict] = {}
@@ -439,7 +350,6 @@ class ShardedCluster:
         for shard_id in range(self.plan.num_shards):
             spec = ShardSpec(
                 shard_id=shard_id,
-                nodes=self.plan.nodes_of(shard_id),
                 assignment=self.plan.assignment,
                 architecture=self.architecture,
                 catalog=self.catalog,
@@ -452,12 +362,14 @@ class ShardedCluster:
                 max_inflight=self.max_inflight,
                 rpc_timeout=self.rpc_timeout,
                 metrics=self.metrics,
-                trace_path=(
-                    str(shard_trace_path(self.trace_path, shard_id))
+                tracing=(
+                    TracingConfig(
+                        shard_trace_path(self.trace_path, shard_id),
+                        sample_every=self.trace_sample_every,
+                    )
                     if self.trace_path is not None
                     else None
                 ),
-                trace_sample_every=self.trace_sample_every,
             )
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
@@ -518,7 +430,9 @@ class ShardedCluster:
             except RuntimeError:
                 continue  # dead worker: surfaced by the missing stats
             if message[0] == "stats":
-                self.final_stats.update(message[1])
+                self.final_stats.update(
+                    {int(node): entry for node, entry in message[1].items()}
+                )
         for process in self._processes:
             process.join(timeout=timeout)
         self._kill()

@@ -7,9 +7,8 @@ the exact :class:`~repro.obs.probe.Probe` /
 :class:`~repro.obs.export.JsonlTraceWriter` machinery the simulator's
 instrumentation uses -- carrying the trace id minted at ingress, the
 hop's own span id, the forwarding span's id, and the hop-local facts:
-scheme-step timings (also folded into
-:class:`~repro.obs.timers.PhaseTimers` under the ``serve-*`` phases),
-upstream await time including every retry and backoff, piggyback bytes
+scheme-step timings (the node's own ``perf_counter`` stamps), upstream
+await time including every retry and backoff, piggyback bytes
 added, retries/failovers survived, admission pressure, and the shard the
 hop executed on.  ``repro.obs.spans.reconstruct_traces`` reassembles the
 files back into per-request trees.
@@ -29,25 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.export import JsonlTraceWriter
 from repro.obs.probe import Probe
-from repro.obs.timers import PhaseTimers
 
-__all__ = [
-    "NodeTracer",
-    "TracingConfig",
-    "shard_trace_path",
-    "PHASE_SERVE_LOOKUP",
-    "PHASE_SERVE_DECIDE",
-    "PHASE_SERVE_DELIVER",
-    "PHASE_SERVE_UPSTREAM",
-]
-
-# Phase-timer buckets fed by traced hops (see repro.obs.timers).
-PHASE_SERVE_LOOKUP = "serve-lookup"
-PHASE_SERVE_DECIDE = "serve-decide"
-PHASE_SERVE_DELIVER = "serve-deliver"
-PHASE_SERVE_UPSTREAM = "serve-upstream"
+__all__ = ["NodeTracer", "TracingConfig", "shard_trace_path"]
 
 
 @dataclass(frozen=True)
@@ -90,19 +73,14 @@ class NodeTracer:
     cross-process coordination.
     """
 
-    __slots__ = ("node_id", "shard", "probe", "timers", "_seq")
+    __slots__ = ("node_id", "shard", "probe", "_seq")
 
     def __init__(
-        self,
-        node_id: int,
-        probe: Probe,
-        shard: Optional[int] = None,
-        timers: Optional[PhaseTimers] = None,
+        self, node_id: int, probe: Probe, shard: Optional[int] = None
     ) -> None:
         self.node_id = node_id
         self.probe = probe
         self.shard = shard
-        self.timers = timers
         self._seq = 0
 
     def new_trace_id(self) -> str:
@@ -124,16 +102,5 @@ class NodeTracer:
         return self.probe.sample("span")
 
     def emit(self, span: dict) -> None:
-        """Write one finished span event (and feed the phase timers)."""
-        timers = self.timers
-        if timers is not None:
-            for phase, key in (
-                (PHASE_SERVE_LOOKUP, "lookup"),
-                (PHASE_SERVE_DECIDE, "decide"),
-                (PHASE_SERVE_DELIVER, "deliver"),
-                (PHASE_SERVE_UPSTREAM, "upstream"),
-            ):
-                seconds = span.get(key)
-                if seconds is not None:
-                    timers.add(phase, seconds)
+        """Write one finished span event."""
         self.probe.write("span", **span)

@@ -138,6 +138,43 @@ class TestServeFlags:
         assert code == 2
         assert "broker lives in the serve process" in capsys.readouterr().err
 
+    def test_inband_is_served_sharded(self, monkeypatch, tmp_path):
+        """In-band mode has no broker: nothing differs on the workers,
+        the manifest records the mode for the load generator."""
+        import signal
+        import threading
+
+        import repro.serve.shard
+
+        class StubFleet:
+            metrics_addresses: dict = {}
+
+            def __init__(self, arch, catalog, scheme, num_shards, **_):
+                self.plan = repro.serve.shard.ShardPlan.compute(
+                    arch, num_shards
+                )
+
+            def start(self):
+                return {node: ("127.0.0.1", 1) for node in self.plan.assignment}
+
+            def stop(self):
+                return {}
+
+        monkeypatch.setattr(repro.serve.shard, "ShardedCluster", StubFleet)
+        monkeypatch.setattr(threading.Event, "wait", lambda self: True)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        manifest = tmp_path / "cluster.json"
+        code = main(
+            [
+                "serve", "--coherency", "inband", "--shards", "2",
+                "--manifest", str(manifest),
+            ]
+        )
+        assert code == 0
+        document = json.loads(manifest.read_text())
+        assert document["coherency"]["mode"] == "inband"
+        assert document["num_shards"] == 2
+
 
 def write_manifest(tmp_path, coherency=None, channel=None):
     document = {

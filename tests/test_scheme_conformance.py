@@ -18,7 +18,7 @@ honor the same contracts, whatever its placement rule:
 * **Wire cleanliness** -- every frame a node sends or returns is a fixed
   point of the frame codec (same values, same types), so two nodes
   behave the same whether a shard plan puts a frame between them or
-  hands the dict over directly (``repro.serve.shard.shard_forwarder``).
+  hands the dict over directly (``repro.serve.cluster.shard_forwarder``).
 
 New schemes get all of this for free by being registered; see
 ``docs/schemes.md``.

@@ -25,7 +25,7 @@ from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
-from repro.serve import Cluster, LoadGenerator
+from repro.serve import Cluster, LoadGenerator, ShardPlan
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
@@ -179,10 +179,19 @@ class TestClusterLifecycle:
 
     def test_healthz_reports_liveness_and_readiness(self, seeded_trace):
         """A serving node is ready; a draining node is live but not ready."""
+        self.check_healthz(seeded_trace, sharded=False)
+
+    def test_healthz_of_a_shard_is_the_same(self, seeded_trace):
+        """One shard of two is the same object, so the same endpoint."""
+        self.check_healthz(seeded_trace, sharded=True)
+
+    @staticmethod
+    def check_healthz(seeded_trace, sharded):
         import json as json_module
 
         trace, catalog = seeded_trace
         arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        shard = (0, ShardPlan.compute(arch, 2).assignment) if sharded else None
 
         async def http_get(host, port, target):
             reader, writer = await asyncio.open_connection(host, port)
@@ -196,9 +205,12 @@ class TestClusterLifecycle:
             return int(head.split()[1]), body
 
         async def scenario():
-            cluster = Cluster.build(arch, catalog, "lru", config=CONFIG)
+            cluster = Cluster.build(
+                arch, catalog, "lru", config=CONFIG, shard=shard
+            )
             await cluster.start()
             endpoints = await cluster.enable_metrics()
+            assert sorted(endpoints) == sorted(cluster.nodes)
             host, port = next(iter(endpoints.values()))
             serving = await http_get(host, port, "/healthz")
             cluster.begin_drain()

@@ -10,7 +10,9 @@ Five layers of guarantees:
   counters -- sharding is an ownership split, never a behavior change
   -- while the ``cross_shard_fwds`` counters prove walks crossed the
   process boundary exactly when there is one, and an in-band update
-  stream reaches every cache node of every shard;
+  stream reaches every cache node of every shard; the same oracle holds
+  for two ``Cluster(shard=...)`` halves in this process, and a worker's
+  scrape endpoint is a ``Cluster``'s;
 * a same-shard hop, which carries no frame, still fails, sheds and
   isolates values the way a framed hop does;
 * an update broadcast puts one ``inv`` frame on the wire per process,
@@ -23,7 +25,9 @@ Five layers of guarantees:
 from __future__ import annotations
 
 import asyncio
+import json
 import random
+import urllib.request
 
 import pytest
 
@@ -45,7 +49,7 @@ from repro.serve import (
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
-from repro.serve.cluster import broadcast_invalidate
+from repro.serve.cluster import broadcast_invalidate, shard_forwarder
 from repro.serve.node import CacheNode, ResilienceConfig
 from repro.serve.protocol import (
     MSG_GET,
@@ -56,7 +60,6 @@ from repro.serve.protocol import (
     ProtocolError,
     RemoteProtocolError,
 )
-from repro.serve.shard import shard_forwarder
 from repro.serve.transport import CircuitBreaker, RetryPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -154,6 +157,15 @@ class TestShardPlan:
                 plan.assignment[node]
             )
 
+    def test_assignment_is_pinned(self, scenario):
+        """The ring's points per shard are a constant, not a knob: the
+        split of this scenario is the one every earlier run used."""
+        arch, _, _ = scenario
+        assert ShardPlan.compute(arch, 2).nodes_of(1) == [
+            1, 2, 4, 5, 7, 8, 12, 13, 14, 16, 18, 21, 22, 24, 26, 27, 28,
+            33, 38,
+        ]
+
     def test_bounds(self, scenario):
         arch, _, _ = scenario
         with pytest.raises(ValueError):
@@ -170,6 +182,27 @@ def coordinated_scheme(arch, catalog):
     return build_scheme("coordinated", cost_model, capacity, dcache)
 
 
+def simulated(scenario):
+    """The reference run with an update stream: ``(cost model, updates,
+    result, per-node counters)``."""
+    arch, trace, catalog = scenario
+    cost_model = LatencyCostModel(arch.network, catalog.mean_size)
+    updates = generate_update_events(
+        num_objects=WORKLOAD.num_objects,
+        duration=trace[len(trace) - 1].time,
+        update_rate=UPDATE_RATE,
+        seed=9,
+    )
+    registry = StatRegistry()
+    sim = SimulationEngine(
+        arch,
+        cost_model,
+        coordinated_scheme(arch, catalog),
+        warmup_fraction=CONFIG.warmup_fraction,
+    ).run(trace, updates=updates, instruments=Instruments(registry=registry))
+    return cost_model, updates, sim, registry.snapshot()
+
+
 class TestShardedClusterLive:
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_two_shard_run_matches_simulator(self, scenario, num_shards):
@@ -179,23 +212,7 @@ class TestShardedClusterLive:
         with TCP frames; neither may move a single per-node counter.
         """
         arch, trace, catalog = scenario
-        cost_model = LatencyCostModel(arch.network, catalog.mean_size)
-        updates = generate_update_events(
-            num_objects=WORKLOAD.num_objects,
-            duration=trace[len(trace) - 1].time,
-            update_rate=UPDATE_RATE,
-            seed=9,
-        )
-        registry = StatRegistry()
-        sim = SimulationEngine(
-            arch,
-            cost_model,
-            coordinated_scheme(arch, catalog),
-            warmup_fraction=CONFIG.warmup_fraction,
-        ).run(
-            trace, updates=updates, instruments=Instruments(registry=registry)
-        )
-        expected = registry.snapshot()
+        cost_model, updates, sim, expected = simulated(scenario)
 
         cluster = ShardedCluster(
             arch, catalog, "coordinated", num_shards=num_shards, config=CONFIG
@@ -264,12 +281,34 @@ class TestShardedClusterLive:
         )
 
     def test_worker_stats_cover_every_node(self, scenario):
+        """... and a worker serves the scrape endpoint ``Cluster`` serves:
+        the handled-requests counter, and readiness on ``/healthz``."""
         arch, trace, catalog = scenario
+        ingress = arch.client_nodes[trace[0].client_id]
         cluster = ShardedCluster(
-            arch, catalog, "lru", num_shards=2, config=CONFIG
+            arch, catalog, "lru", num_shards=2, config=CONFIG, metrics=True
         )
+
+        def scrape(target):
+            host, port = cluster.metrics_addresses[ingress]
+            with urllib.request.urlopen(
+                f"http://{host}:{port}{target}", timeout=10
+            ) as reply:
+                return reply.status, reply.read().decode()
+
+        def handled():
+            (line,) = [
+                line
+                for line in scrape("/metrics")[1].splitlines()
+                if line.startswith("repro_node_requests_handled_total{")
+            ]
+            assert f'node="{ingress}"' in line
+            return int(line.rsplit(" ", 1)[1])
+
         addresses = cluster.start()
         try:
+            assert sorted(cluster.metrics_addresses) == sorted(addresses)
+            before = handled()
             cost_model = LatencyCostModel(arch.network, catalog.mean_size)
 
             async def drive():
@@ -283,11 +322,85 @@ class TestShardedClusterLive:
                     await client.close()
 
             report = run(drive())
+            after = handled()
+            status, body = scrape("/healthz")
         finally:
             final = cluster.stop()
         assert report.errors == 0
         assert sorted(final) == sorted(arch.network.nodes())
         assert sum(n["requests_handled"] for n in final.values()) > 0
+        entered = sum(
+            arch.client_nodes[r.client_id] == ingress for r in trace.records
+        )
+        assert before == 0 and after >= entered > 0
+        assert after == final[ingress]["requests_handled"]
+        assert (status, json.loads(body)) == (
+            200, {"live": True, "ready": True}
+        )
+
+
+class TestTwoShardsInProcess:
+    def test_two_cluster_halves_match_the_simulator(self, scenario):
+        """The sharded oracle with no subprocess: two ``Cluster`` halves
+        of one plan over one wire, with an update stream."""
+        arch, trace, catalog = scenario
+        cost_model, updates, sim, expected = simulated(scenario)
+        plan = ShardPlan.compute(arch, 2)
+
+        async def replay():
+            wire = InProcessTransport()
+            halves = [
+                Cluster.build(
+                    arch,
+                    catalog,
+                    "coordinated",
+                    config=CONFIG,
+                    transport=wire,
+                    shard=(shard, plan.assignment),
+                )
+                for shard in range(2)
+            ]
+            addresses = {}
+            for half in halves:
+                addresses.update(await half.start())
+            for shard, half in enumerate(halves):
+                assert sorted(half.nodes) == plan.nodes_of(shard)
+                half.addresses.update(addresses)
+            client = ClusterClient(
+                arch,
+                cost_model,
+                addresses,
+                wire,
+                coherency=CoherencyConfig(mode="inband"),
+            )
+            report = await LoadGenerator(
+                client,
+                trace,
+                updates=updates,
+                warmup_fraction=CONFIG.warmup_fraction,
+            ).run(mode="sequential")
+            stats = {}
+            for half in halves:
+                snapshot = await half.stop()
+                stats.update(
+                    {int(n): e["stats"] for n, e in snapshot["nodes"].items()}
+                )
+            return report, stats
+
+        report, stats = run(replay())
+        assert report.errors == 0 and report.rejected == 0
+        assert report.summary == sim.summary
+        assert report.updates_applied == len(updates) == sim.updates_applied
+        assert report.copies_invalidated == sim.copies_invalidated > 0
+        assert report.coherency["inv_frames"] == len(updates) * len(
+            arch.cache_nodes
+        )
+        for node in arch.network.nodes():
+            for counter in ("hits", "misses", "insertions", "evictions"):
+                assert stats[node].get(counter, 0) == expected.get(
+                    node, {}
+                ).get(counter, 0), f"node {node} {counter}"
+        assert sum(s.get("cross_shard_fwds", 0) for s in stats.values()) > 0
 
 
 def get_frame(record, object_id):

@@ -310,35 +310,6 @@ class TestRunRecordsIngest:
 
 
 class TestBenchIngest:
-    def test_bench_sim_with_nested_quick(self, tmp_path):
-        document = {
-            "preset": "medium",
-            "trace_build": {"seconds": 1.0},
-            "runs": {
-                "lru": {"reference_rps": 100.0, "fast_rps": 400.0,
-                        "speedup": 4.0},
-                "coordinated": {"reference_rps": 50.0, "fast_rps": 100.0,
-                                "speedup": 2.0},
-            },
-            "quick": {
-                "preset": "quick",
-                "trace_build": {"seconds": 0.1},
-                "runs": {
-                    "lru": {"reference_rps": 90.0, "fast_rps": 360.0,
-                            "speedup": 4.0},
-                },
-            },
-        }
-        path = tmp_path / "BENCH_sim.json"
-        path.write_text(json.dumps(document))
-        with Warehouse(tmp_path / "w.sqlite") as warehouse:
-            assert warehouse.ingest(path).added["bench_sim"] == 3
-            headers, rows = warehouse.query("perf-trajectory")
-            assert len(rows) == 3
-            quick = [r for r in rows if r[headers.index("quick")] == 1]
-            assert len(quick) == 1
-            assert warehouse.ingest(path).total_added == 0
-
     def test_bench_serve_levels_and_saturation(self, tmp_path):
         document = {
             "preset": "medium",

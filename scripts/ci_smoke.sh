@@ -42,11 +42,20 @@ python3 -m pytest bench/tests -q
 python3 -m bench --quick
 
 echo "== audited simulation smoke =="
-# Every shipped scheme under the full correctness audit layer (runtime
-# invariants, differential oracles, shadow replay); exits non-zero on
-# any violation.
+# Every registered scheme under the full correctness audit layer (runtime
+# invariants, differential oracles, shadow replay), so each scheme's
+# steps pass them through the one request driver; exits non-zero on any
+# violation.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sim --audit \
-    --scale small --schemes lru,lnc-r,coordinated,adaptive,costaware
+    --scale small \
+    --schemes lru,modulo,lnc-r,coordinated,adaptive,costaware,lfu,gds,admission-lru
+
+echo "== one walk gate =="
+# The request walk is written once: schemes implement the per-node steps
+# (or the hooks the default steps call), never process_request.
+WALKS=$(grep -rn "def process_request" src/repro/schemes src/repro/core)
+echo "$WALKS"
+test "$(echo "$WALKS" | wc -l)" -eq 1
 
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event

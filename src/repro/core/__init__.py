@@ -17,7 +17,7 @@ from repro.core.placement import (
     enforce_monotone_frequencies,
     solve_placement,
 )
-from repro.core.piggyback import NodeReport, RequestEnvelope, ResponseEnvelope
+from repro.core.piggyback import NodeReport
 from repro.core.coordinated import CoordinatedScheme
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "ObjectDescriptor",
     "PlacementProblem",
     "PlacementSolution",
-    "RequestEnvelope",
-    "ResponseEnvelope",
     "brute_force_placement",
     "enforce_monotone_frequencies",
     "solve_placement",

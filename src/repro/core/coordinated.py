@@ -1,35 +1,42 @@
 """The coordinated caching scheme (paper sections 2.3-2.4).
 
-Per request, the scheme runs the three-phase protocol:
+Per request, the scheme runs the three-phase protocol as the three
+node-local steps that :meth:`~repro.schemes.base.CachingScheme.
+process_request` drives in the simulator and the cache nodes of the
+serving layer drive on the wire:
 
-1. **Upstream walk.**  The request travels from the requester towards the
-   origin; every intermediate cache appends a :class:`NodeReport` carrying
-   its frequency estimate ``f_i``, stored miss penalty ``m_i`` and
+1. **Upstream walk** (:meth:`CoordinatedScheme.lookup_step`).  The
+   request travels from the requester towards the origin; every
+   intermediate cache appends a :class:`NodeReport` carrying its
+   frequency estimate ``f_i``, stored miss penalty ``m_i`` and
    prospective eviction cost loss ``l_i`` for the object -- or a
    "no descriptor" tag when the object is unknown to both its main cache
    and d-cache (such nodes are pruned from the candidate set, Theorem 2's
    justification).  The walk stops at the first cache holding the object.
 
-2. **Placement decision.**  The serving node repairs the piggybacked
-   frequencies to be non-increasing and solves the n-optimization problem
-   by dynamic programming (:func:`~repro.core.placement.solve_placement`),
-   yielding the set of caches that should store a copy.
+2. **Placement decision** (:meth:`CoordinatedScheme.decide_step`).  The
+   serving node repairs the piggybacked frequencies to be non-increasing
+   and solves the n-optimization problem by dynamic programming
+   (:func:`~repro.core.placement.solve_placement`), yielding the set of
+   caches that should store a copy.
 
-3. **Downstream walk.**  The object travels back with a cost accumulator
-   (initially 0).  At each node the accumulator grows by the cost of the
-   link just traversed and refreshes the node's stored miss penalty for
-   the object; nodes instructed to cache insert the copy (greedy-NCL
-   eviction, victims' descriptors dropping to the d-cache) and reset the
-   accumulator to 0; other nodes ensure a d-cache descriptor exists.
+3. **Downstream walk** (:meth:`CoordinatedScheme.deliver_step`).  The
+   object travels back with a cost accumulator (initially 0).  At each
+   node the accumulator grows by the cost of the link just traversed and
+   refreshes the node's stored miss penalty for the object; nodes
+   instructed to cache insert the copy (greedy-NCL eviction, victims'
+   descriptors dropping to the d-cache) and reset the accumulator to 0;
+   other nodes ensure a d-cache descriptor exists.
 
 No extra messages or probes are used -- all information rides on the
-request/response pair, as in the paper.
+request/response pair, as in the paper: the request message is the list
+of reports, the response message the decision dict.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.piggyback import (
     ACCUMULATOR_BYTES,
@@ -38,8 +45,6 @@ from repro.core.piggyback import (
     TAG_BYTES,
     NodeReport,
     ProtocolStats,
-    RequestEnvelope,
-    ResponseEnvelope,
 )
 from repro.obs.timers import PHASE_DP_SOLVE
 from repro.core.placement import (
@@ -48,7 +53,6 @@ from repro.core.placement import (
     enforce_monotone_frequencies,
     solve_placement,
 )
-from repro.schemes.base import RequestOutcome
 from repro.schemes.descriptor_scheme import DescriptorSchemeBase
 
 
@@ -117,36 +121,42 @@ class CoordinatedScheme(DescriptorSchemeBase):
             )
         return False, report
 
-    def _upstream_walk(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> Tuple[int, RequestEnvelope]:
-        """Phase 1: find the serving node, collecting node reports."""
-        envelope = RequestEnvelope(object_id)
-        last = len(path) - 1
-        for i in range(last):
-            hit, report = self.lookup_step(path[i], object_id, size, now)
-            if hit:
-                return i, envelope
-            envelope.add_report(report)
-        return last, envelope
-
-    def decide_placement(
-        self, envelope: RequestEnvelope, now: float
-    ) -> ResponseEnvelope:
+    def decide_step(
+        self,
+        path: Sequence[int],
+        hit_index: int,
+        reports: Sequence[NodeReport],
+        object_id: int,
+        size: int,
+        now: float,
+    ) -> dict:
         """Phase 2: the serving node's dynamic-programming decision.
 
-        Exposed publicly so the decision step can be unit-tested and
-        inspected independently of the simulator.
+        Runs at the node that satisfied the request (a cache, or the
+        origin attachment) on the reports collected on the way up, in
+        travel order.  The DP sees them server first (``A_1 .. A_n``),
+        pruned to the nodes that hold a descriptor and could fit the
+        object.  The returned decision payload ships downstream with the
+        object: the ``cache_at`` instruction set, the DP's expected gain,
+        and the cost accumulator ``acc`` that :meth:`deliver_step`
+        advances hop by hop.  One request's piggyback records are
+        charged to the protocol-overhead counters here.
         """
-        candidates = [
-            r for r in envelope.reports_server_first() if r.is_candidate()
-        ]
+        described = 0
+        candidates = []
+        for report in reversed(reports):
+            if report.has_descriptor:
+                described += 1
+                if report.cost_loss is not None:
+                    candidates.append(report)
+        stats = self.protocol_stats
+        stats.requests += 1
+        stats.reports += described
+        stats.no_descriptor_tags += len(reports) - described
+        if hit_index > 0:
+            stats.responses_with_accumulator += 1
         if not candidates:
-            return ResponseEnvelope(
-                object_id=envelope.object_id,
-                cache_at=frozenset(),
-                expected_gain=0.0,
-            )
+            return {"cache_at": [], "gain": 0.0, "acc": 0.0}
         frequencies = enforce_monotone_frequencies(
             [r.frequency for r in candidates]
         )
@@ -158,43 +168,9 @@ class CoordinatedScheme(DescriptorSchemeBase):
         solution = self._solve(problem)
         if self.placement_observer is not None:
             self.placement_observer(problem, solution)
-        chosen = frozenset(candidates[i].node for i in solution.indices)
-        return ResponseEnvelope(
-            object_id=envelope.object_id,
-            cache_at=chosen,
-            expected_gain=solution.gain,
-        )
-
-    def decide_step(
-        self,
-        path: Sequence[int],
-        hit_index: int,
-        reports: Sequence[NodeReport],
-        object_id: int,
-        size: int,
-        now: float,
-    ) -> dict:
-        """Phase 2 as a node-local step: decision from piggybacked reports.
-
-        The live serving layer calls this at the node that satisfied the
-        request (a cache, or the origin attachment), handing it the
-        reports collected on the way up.  The returned decision payload
-        ships downstream with the object: the ``cache_at`` instruction
-        set, the DP's expected gain, and the cost accumulator ``acc``
-        that :meth:`deliver_step` advances hop by hop.  Protocol-overhead
-        counters are charged here, exactly as one
-        :meth:`process_request` charges them.
-        """
-        envelope = RequestEnvelope(object_id)
-        for report in reports:
-            envelope.add_report(report)
-        response = self.decide_placement(envelope, now)
-        self._count_protocol(envelope, response, hit_index)
-        return {
-            "cache_at": sorted(response.cache_at),
-            "gain": response.expected_gain,
-            "acc": 0.0,
-        }
+        chosen = sorted(candidates[i].node for i in solution.indices)
+        stats.decisions += len(chosen)
+        return {"cache_at": chosen, "gain": solution.gain, "acc": 0.0}
 
     def deliver_step(
         self,
@@ -221,8 +197,7 @@ class CoordinatedScheme(DescriptorSchemeBase):
         ``path[index..came_from]`` -- the object still crossed every
         link through the dead node's router, only its cache process was
         down.  With the default ``came_from = index + 1`` this is
-        exactly the single-link cost, so fault-free runs are
-        bit-identical to :meth:`process_request`.
+        exactly the single-link cost -- the simulator's walk.
         """
         node = path[index]
         upstream = index + 1 if came_from is None else came_from
@@ -243,53 +218,14 @@ class CoordinatedScheme(DescriptorSchemeBase):
         decision["acc"] = accumulator
         return inserted, evictions
 
-    def _downstream_walk(
+    def _observe_request(
         self,
         path: Sequence[int],
         hit_index: int,
-        response: ResponseEnvelope,
-        size: int,
-        now: float,
-    ) -> Tuple[List[int], int]:
-        """Phase 3: deliver the object, updating caches and penalties."""
-        object_id = response.object_id
-        inserted: List[int] = []
-        evictions = 0
-        decision = {"cache_at": response.cache_at, "acc": 0.0}
-        for i in range(hit_index - 1, -1, -1):
-            did_insert, victims = self.deliver_step(
-                i, path, decision, object_id, size, now
-            )
-            if did_insert:
-                inserted.append(path[i])
-                evictions += victims
-        return inserted, evictions
-
-    def _count_protocol(
-        self,
-        envelope: RequestEnvelope,
-        response: ResponseEnvelope,
-        hit_index: int,
-    ) -> None:
-        """Charge one request's piggyback records to the overhead counters."""
-        stats = self.protocol_stats
-        stats.requests += 1
-        stats.reports += sum(1 for r in envelope.reports if r.has_descriptor)
-        stats.no_descriptor_tags += sum(
-            1 for r in envelope.reports if not r.has_descriptor
-        )
-        stats.decisions += len(response.cache_at)
-        if hit_index > 0:
-            stats.responses_with_accumulator += 1
-
-    def _observe_protocol(
-        self,
-        instruments,
-        path: Sequence[int],
-        hit_index: int,
-        envelope: RequestEnvelope,
-        response: ResponseEnvelope,
+        reports: Sequence[NodeReport],
+        decision: dict,
         inserted: Sequence[int],
+        object_id: int,
         now: float,
     ) -> None:
         """Per-node piggyback byte accounting + the placement event.
@@ -299,53 +235,31 @@ class CoordinatedScheme(DescriptorSchemeBase):
         (or "no descriptor" tag) is charged to the node that appended
         it, each decision entry to the node it instructs, and the
         response's cost accumulator to the first downstream carrier (see
-        ``docs/protocol.md``).  Purely observational.
+        ``docs/protocol.md``).  The event's candidates are the nodes the
+        DP considered, not every cache below the serving node.  Purely
+        observational.
         """
-        registry = instruments.registry
+        registry = self._instruments.registry
         if registry is not None:
             add = registry.add_piggyback
-            for report in envelope.reports:
+            for report in reports:
                 add(
                     report.node,
                     REPORT_BYTES if report.has_descriptor else TAG_BYTES,
                 )
-            for node in response.cache_at:
+            for node in decision["cache_at"]:
                 add(node, DECISION_BYTES)
             if hit_index > 0:
                 add(path[hit_index - 1], ACCUMULATOR_BYTES)
-        candidates = [r.node for r in envelope.reports if r.is_candidate()]
+        candidates = [r.node for r in reports if r.is_candidate()]
         if candidates:
             self._emit_placement(
                 now,
-                envelope.object_id,
+                object_id,
                 path,
                 hit_index,
                 candidates,
-                sorted(response.cache_at),
+                decision["cache_at"],
                 inserted,
-                gain=response.expected_gain,
+                gain=decision["gain"],
             )
-
-    # -- scheme interface --------------------------------------------------------
-
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        hit_index, envelope = self._upstream_walk(path, object_id, size, now)
-        response = self.decide_placement(envelope, now)
-        inserted, evictions = self._downstream_walk(
-            path, hit_index, response, size, now
-        )
-        self._count_protocol(envelope, response, hit_index)
-        instruments = self._instruments
-        if instruments is not None:
-            self._observe_protocol(
-                instruments, path, hit_index, envelope, response, inserted, now
-            )
-        return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
-        )

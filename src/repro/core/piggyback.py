@@ -8,12 +8,16 @@ set, section 2.4).  The *response* carries the placement decision and a
 cost accumulator used to refresh miss penalties: each node adds the cost of
 the link the object just traversed, and nodes that store a copy reset it
 to zero before forwarding downstream.
+
+Neither message has an envelope class: the request message is the list of
+:class:`NodeReport` records in travel order (requester first) and the
+response message is the decision dict ``{"cache_at", "gain", "acc"}`` --
+exactly what the serving layer puts on the wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List
+from dataclasses import dataclass
 
 # Wire-size assumptions for overhead accounting (paper section 2.4 puts a
 # descriptor at "a few tens of bytes"); tunable in ProtocolStats.
@@ -111,39 +115,3 @@ class NodeReport:
             cost_loss=raw["l"],
             has_descriptor=raw["d"],
         )
-
-
-@dataclass
-class RequestEnvelope:
-    """A request message accumulating node reports on its way upstream.
-
-    Reports are appended in travel order, i.e. from the requester ``A_n``
-    towards the serving node; ``reports_server_first()`` returns them in
-    the DP's ``A_1 .. A_n`` order.
-    """
-
-    object_id: int
-    reports: List[NodeReport] = field(default_factory=list)
-
-    def add_report(self, report: NodeReport) -> None:
-        self.reports.append(report)
-
-    def reports_server_first(self) -> List[NodeReport]:
-        return list(reversed(self.reports))
-
-
-@dataclass(frozen=True)
-class ResponseEnvelope:
-    """The serving node's reply: where to cache the object.
-
-    ``cache_at`` holds node ids.  The cost accumulator itself is advanced
-    by the scheme while walking the response down the path (it is state of
-    the walk, not of the message dataclass).
-    """
-
-    object_id: int
-    cache_at: FrozenSet[int]
-    expected_gain: float
-
-    def should_cache(self, node: int) -> bool:
-        return node in self.cache_at

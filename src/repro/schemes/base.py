@@ -1,4 +1,4 @@
-"""Scheme interface and the shared cascaded request walk.
+"""Scheme interface and the one cascaded request walk.
 
 A *scheme* owns the cache state of every node and decides, per request,
 where the object ends up cached (the placement problem) and what gets
@@ -6,6 +6,13 @@ evicted (the replacement problem).  The simulator hands a scheme the full
 delivery path ``[client_node, ..., server_node]`` (a branch of the origin
 server's distribution tree) and the scheme returns a
 :class:`RequestOutcome` from which all of the paper's metrics derive.
+
+The walk itself is written once: :meth:`CachingScheme.process_request`
+drives the three node-local steps -- ``lookup_step`` up the path,
+``decide_step`` at the serving node, ``deliver_step`` back down -- that
+the live serving layer (:mod:`repro.serve`) runs one node per server.
+Schemes implement the steps (or the small hooks the default steps call),
+never the walk.
 
 Convention: every node on the path except the last (the origin-server
 attachment) hosts a cache.  Caching at the server's own node would save
@@ -30,10 +37,14 @@ class RequestOutcome:
 
     ``hit_index`` indexes into ``path``: the serving node is
     ``path[hit_index]``; a value of ``len(path) - 1`` means the origin
-    server satisfied the request.  ``bytes_written`` counts one object size
-    per cache insertion performed; ``bytes_read`` counts the read at the
-    serving cache (zero on an origin hit) -- together these are the paper's
-    aggregate cache read/write load per request (section 4.1).
+    server satisfied the request.  ``inserted_nodes`` lists the caches
+    that stored a copy in *response order* -- the order the object passed
+    them, from just below the serving node down to the requester (the
+    serving layer's ``reply["inserted"]``).  ``bytes_written`` counts one
+    object size per cache insertion performed; ``bytes_read`` counts the
+    read at the serving cache (zero on an origin hit) -- together these
+    are the paper's aggregate cache read/write load per request (section
+    4.1).
     """
 
     path: Sequence[int]
@@ -68,7 +79,9 @@ class CachingScheme(abc.ABC):
     """Base class for all cache-management schemes.
 
     Subclasses provide :meth:`_new_cache` (the per-node cache construction)
-    and :meth:`process_request`.  Node caches are created lazily the first
+    and shape the request walk through the per-node protocol steps below
+    or the hooks those steps call; :meth:`process_request` composes the
+    steps and is not overridden.  Node caches are created lazily the first
     time a path touches the node, each with ``capacity_bytes``.
     """
 
@@ -98,11 +111,80 @@ class CachingScheme(abc.ABC):
     def _new_cache(self, node: int) -> Cache:
         """Construct the cache for one node."""
 
-    @abc.abstractmethod
     def process_request(
         self, path: Sequence[int], object_id: int, size: int, now: float
     ) -> RequestOutcome:
-        """Serve one request along ``path`` and update cache contents."""
+        """Serve one request along ``path`` and update cache contents.
+
+        The one spelling of the paper's walk (section 2.3):
+        :meth:`lookup_step` up the path until the first hit, collecting
+        the piggybacked reports -- the report list *is* the request
+        message; one :meth:`decide_step` at the serving node -- the
+        decision dict *is* the response message; :meth:`deliver_step`
+        from just below the serving node down to the requester.
+        """
+        last = len(path) - 1
+        lookup = self.lookup_step
+        reports: List[object] = []
+        hit_index = last
+        for i in range(last):
+            hit, report = lookup(path[i], object_id, size, now)
+            if hit:
+                hit_index = i
+                break
+            if report is not None:
+                reports.append(report)
+        decision = self.decide_step(
+            path, hit_index, reports, object_id, size, now
+        )
+        inserted: List[int] = []
+        evictions = 0
+        deliver = self.deliver_step
+        for i in range(hit_index - 1, -1, -1):
+            stored, victims = deliver(i, path, decision, object_id, size, now)
+            if stored:
+                inserted.append(path[i])
+                evictions += victims
+        if self._instruments is not None:
+            self._observe_request(
+                path, hit_index, reports, decision, inserted, object_id, now
+            )
+        return RequestOutcome(
+            path=path,
+            hit_index=hit_index,
+            size=size,
+            inserted_nodes=tuple(inserted),
+            evicted_objects=evictions,
+        )
+
+    def _observe_request(
+        self,
+        path: Sequence[int],
+        hit_index: int,
+        reports: Sequence[object],
+        decision: dict,
+        inserted: Sequence[int],
+        object_id: int,
+        now: float,
+    ) -> None:
+        """Instrumented-run hook, called once per request by the driver.
+
+        Emits the ``placement`` event: the candidates are the caches
+        below the serving node, ``chosen`` is the shipped decision and
+        ``inserted`` what landed -- an admission refusal shows as
+        chosen-but-not-inserted, exactly like a cache too small for the
+        object.  Purely observational.
+        """
+        if hit_index > 0:
+            self._emit_placement(
+                now,
+                object_id,
+                path,
+                hit_index,
+                path[:hit_index],
+                decision["cache_at"],
+                inserted,
+            )
 
     # -- shared helpers ------------------------------------------------------
 
@@ -151,8 +233,8 @@ class CachingScheme(abc.ABC):
 
         ``chosen`` is what the scheme's placement rule selected;
         ``inserted`` what actually landed (insertions can be refused by
-        :class:`~repro.cache.base.CacheTooSmallError`).  No-op unless a
-        probe is attached and sampling passes.
+        :class:`~repro.cache.base.CacheTooSmallError` or an admission
+        filter).  No-op unless a probe is attached and sampling passes.
         """
         instruments = self._instruments
         if instruments is None:
@@ -181,23 +263,25 @@ class CachingScheme(abc.ABC):
     # placement *decision* at the serving node, and a downstream *deliver*
     # step at each node the response passes.  The defaults below cover the
     # walk-and-insert family (LRU, LFU, GDS, MODULO, admission-LRU) through
-    # two small hooks -- :meth:`_placement_indices` (which on-path nodes
-    # should store a copy) and :meth:`_insert_at` (how one node inserts) --
-    # the same hooks ``process_request`` uses, so the simulated and the
-    # served protocol cannot drift apart.  Schemes that piggyback state on
-    # the request (the coordinated scheme) override the steps wholesale.
+    # three small hooks -- :meth:`_placement_indices` (which on-path nodes
+    # should store a copy), :meth:`_admit` (a node-local admission filter)
+    # and :meth:`_insert_at` (how one node inserts).  Schemes that
+    # piggyback state on the request (the coordinated scheme) override the
+    # steps wholesale.
     #
-    # Contract: running, for one request,
+    # Contract: for one request, :meth:`process_request` runs
     #
     #   ``lookup_step`` on ``path[0..k]`` until the first hit ``k``,
     #   ``decide_step`` at ``path[k]`` with the reports collected so far,
     #   ``deliver_step`` on ``path[k-1], ..., path[0]`` (mutating the
     #   decision in place where the scheme carries response state),
     #
-    # must mutate per-node cache state exactly as one
-    # :meth:`process_request` call for the same request does.  The
-    # equivalence is pinned by the simulator-vs-cluster differential
-    # oracle in ``tests/test_serve_cluster.py``.
+    # and the serving layer runs the same steps one node per server, so
+    # the simulated and the served protocol cannot drift apart.  Each
+    # step touches only the state of the node it runs at; the
+    # simulator-vs-cluster differential oracle in
+    # ``tests/test_serve_cluster.py`` pins the two drivers against each
+    # other.
 
     def lookup_step(
         self, node: int, object_id: int, size: int, now: float
@@ -278,7 +362,7 @@ class CachingScheme(abc.ABC):
             return 1
         return 0
 
-    # -- placement/insertion hooks shared by both request paths --------------
+    # -- placement/insertion hooks of the default steps ----------------------
 
     def _placement_indices(
         self, path: Sequence[int], hit_index: int
@@ -322,20 +406,6 @@ class CachingScheme(abc.ABC):
         """Whether the node currently caches the object (no state change)."""
         cache = self._caches.get(node)
         return cache is not None and object_id in cache
-
-    def _find_hit(
-        self, path: Sequence[int], object_id: int, now: float
-    ) -> int:
-        """Walk upstream; return the index of the lowest node with the object.
-
-        Touches policy state (recency etc.) only at the hit node.  Returns
-        ``len(path) - 1`` when only the origin has it.
-        """
-        last = len(path) - 1
-        for i in range(last):
-            if self.cache_at(path[i]).access(object_id, now) is not None:
-                return i
-        return last
 
     def invalidate_object(self, object_id: int) -> int:
         """Drop every cached copy of an object (server invalidation).

@@ -47,7 +47,7 @@ class DescriptorSchemeBase(CachingScheme):
             )
             self._nodes[node] = state
             # Register the main cache with the base-class map so shared
-            # helpers (_find_hit, has_object, invariants) see it.
+            # helpers (has_object, invalidation, invariants) see it.
             self._caches[node] = state.cache
             self._wire_cache(node, state.cache)
             if self._instruments is not None:

@@ -18,7 +18,7 @@ family for downstream users and for the extended-comparison bench:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.cache.base import Cache, CacheTooSmallError
 from repro.cache.descriptors import ObjectDescriptor
@@ -26,7 +26,7 @@ from repro.cache.gds import GDSCache
 from repro.cache.lfu import LFUCache
 from repro.cache.lru import LRUCache
 from repro.costs.model import CostModel
-from repro.schemes.base import CachingScheme, RequestOutcome
+from repro.schemes.base import CachingScheme
 from repro.schemes.lru_everywhere import LRUEverywhereScheme
 
 
@@ -71,31 +71,6 @@ class GDSScheme(CachingScheme):
         except CacheTooSmallError:
             return None
 
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        hit_index = self._find_hit(path, object_id, now)
-        inserted: List[int] = []
-        evictions = 0
-        for i in range(hit_index):
-            evicted = self._insert_at(i, path, object_id, size, now)
-            if evicted is None:
-                continue
-            inserted.append(path[i])
-            evictions += len(evicted)
-        if self._instruments is not None and hit_index > 0:
-            chosen = [path[i] for i in range(hit_index)]
-            self._emit_placement(
-                now, object_id, path, hit_index, chosen, chosen, inserted
-            )
-        return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
-        )
-
 
 class AdmissionLRUScheme(CachingScheme):
     """LRU replacement with a second-hit admission filter per node."""
@@ -129,43 +104,7 @@ class AdmissionLRUScheme(CachingScheme):
             history.popitem(last=False)
         return False
 
-    # The admission hook doubles as the live deliver-step filter: history
-    # is node-local, so checking it at delivery time (response unwinding
-    # through the node) is state-equivalent to the simulator's ascending
-    # placement loop.
+    # The admission hook is the deliver-step filter: history is
+    # node-local, so it is consulted as the response unwinds through the
+    # node, and a refusal leaves the node chosen but not inserted.
     _admit = _seen_before
-
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        hit_index = self._find_hit(path, object_id, now)
-        inserted: List[int] = []
-        admitted: List[int] = []
-        evictions = 0
-        for i in range(hit_index):
-            node = path[i]
-            if not self._admit(node, object_id):
-                continue  # admission denied on first sighting
-            admitted.append(node)
-            evicted = self._insert_at(i, path, object_id, size, now)
-            if evicted is None:
-                continue
-            inserted.append(node)
-            evictions += len(evicted)
-        if self._instruments is not None and hit_index > 0:
-            self._emit_placement(
-                now,
-                object_id,
-                path,
-                hit_index,
-                [path[i] for i in range(hit_index)],
-                admitted,
-                inserted,
-            )
-        return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
-        )

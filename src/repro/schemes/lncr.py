@@ -11,9 +11,8 @@ for better frequency estimation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.schemes.base import RequestOutcome
 from repro.schemes.descriptor_scheme import DescriptorSchemeBase
 
 
@@ -42,40 +41,4 @@ class LNCRScheme(DescriptorSchemeBase):
         )
         return self.node_state(path[index]).insert_object(
             object_id, size, upstream_cost, now
-        )
-
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        # Upstream walk: find the serving node, recording a reference on
-        # every descriptor the request passes (main cache or d-cache).
-        last = len(path) - 1
-        hit_index = last
-        for i in range(last):
-            hit, _ = self.lookup_step(path[i], object_id, size, now)
-            if hit:
-                hit_index = i
-                break
-
-        # Downstream walk: insert everywhere below the serving node with
-        # miss penalty = cost of the immediate upstream link.
-        inserted: List[int] = []
-        evictions = 0
-        for i in range(hit_index - 1, -1, -1):
-            evicted = self._insert_at(i, path, object_id, size, now)
-            if evicted is None:
-                continue
-            inserted.append(path[i])
-            evictions += len(evicted)
-        if self._instruments is not None and hit_index > 0:
-            chosen = [path[i] for i in range(hit_index)]
-            self._emit_placement(
-                now, object_id, path, hit_index, chosen, chosen, inserted
-            )
-        return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
         )

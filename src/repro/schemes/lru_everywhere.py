@@ -8,11 +8,9 @@ used.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 from repro.cache.base import Cache
 from repro.cache.lru import LRUCache
-from repro.schemes.base import CachingScheme, RequestOutcome
+from repro.schemes.base import CachingScheme
 
 
 class LRUEverywhereScheme(CachingScheme):
@@ -20,37 +18,11 @@ class LRUEverywhereScheme(CachingScheme):
 
     Placement (:meth:`_placement_indices`, everything below the hit) and
     insertion (:meth:`_insert_at`, fresh-descriptor LRU insert) are the
-    base-class hooks, so the per-node protocol steps of the live serving
-    layer replay exactly this scheme.
+    base-class hooks of the default protocol steps, so the scheme is
+    nothing but its cache type.
     """
 
     name = "lru"
 
     def _new_cache(self, node: int) -> Cache:
         return LRUCache(self.capacity_for(node))
-
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        hit_index = self._find_hit(path, object_id, now)
-        inserted: List[int] = []
-        evictions = 0
-        placement = self._placement_indices(path, hit_index)
-        for i in placement:
-            evicted = self._insert_at(i, path, object_id, size, now)
-            if evicted is None:
-                continue
-            inserted.append(path[i])
-            evictions += len(evicted)
-        if self._instruments is not None and placement:
-            chosen = [path[i] for i in placement]
-            self._emit_placement(
-                now, object_id, path, hit_index, chosen, chosen, inserted
-            )
-        return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
-        )

@@ -8,13 +8,13 @@ no insertions, no evictions.  Useful as the evaluation vehicle for
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.cache.base import Cache
 from repro.cache.descriptors import ObjectDescriptor
 from repro.cache.lru import LRUCache
 from repro.costs.model import CostModel
-from repro.schemes.base import CachingScheme, RequestOutcome
+from repro.schemes.base import CachingScheme
 from repro.workload.catalog import ObjectCatalog
 
 
@@ -47,8 +47,8 @@ class StaticPlacementScheme(CachingScheme):
         # Replacement never runs; any concrete cache type will do.
         return LRUCache(self.capacity_for(node))
 
-    def process_request(
-        self, path: Sequence[int], object_id: int, size: int, now: float
-    ) -> RequestOutcome:
-        hit_index = self._find_hit(path, object_id, now)
-        return RequestOutcome(path=path, hit_index=hit_index, size=size)
+    def _placement_indices(
+        self, path: Sequence[int], hit_index: int
+    ) -> List[int]:
+        """Nothing is ever placed: the assignment is fixed."""
+        return []

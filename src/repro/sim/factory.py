@@ -24,106 +24,30 @@ from repro.schemes.lru_everywhere import LRUEverywhereScheme
 from repro.schemes.modulo import ModuloScheme
 
 
-def _build_lru(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return LRUEverywhereScheme(
-        cost_model, capacity, capacity_overrides=params.get("capacity_overrides")
-    )
+def _builder(
+    scheme_type: type, descriptors: bool = False, **own_defaults
+) -> Callable[..., CachingScheme]:
+    """A registry builder for one scheme class.
 
+    Every scheme takes ``capacity_overrides``; the descriptor schemes
+    (NCL main cache + d-cache) also take ``dcache_entries``,
+    ``dcache_policy`` and ``ncl_structure``; ``own_defaults`` names the
+    scheme's own keywords with their defaults.  Keywords a scheme does
+    not know are ignored, so one parameter set can build any scheme.
+    """
+    defaults = dict(own_defaults, capacity_overrides=None)
+    if descriptors:
+        defaults.update(dcache_policy="lfu", ncl_structure="list")
 
-def _build_modulo(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return ModuloScheme(
-        cost_model,
-        capacity,
-        radius=params.get("radius", 4),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
+    def build(
+        cost_model: CostModel, capacity: int, dcache_entries: int, **params
+    ) -> CachingScheme:
+        keywords = {key: params.get(key, value) for key, value in defaults.items()}
+        if descriptors:
+            return scheme_type(cost_model, capacity, dcache_entries, **keywords)
+        return scheme_type(cost_model, capacity, **keywords)
 
-
-def _build_lncr(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return LNCRScheme(
-        cost_model,
-        capacity,
-        dcache_entries,
-        dcache_policy=params.get("dcache_policy", "lfu"),
-        ncl_structure=params.get("ncl_structure", "list"),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
-
-
-def _build_coordinated(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return CoordinatedScheme(
-        cost_model,
-        capacity,
-        dcache_entries,
-        dcache_policy=params.get("dcache_policy", "lfu"),
-        ncl_structure=params.get("ncl_structure", "list"),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
-
-
-def _build_lfu(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return LFUEverywhereScheme(
-        cost_model, capacity, capacity_overrides=params.get("capacity_overrides")
-    )
-
-
-def _build_gds(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return GDSScheme(
-        cost_model,
-        capacity,
-        popularity_aware=params.get("popularity_aware", True),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
-
-
-def _build_admission_lru(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return AdmissionLRUScheme(
-        cost_model,
-        capacity,
-        history_entries=params.get("history_entries", 1024),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
-
-
-def _build_adaptive(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return AdaptiveScheme(
-        cost_model,
-        capacity,
-        dcache_entries,
-        step_size=params.get("step_size", 0.5),
-        dcache_policy=params.get("dcache_policy", "lfu"),
-        ncl_structure=params.get("ncl_structure", "list"),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
-
-
-def _build_costaware(
-    cost_model: CostModel, capacity: int, dcache_entries: int, **params
-) -> CachingScheme:
-    return CostAwareScheme(
-        cost_model,
-        capacity,
-        dcache_entries,
-        dcache_policy=params.get("dcache_policy", "lfu"),
-        ncl_structure=params.get("ncl_structure", "list"),
-        capacity_overrides=params.get("capacity_overrides"),
-    )
+    return build
 
 
 _REGISTRY: Dict[str, Callable[..., CachingScheme]] = {}
@@ -136,18 +60,15 @@ def register_scheme(name: str, builder: Callable[..., CachingScheme]) -> None:
     _REGISTRY[name] = builder
 
 
-for _name, _builder in (
-    ("lru", _build_lru),
-    ("modulo", _build_modulo),
-    ("lnc-r", _build_lncr),
-    ("coordinated", _build_coordinated),
-    ("adaptive", _build_adaptive),
-    ("costaware", _build_costaware),
-    ("lfu", _build_lfu),
-    ("gds", _build_gds),
-    ("admission-lru", _build_admission_lru),
-):
-    register_scheme(_name, _builder)
+register_scheme("lru", _builder(LRUEverywhereScheme))
+register_scheme("modulo", _builder(ModuloScheme, radius=4))
+register_scheme("lnc-r", _builder(LNCRScheme, descriptors=True))
+register_scheme("coordinated", _builder(CoordinatedScheme, descriptors=True))
+register_scheme("adaptive", _builder(AdaptiveScheme, descriptors=True, step_size=0.5))
+register_scheme("costaware", _builder(CostAwareScheme, descriptors=True))
+register_scheme("lfu", _builder(LFUEverywhereScheme))
+register_scheme("gds", _builder(GDSScheme, popularity_aware=True))
+register_scheme("admission-lru", _builder(AdmissionLRUScheme, history_entries=1024))
 
 SCHEME_NAMES = tuple(_REGISTRY)
 

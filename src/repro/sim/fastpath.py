@@ -16,10 +16,14 @@ call.  This module removes all of that for the hot schemes while staying
   operation order (including every floating-point accumulation and lazy
   estimator refresh) of the class-based implementations, after which the
   real scheme objects are reconstructed so post-run inspection sees
-  ordinary caches;
-* every other scheme, and any run with an interval collector, takes a
-  generic columnar loop that still skips record materialization and
-  routing but calls ``scheme.process_request`` unchanged.
+  ordinary caches.  The kernels serve the one configuration every
+  shipped entry point builds -- exactly ``LatencyCostModel``, the LFU
+  d-cache, the ``list`` NCL structure -- and nothing else (the full
+  eligibility rule is in :func:`run_columnar`);
+* every other scheme or configuration, and any run with an interval
+  collector, takes a generic columnar loop that still skips record
+  materialization and routing but calls ``scheme.process_request`` and
+  ``cost_model.path_cost`` unchanged.
 
 Bit-exactness is not aspirational: floats are accumulated in the same
 order with the same operations, the latency-percentile reservoir uses the
@@ -39,7 +43,7 @@ import random
 import time
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,21 +56,13 @@ from repro.cache.frequency import (
 )
 from repro.cache.lru import LRUCache
 from repro.core.coordinated import CoordinatedScheme
-from repro.costs.model import (
-    BandwidthCostModel,
-    HopCostModel,
-    LatencyCostModel,
-)
+from repro.costs.model import LatencyCostModel
 from repro.metrics.collector import _RESERVOIR_SIZE, MetricsCollector
 from repro.schemes.lru_everywhere import LRUEverywhereScheme
 from repro.schemes.modulo import ModuloScheme
 from repro.schemes.node_state import DescriptorNode
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.updates import UpdateEvent
-
-# Cost-model fast modes.  Exact types only: a subclass may override
-# link_cost, so anything else drops to per-request path_cost calls.
-_COST_LATENCY, _COST_HOP, _COST_BANDWIDTH, _COST_GENERIC = 0, 1, 2, 3
 
 # Estimator constants (see repro.cache.frequency).  The kernels inline the
 # sliding-window estimator, so they only run for descriptors built with
@@ -95,13 +91,23 @@ def run_columnar(
 
     Called by :meth:`SimulationEngine.run` when the trace is columnar and
     the run is neither audited nor instrumented.  Picks a flattened
-    kernel when the scheme qualifies (exact hot-scheme type, fresh state,
-    no observers), otherwise the generic columnar loop.
+    kernel when the run is the configuration the kernels were written
+    for: no interval collector, no instruments, a cost model that is
+    *exactly* :class:`LatencyCostModel` (a subclass may override
+    ``link_cost``), a scheme of exactly a hot type with fresh state and
+    -- for the coordinated kernel -- no placement observer, the ``list``
+    NCL structure and the LFU d-cache.  Every other configuration is
+    served, bit-identically to the reference loop, by the generic
+    columnar loop.
     """
     scheme = engine.scheme
     started = time.perf_counter()
     prep = _prepare(engine, trace, updates)
-    if interval_collector is None and scheme._instruments is None:
+    if (
+        interval_collector is None
+        and scheme._instruments is None
+        and type(engine.cost_model) is LatencyCostModel
+    ):
         if type(scheme) in (LRUEverywhereScheme, ModuloScheme) and not scheme._caches:
             return _run_lru_family(
                 engine, prep, started, progress_every, progress_callback
@@ -111,6 +117,7 @@ def run_columnar(
             and not scheme._nodes
             and scheme.placement_observer is None
             and scheme.ncl_structure == "list"
+            and scheme.dcache_policy == "lfu"
         ):
             return _run_coordinated(
                 engine, prep, started, progress_every, progress_callback
@@ -129,7 +136,7 @@ def run_columnar(
 
 
 class _Prep:
-    """Routing, cost and update-merge state shared by all loop variants."""
+    """Routing and update-merge state shared by all loop variants."""
 
     __slots__ = (
         "times",
@@ -138,9 +145,6 @@ class _Prep:
         "pids",
         "paths",
         "lasts",
-        "delays",
-        "mode",
-        "avg_size",
         "warmup_end",
         "total",
         "ufire",
@@ -165,7 +169,6 @@ def _attachment_array(mapping: dict, ids: np.ndarray, kind: str) -> np.ndarray:
 def _prepare(engine, trace: ColumnarTrace, updates: Sequence[UpdateEvent]) -> _Prep:
     prep = _Prep()
     architecture = engine.architecture
-    cost_model = engine.cost_model
 
     client_nodes = _attachment_array(
         architecture.client_nodes, trace.client_ids, "client"
@@ -184,28 +187,6 @@ def _prepare(engine, trace: ColumnarTrace, updates: Sequence[UpdateEvent]) -> _P
     prep.paths = paths
     prep.lasts = [len(p) - 1 for p in paths]
     prep.pids = inverse.tolist()
-
-    model_type = type(cost_model)
-    if model_type is LatencyCostModel:
-        prep.mode = _COST_LATENCY
-        prep.avg_size = cost_model.avg_size
-        link_delay = cost_model.network.link_delay
-        prep.delays = [
-            [link_delay(u, v) for u, v in zip(p, p[1:])] for p in paths
-        ]
-    elif model_type in (HopCostModel, BandwidthCostModel):
-        prep.mode = _COST_HOP if model_type is HopCostModel else _COST_BANDWIDTH
-        prep.avg_size = 0.0
-        # link_cost validates each link; do it once per unique path here.
-        link_delay = cost_model.network.link_delay
-        for p in paths:
-            for u, v in zip(p, p[1:]):
-                link_delay(u, v)
-        prep.delays = [None] * len(paths)
-    else:
-        prep.mode = _COST_GENERIC
-        prep.avg_size = 0.0
-        prep.delays = [None] * len(paths)
 
     prep.times = trace.times.tolist()
     prep.oids = trace.object_ids.tolist()
@@ -231,20 +212,16 @@ def _prepare(engine, trace: ColumnarTrace, updates: Sequence[UpdateEvent]) -> _P
     return prep
 
 
-def _measured_latency(mode, delays_pid, path, h, size, avg_size, cost_model):
-    """Latency of one request, replicating ``path_cost(path[:h+1], size)``."""
-    if mode == _COST_LATENCY:
-        ratio = size / avg_size
-        latency = 0.0
-        dl = delays_pid
-        for k in range(h):
-            latency += dl[k] * ratio
-        return latency
-    if mode == _COST_HOP:
-        return float(h)
-    if mode == _COST_BANDWIDTH:
-        return float(size * h)
-    return cost_model.path_cost(path[: h + 1], size)
+def _link_delays(engine, paths: List[List[int]]) -> List[List[float]]:
+    """Base delay of every link of every unique path (kernels only).
+
+    Under exactly :class:`LatencyCostModel` a link costs
+    ``delay * (size / avg_size)``, so the kernels replicate
+    ``path_cost`` from these columns with the same operands in the same
+    order.
+    """
+    link_delay = engine.cost_model.network.link_delay
+    return [[link_delay(u, v) for u, v in zip(p, p[1:])] for p in paths]
 
 
 def _finish(engine, prep, started, totals, reservoir, extra):
@@ -275,20 +252,19 @@ def _run_generic(
 ):
     """Reference semantics over columns: per-request scheme calls remain.
 
-    Still removes the per-record dataclass, the routing walk and (when an
-    exact cost model is in use) the ``path_cost`` call -- the safe
-    fallback for the four cold schemes and interval-collected runs.
+    Still removes the per-record dataclass and the routing walk -- the
+    safe fallback for every scheme and configuration the kernels do not
+    serve, and for interval-collected runs.
     """
     from repro.sim.engine import SimulationResult
 
     scheme = engine.scheme
     process = scheme.process_request
-    cost_model = engine.cost_model
+    path_cost = engine.cost_model.path_cost
     collector = MetricsCollector()
     record_measure = collector.record
     times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
-    paths, delays, lasts = prep.paths, prep.delays, prep.lasts
-    mode, avg_size = prep.mode, prep.avg_size
+    paths = prep.paths
     warmup_end, total = prep.warmup_end, prep.total
     ufire, uoids = prep.ufire, prep.uoids
     num_updates = len(ufire)
@@ -309,14 +285,11 @@ def _run_generic(
             uj += 1
             if proto_stats is not None:
                 proto_stats.invalidations += inv_broadcast
-        pid = pids[index]
+        path = paths[pids[index]]
         size = sizes[index]
-        outcome = process(paths[pid], oids[index], size, times[index])
+        outcome = process(path, oids[index], size, times[index])
         if index >= warmup_end or interval_collector is not None:
-            latency = _measured_latency(
-                mode, delays[pid], paths[pid], outcome.hit_index,
-                size, avg_size, cost_model,
-            )
+            latency = path_cost(path[: outcome.hit_index + 1], size)
             if index >= warmup_end:
                 record_measure(outcome, latency)
             if interval_collector is not None:
@@ -353,10 +326,10 @@ def _run_lru_family(engine, prep, started, progress_every, progress_callback):
     """
     scheme = engine.scheme
     radius = scheme.radius if type(scheme) is ModuloScheme else 1
-    paths, lasts, delays = prep.paths, prep.lasts, prep.delays
+    paths, lasts = prep.paths, prep.lasts
     times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
-    mode, avg_size = prep.mode, prep.avg_size
-    cost_model = engine.cost_model
+    delays = _link_delays(engine, paths)
+    avg_size = engine.cost_model.avg_size
     warmup_end, total = prep.warmup_end, prep.total
 
     # Shared per-node state; per-path views of it.  The entries dicts are
@@ -462,25 +435,18 @@ def _run_lru_family(engine, prep, started, progress_every, progress_callback):
                 inserted += 1
 
         if index >= warmup_end:
-            if mode == _COST_LATENCY:
-                # h <= 1 shortcuts are exact: 0.0 + x == x for the
-                # non-negative link costs accumulated here.
-                if h == 0:
-                    latency = 0.0
-                elif h == 1:
-                    latency = delays[pid][0] * (size / avg_size)
-                else:
-                    ratio = size / avg_size
-                    latency = 0.0
-                    dl = delays[pid]
-                    for k in range(h):
-                        latency += dl[k] * ratio
-            elif mode == _COST_HOP:
-                latency = float(h)
-            elif mode == _COST_BANDWIDTH:
-                latency = float(size * h)
+            # h <= 1 shortcuts are exact: 0.0 + x == x for the
+            # non-negative link costs accumulated here.
+            if h == 0:
+                latency = 0.0
+            elif h == 1:
+                latency = delays[pid][0] * (size / avg_size)
             else:
-                latency = cost_model.path_cost(paths[pid][: h + 1], size)
+                ratio = size / avg_size
+                latency = 0.0
+                dl = delays[pid]
+                for k in range(h):
+                    latency += dl[k] * ratio
             measured += 1
             if measured <= _RESERVOIR_SIZE:
                 res_append(latency)
@@ -569,9 +535,8 @@ class _CoordNode:
 
     ``entries`` maps object id -> flattened descriptor; ``order``/``keys``
     mirror NCLCache's bisect-sorted (key, id) list and key map.  The
-    d-cache is ``ddesc`` plus either LFU frequency buckets (plain dicts
-    standing in for the OrderedDict buckets -- same iteration order) or an
-    LRU recency dict.
+    d-cache is ``ddesc`` plus the LFU frequency buckets (plain dicts
+    standing in for the OrderedDict buckets -- same iteration order).
     """
 
     __slots__ = (
@@ -582,15 +547,13 @@ class _CoordNode:
         "order",
         "keys",
         "dcap",
-        "lfu",
         "ddesc",
         "dcount",
         "dbuckets",
         "dmin",
-        "drec",
     )
 
-    def __init__(self, node: int, cap: int, dcap: int, lfu: bool) -> None:
+    def __init__(self, node: int, cap: int, dcap: int) -> None:
         self.node = node
         self.cap = cap
         self.used = 0
@@ -598,12 +561,10 @@ class _CoordNode:
         self.order = []
         self.keys = {}
         self.dcap = dcap
-        self.lfu = lfu
         self.ddesc = {}
         self.dcount = {}
         self.dbuckets = {}
         self.dmin = 0
-        self.drec = {}
 
 
 def _record(d: list, now: float) -> None:
@@ -638,19 +599,16 @@ def _value(d: list, now: float) -> float:
 
 
 def _d_track_remove(st: _CoordNode, oid: int) -> None:
-    """d-cache policy removal (LFU bucket discard / LRU recency pop)."""
-    if st.lfu:
-        count = st.dcount.pop(oid, None)
-        if count is None:
-            return
-        bucket = st.dbuckets[count]
-        del bucket[oid]
-        if not bucket:
-            del st.dbuckets[count]
-            if st.dmin == count:
-                st.dmin = min(st.dbuckets, default=0)
-    else:
-        st.drec.pop(oid, None)
+    """d-cache policy removal (LFU bucket discard)."""
+    count = st.dcount.pop(oid, None)
+    if count is None:
+        return
+    bucket = st.dbuckets[count]
+    del bucket[oid]
+    if not bucket:
+        del st.dbuckets[count]
+        if st.dmin == count:
+            st.dmin = min(st.dbuckets, default=0)
 
 
 def _d_insert(st: _CoordNode, oid: int, d: list) -> None:
@@ -669,85 +627,26 @@ def _d_insert(st: _CoordNode, oid: int, d: list) -> None:
     dcap = st.dcap
     if dcap == 0:
         return
-    if st.lfu:
-        dbuckets = st.dbuckets
-        dcount = st.dcount
-        while len(ddesc) >= dcap:
-            count = st.dmin
-            bucket = dbuckets[count]
-            vid = next(iter(bucket))
-            del ddesc[vid]
-            del dcount[vid]
-            del bucket[vid]
-            if not bucket:
-                del dbuckets[count]
-                st.dmin = min(dbuckets, default=0)
-        ddesc[oid] = d
-        dcount[oid] = 1
-        b1 = dbuckets.get(1)
-        if b1 is None:
-            dbuckets[1] = {oid: None}
-        else:
-            b1[oid] = None
-        st.dmin = 1
-    else:
-        drec = st.drec
-        while len(ddesc) >= dcap:
-            vid = next(iter(drec))
-            del ddesc[vid]
-            del drec[vid]
-        ddesc[oid] = d
-        drec[oid] = None
-
-
-def _d_promote(st: _CoordNode, oid: int) -> None:
-    """DescriptorCache.get's policy reference (LFU promote / LRU touch)."""
-    if st.lfu:
-        dcount = st.dcount
-        count = dcount[oid]
-        dbuckets = st.dbuckets
+    dbuckets = st.dbuckets
+    dcount = st.dcount
+    while len(ddesc) >= dcap:
+        count = st.dmin
         bucket = dbuckets[count]
-        del bucket[oid]
+        vid = next(iter(bucket))
+        del ddesc[vid]
+        del dcount[vid]
+        del bucket[vid]
         if not bucket:
             del dbuckets[count]
-            if st.dmin == count:
-                st.dmin = count + 1
-        count1 = count + 1
-        dcount[oid] = count1
-        b2 = dbuckets.get(count1)
-        if b2 is None:
-            dbuckets[count1] = {oid: None}
-        else:
-            b2[oid] = None
+            st.dmin = min(dbuckets, default=0)
+    ddesc[oid] = d
+    dcount[oid] = 1
+    b1 = dbuckets.get(1)
+    if b1 is None:
+        dbuckets[1] = {oid: None}
     else:
-        drec = st.drec
-        del drec[oid]
-        drec[oid] = None
-
-
-def _cost_loss(st: _CoordNode, size: int, now: float) -> Optional[float]:
-    """NCLCache.cost_loss for an object known absent from the main cache.
-
-    Walks the greedy victim prefix summing current ``f * m`` -- which,
-    exactly like the reference, lazily refreshes aged victim estimators
-    (the mutation is part of the contract, not a side effect to avoid).
-    """
-    cap = st.cap
-    if size > cap:
-        return None
-    need = size - (cap - st.used)
-    if need <= 0:
-        return 0.0
-    loss = 0.0
-    freed = 0
-    entries = st.entries
-    for _, vid in st.order:
-        vd = entries[vid]
-        loss += _value(vd, now) * vd[1]
-        freed += vd[0]
-        if freed >= need:
-            return loss
-    return None
+        b1[oid] = None
+    st.dmin = 1
 
 
 def _insert_object(st: _CoordNode, oid: int, size: int, penalty: float, now: float) -> int:
@@ -799,26 +698,14 @@ def _insert_object(st: _CoordNode, oid: int, size: int, penalty: float, now: flo
     return len(evicted)
 
 
-def _ensure_dcache(st: _CoordNode, oid: int, size: int, penalty: float, now: float) -> None:
-    """DescriptorNode.ensure_dcache_descriptor (response-path refresh)."""
-    d = st.ddesc.get(oid)
-    if d is None:
-        d = [size, penalty, 0.0, _NEG_INF, []]
-        _record(d, now)
-        _d_insert(st, oid, d)
-    else:
-        d[1] = penalty
-
-
 def _run_coordinated(engine, prep, started, progress_every, progress_callback):
     """Flattened kernel for the coordinated scheme's 3-phase protocol."""
     scheme = engine.scheme
-    paths, lasts, delays = prep.paths, prep.lasts, prep.delays
+    paths, lasts = prep.paths, prep.lasts
     times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
-    mode, avg_size = prep.mode, prep.avg_size
-    cost_model = engine.cost_model
+    delays = _link_delays(engine, paths)
+    avg_size = engine.cost_model.avg_size
     warmup_end, total = prep.warmup_end, prep.total
-    lfu = scheme.dcache_policy == "lfu"
     dcap = scheme.dcache_entries
 
     node_states: dict = {}
@@ -828,7 +715,7 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
         for node in path[:last]:
             state = node_states.get(node)
             if state is None:
-                state = _CoordNode(node, scheme.capacity_for(node), dcap, lfu)
+                state = _CoordNode(node, scheme.capacity_for(node), dcap)
                 node_states[node] = state
             # The dict objects are stable (mutated in place, never
             # rebound), so the walk can carry them directly and skip two
@@ -854,7 +741,7 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
     bytes_written_sum = 0
 
     # Protocol overhead counters, folded into scheme.protocol_stats at the
-    # end (same totals as per-request _count_protocol calls).
+    # end (same totals as the per-request charges of decide_step).
     proto_reports = 0
     proto_tags = 0
     proto_decisions = 0
@@ -871,12 +758,14 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
     fallback = _FALLBACK
     aging = _AGING
 
-    # The loop below inlines _record / _d_promote / _cost_loss /
-    # _ensure_dcache for the default LFU d-cache: the protocol touches the
-    # d-cache two-to-three times per request, and at that rate the CPython
-    # call overhead of the helpers dominates the kernel.  Every inline
-    # block performs the identical mutation sequence as its helper (the
-    # helpers remain the readable spec and serve the cold paths).
+    # The loop below inlines the estimator record, the d-cache promote
+    # and insert, the cost-loss scan and the response-path descriptor
+    # refresh (DescriptorNode.record_request / ensure_dcache_descriptor,
+    # NCLCache.cost_loss): the protocol touches the d-cache two-to-three
+    # times per request, and at that rate CPython call overhead would
+    # dominate the kernel.  Every inline block performs the identical
+    # mutation sequence as the class-based method it names; the helpers
+    # above serve the cold paths (insertion, invalidation).
 
     for index, pid in enumerate(pids):
         while uj < num_updates and ufire[uj] <= index:
@@ -898,10 +787,9 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
         now = times[index]
         last = lasts[pid]
         walk = path_walks[pid]
-        if mode == _COST_LATENCY:
-            # Same operands as every reference size/avg_size division this
-            # request would perform, so hoisting it is bit-exact.
-            ratio = size / avg_size
+        # Same operands as every reference size/avg_size division this
+        # request would perform, so hoisting it is bit-exact.
+        ratio = size / avg_size
 
         # Phase 1: upstream walk, collecting candidate reports.
         h = last
@@ -931,28 +819,24 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
             if dd is None:
                 proto_tags += 1
             else:
-                if lfu:  # _d_promote
-                    dcount = st.dcount
-                    count = dcount[oid]
-                    dbuckets = st.dbuckets
-                    bucket = dbuckets[count]
-                    del bucket[oid]
-                    count1 = count + 1
-                    if not bucket:
-                        del dbuckets[count]
-                        if st.dmin == count:
-                            st.dmin = count1
-                    dcount[oid] = count1
-                    b2 = dbuckets.get(count1)
-                    if b2 is None:
-                        dbuckets[count1] = {oid: None}
-                    else:
-                        b2[oid] = None
+                # DescriptorCache.get's LFU promote.
+                dcount = st.dcount
+                count = dcount[oid]
+                dbuckets = st.dbuckets
+                bucket = dbuckets[count]
+                del bucket[oid]
+                count1 = count + 1
+                if not bucket:
+                    del dbuckets[count]
+                    if st.dmin == count:
+                        st.dmin = count1
+                dcount[oid] = count1
+                b2 = dbuckets.get(count1)
+                if b2 is None:
+                    dbuckets[count1] = {oid: None}
                 else:
-                    drec = st.drec
-                    del drec[oid]
-                    drec[oid] = None
-                ts = dd[4]  # _record
+                    b2[oid] = None
+                ts = dd[4]  # estimator record
                 if len(ts) == window:
                     del ts[0]
                 ts.append(now)
@@ -963,9 +847,13 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
                 dd[3] = now
                 proto_reports += 1
                 # frequency(now) right after record() returns the cached
-                # estimate: dd[2].  _cost_loss inline; main-cache entry
-                # descriptors always hold at least one reference time, so
-                # the estimator's empty-window branch cannot trigger.
+                # estimate: dd[2].  NCLCache.cost_loss inline: walks the
+                # greedy victim prefix summing current ``f * m``, lazily
+                # refreshing aged victim estimators exactly like the
+                # reference (the mutation is part of the contract).
+                # Main-cache entry descriptors always hold at least one
+                # reference time, so the estimator's empty-window branch
+                # cannot trigger.
                 cap = st.cap
                 loss = 0.0
                 loss_ok = False
@@ -1051,93 +939,60 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
         evictions = 0
         if h > 0:
             acc = 0.0
-            if mode == _COST_LATENCY:
-                dl = delays[pid]
-                for i in range(h - 1, -1, -1):
-                    acc += dl[i] * ratio
-                    st, _entries, ddesc = walk[i]
-                    if st.node in chosen:
-                        result = _insert_object(st, oid, size, acc, now)
-                        if result >= 0:
-                            inserted += 1
-                            evictions += result
-                            acc = 0.0
-                    else:
-                        # _ensure_dcache inline.  A fresh descriptor's
-                        # record(now) sees a zero-elapsed window, so its
-                        # estimate is always the fallback value.
-                        d = ddesc.get(oid)
-                        if d is not None:
-                            d[1] = acc
-                        elif dcap:
-                            d = [size, acc, fallback, now, [now]]
-                            if lfu:  # _d_insert (oid known absent)
-                                dbuckets = st.dbuckets
-                                dcount = st.dcount
-                                while len(ddesc) >= dcap:
-                                    count = st.dmin
-                                    bucket = dbuckets[count]
-                                    vid = next(iter(bucket))
-                                    del ddesc[vid]
-                                    del dcount[vid]
-                                    del bucket[vid]
-                                    if not bucket:
-                                        del dbuckets[count]
-                                        st.dmin = min(dbuckets, default=0)
-                                ddesc[oid] = d
-                                dcount[oid] = 1
-                                b1 = dbuckets.get(1)
-                                if b1 is None:
-                                    dbuckets[1] = {oid: None}
-                                else:
-                                    b1[oid] = None
-                                st.dmin = 1
-                            else:
-                                drec = st.drec
-                                while len(ddesc) >= dcap:
-                                    vid = next(iter(drec))
-                                    del ddesc[vid]
-                                    del drec[vid]
-                                ddesc[oid] = d
-                                drec[oid] = None
-            else:
-                path = paths[pid]
-                for i in range(h - 1, -1, -1):
-                    if mode == _COST_HOP:
-                        acc += 1.0
-                    elif mode == _COST_BANDWIDTH:
-                        acc += float(size)
-                    else:
-                        acc += cost_model.path_cost(path[i : i + 2], size)
-                    st = walk[i][0]
-                    if st.node in chosen:
-                        result = _insert_object(st, oid, size, acc, now)
-                        if result >= 0:
-                            inserted += 1
-                            evictions += result
-                            acc = 0.0
-                    else:
-                        _ensure_dcache(st, oid, size, acc, now)
+            dl = delays[pid]
+            for i in range(h - 1, -1, -1):
+                acc += dl[i] * ratio
+                st, _entries, ddesc = walk[i]
+                if st.node in chosen:
+                    result = _insert_object(st, oid, size, acc, now)
+                    if result >= 0:
+                        inserted += 1
+                        evictions += result
+                        acc = 0.0
+                else:
+                    # DescriptorNode.ensure_dcache_descriptor inline.  A
+                    # fresh descriptor's record(now) sees a zero-elapsed
+                    # window, so its estimate is always the fallback
+                    # value.
+                    d = ddesc.get(oid)
+                    if d is not None:
+                        d[1] = acc
+                    elif dcap:
+                        # _d_insert with oid known absent.
+                        d = [size, acc, fallback, now, [now]]
+                        dbuckets = st.dbuckets
+                        dcount = st.dcount
+                        while len(ddesc) >= dcap:
+                            count = st.dmin
+                            bucket = dbuckets[count]
+                            vid = next(iter(bucket))
+                            del ddesc[vid]
+                            del dcount[vid]
+                            del bucket[vid]
+                            if not bucket:
+                                del dbuckets[count]
+                                st.dmin = min(dbuckets, default=0)
+                        ddesc[oid] = d
+                        dcount[oid] = 1
+                        b1 = dbuckets.get(1)
+                        if b1 is None:
+                            dbuckets[1] = {oid: None}
+                        else:
+                            b1[oid] = None
+                        st.dmin = 1
 
         if index >= warmup_end:
-            if mode == _COST_LATENCY:
-                # h <= 1 shortcuts are exact: 0.0 + x == x for the
-                # non-negative link costs accumulated here.
-                if h == 0:
-                    latency = 0.0
-                elif h == 1:
-                    latency = delays[pid][0] * ratio
-                else:
-                    latency = 0.0
-                    dl = delays[pid]
-                    for k in range(h):
-                        latency += dl[k] * ratio
-            elif mode == _COST_HOP:
-                latency = float(h)
-            elif mode == _COST_BANDWIDTH:
-                latency = float(size * h)
+            # h <= 1 shortcuts are exact: 0.0 + x == x for the
+            # non-negative link costs accumulated here.
+            if h == 0:
+                latency = 0.0
+            elif h == 1:
+                latency = delays[pid][0] * ratio
             else:
-                latency = cost_model.path_cost(paths[pid][: h + 1], size)
+                latency = 0.0
+                dl = delays[pid]
+                for k in range(h):
+                    latency += dl[k] * ratio
             measured += 1
             if measured <= _RESERVOIR_SIZE:
                 res_append(latency)
@@ -1238,15 +1093,12 @@ def _writeback_coordinated(scheme, paths, reach, node_states) -> None:
             dcache = state.dcache
             for oid, d in st.ddesc.items():
                 dcache._descriptors[oid] = _materialize_descriptor(oid, d)
-            if st.lfu:
-                buckets = dcache._buckets
-                buckets._counts = dict(st.dcount)
-                buckets._buckets = {
-                    count: OrderedDict((k, None) for k in bucket)
-                    for count, bucket in st.dbuckets.items()
-                }
-                buckets._min_count = st.dmin
-            else:
-                dcache._recency = OrderedDict((k, None) for k in st.drec)
+            buckets = dcache._buckets
+            buckets._counts = dict(st.dcount)
+            buckets._buckets = {
+                count: OrderedDict((k, None) for k in bucket)
+                for count, bucket in st.dbuckets.items()
+            }
+            buckets._min_count = st.dmin
             scheme._nodes[node] = state
             scheme._caches[node] = state.cache

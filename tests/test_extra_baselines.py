@@ -84,7 +84,7 @@ class TestGDSScheme:
         scheme = GDSScheme(costs, capacity_bytes=1000)
         assert scheme.name == "gdsp"
         outcome = scheme.process_request(PATH, 7, 100, now=0.0)
-        assert outcome.inserted_nodes == (0, 1, 2, 3, 4)
+        assert outcome.inserted_nodes == (4, 3, 2, 1, 0)
         second = scheme.process_request(PATH, 7, 100, now=1.0)
         assert second.hit_index == 0
 
@@ -118,7 +118,7 @@ class TestAdmissionLRU:
         scheme = AdmissionLRUScheme(costs, capacity_bytes=1000)
         scheme.process_request(PATH, 7, 100, now=0.0)
         outcome = scheme.process_request(PATH, 7, 100, now=1.0)
-        assert outcome.inserted_nodes == (0, 1, 2, 3, 4)
+        assert outcome.inserted_nodes == (4, 3, 2, 1, 0)
 
     def test_history_is_bounded(self, costs):
         scheme = AdmissionLRUScheme(costs, capacity_bytes=1000, history_entries=2)

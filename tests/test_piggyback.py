@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.piggyback import NodeReport, RequestEnvelope, ResponseEnvelope
+from repro.core.piggyback import NodeReport
 
 
 class TestNodeReport:
@@ -17,38 +17,3 @@ class TestNodeReport:
     def test_zero_cost_loss_is_candidate(self):
         report = NodeReport(1, 2.0, 3.0, 0.0, has_descriptor=True)
         assert report.is_candidate()
-
-
-class TestRequestEnvelope:
-    def test_reports_reversed_to_server_first(self):
-        envelope = RequestEnvelope(object_id=9)
-        # Travel order: requester (node 5) towards the server (node 7).
-        for node in (5, 6, 7):
-            envelope.add_report(
-                NodeReport(node, 1.0, 1.0, 0.0, has_descriptor=True)
-            )
-        assert [r.node for r in envelope.reports] == [5, 6, 7]
-        assert [r.node for r in envelope.reports_server_first()] == [7, 6, 5]
-
-    def test_reports_server_first_copies(self):
-        envelope = RequestEnvelope(object_id=9)
-        envelope.add_report(NodeReport(1, 1.0, 1.0, 0.0, True))
-        first = envelope.reports_server_first()
-        first.append("sentinel")
-        assert len(envelope.reports) == 1
-
-
-class TestResponseEnvelope:
-    def test_should_cache(self):
-        response = ResponseEnvelope(
-            object_id=9, cache_at=frozenset({2, 4}), expected_gain=1.5
-        )
-        assert response.should_cache(2)
-        assert response.should_cache(4)
-        assert not response.should_cache(3)
-
-    def test_empty_decision(self):
-        response = ResponseEnvelope(
-            object_id=9, cache_at=frozenset(), expected_gain=0.0
-        )
-        assert not response.should_cache(0)

@@ -159,9 +159,8 @@ class TestStepComposition:
                 composed, path, object_id, size, now
             )
             assert hit_index == outcome.hit_index
-            # Reporting order differs between the two paths (the walk
-            # unwinds downstream); the inserted *set* is the contract.
-            assert sorted(inserted) == sorted(outcome.inserted_nodes)
+            # One meaning everywhere: response order, as the walk unwinds.
+            assert inserted == outcome.inserted_nodes
             assert evictions == outcome.evicted_objects
             now += 1.0
         assert_cache_state_identical(reference, composed, tag=scheme_name)

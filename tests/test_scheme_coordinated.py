@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coordinated import CoordinatedScheme
-from repro.core.piggyback import NodeReport, RequestEnvelope
+from repro.core.piggyback import NodeReport
 from repro.costs.model import LatencyCostModel
 from repro.topology.builder import build_chain
 
@@ -58,69 +58,69 @@ class TestFirstContact:
 
 
 class TestPlacementDecision:
-    def _envelope(self, reports):
-        envelope = RequestEnvelope(object_id=1)
-        for report in reports:
-            envelope.add_report(report)
-        return envelope
+    """``decide_step`` at the origin on a hand-built request message
+    (the report list, in travel order)."""
+
+    def _decide(self, scheme, reports):
+        return scheme.decide_step(PATH, len(PATH) - 1, reports, 1, 100, 0.0)
 
     def test_empty_candidates_yield_no_placement(self, scheme):
-        envelope = self._envelope(
-            [NodeReport(0, 0.0, 0.0, None, has_descriptor=False)]
+        decision = self._decide(
+            scheme,
+            [NodeReport(0, 0.0, 0.0, None, has_descriptor=False)],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert response.cache_at == frozenset()
-        assert response.expected_gain == 0.0
+        assert decision["cache_at"] == []
+        assert decision["gain"] == 0.0
 
     def test_single_beneficial_candidate_selected(self, scheme):
-        envelope = self._envelope(
+        decision = self._decide(
+            scheme,
             [NodeReport(0, frequency=2.0, miss_penalty=3.0, cost_loss=1.0,
-                        has_descriptor=True)]
+                        has_descriptor=True)],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert response.cache_at == frozenset({0})
-        assert response.expected_gain == pytest.approx(5.0)
+        assert decision["cache_at"] == [0]
+        assert decision["gain"] == pytest.approx(5.0)
 
     def test_harmful_candidate_rejected(self, scheme):
-        envelope = self._envelope(
+        decision = self._decide(
+            scheme,
             [NodeReport(0, frequency=1.0, miss_penalty=1.0, cost_loss=10.0,
-                        has_descriptor=True)]
+                        has_descriptor=True)],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert response.cache_at == frozenset()
+        assert decision["cache_at"] == []
 
     def test_nodes_without_descriptor_pruned(self, scheme):
         # Reports travel client -> server; node 9 lacks a descriptor.
-        envelope = self._envelope(
+        decision = self._decide(
+            scheme,
             [
                 NodeReport(9, 0.0, 0.0, None, has_descriptor=False),
                 NodeReport(3, frequency=2.0, miss_penalty=3.0, cost_loss=0.0,
                            has_descriptor=True),
-            ]
+            ],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert response.cache_at == frozenset({3})
+        assert decision["cache_at"] == [3]
 
     def test_uncacheable_node_pruned(self, scheme):
-        envelope = self._envelope(
+        decision = self._decide(
+            scheme,
             [NodeReport(0, frequency=5.0, miss_penalty=5.0, cost_loss=None,
-                        has_descriptor=True)]
+                        has_descriptor=True)],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert response.cache_at == frozenset()
+        assert decision["cache_at"] == []
 
     def test_noisy_frequencies_are_repaired(self, scheme):
         # Downstream frequency larger than upstream: must not raise.
-        envelope = self._envelope(
+        decision = self._decide(
+            scheme,
             [
                 NodeReport(0, frequency=9.0, miss_penalty=2.0, cost_loss=0.0,
                            has_descriptor=True),
                 NodeReport(1, frequency=1.0, miss_penalty=1.0, cost_loss=0.0,
                            has_descriptor=True),
-            ]
+            ],
         )
-        response = scheme.decide_placement(envelope, now=0.0)
-        assert 0 in response.cache_at
+        assert 0 in decision["cache_at"]
 
 
 class TestMissPenaltyProtocol:

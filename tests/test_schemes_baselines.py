@@ -31,7 +31,7 @@ class TestLRUEverywhere:
         outcome = scheme.process_request(PATH, object_id=7, size=100, now=0.0)
         assert outcome.hit_index == 5
         assert not outcome.served_by_cache
-        assert outcome.inserted_nodes == (0, 1, 2, 3, 4)
+        assert outcome.inserted_nodes == (4, 3, 2, 1, 0)
         assert outcome.bytes_written == 500
         assert outcome.bytes_read == 0
         for node in range(5):
@@ -53,7 +53,7 @@ class TestLRUEverywhere:
         scheme.process_request([3, 4, 5], 7, 100, now=0.0)
         outcome = scheme.process_request(PATH, 7, 100, now=1.0)
         assert outcome.hit_index == 3
-        assert outcome.inserted_nodes == (0, 1, 2)
+        assert outcome.inserted_nodes == (2, 1, 0)
 
     def test_oversized_object_not_cached_but_served(self, costs):
         scheme = LRUEverywhereScheme(costs, capacity_bytes=50)
@@ -81,7 +81,7 @@ class TestModulo:
     def test_radius_one_equals_lru_placement(self, costs):
         scheme = ModuloScheme(costs, 1000, radius=1)
         outcome = scheme.process_request(PATH, 7, 100, now=0.0)
-        assert outcome.inserted_nodes == (0, 1, 2, 3, 4)
+        assert outcome.inserted_nodes == (4, 3, 2, 1, 0)
 
     def test_radius_anchored_at_server(self, costs):
         # Path has 5 hops; with radius 2 the nodes 2 and 4 hops from the

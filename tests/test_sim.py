@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.coordinated import CoordinatedScheme
 from repro.costs.model import LatencyCostModel
+from repro.schemes.adaptive import AdaptiveScheme
+from repro.schemes.costaware import CostAwareScheme
+from repro.schemes.extra_baselines import (
+    AdmissionLRUScheme,
+    GDSScheme,
+    LFUEverywhereScheme,
+)
+from repro.schemes.lncr import LNCRScheme
 from repro.schemes.lru_everywhere import LRUEverywhereScheme
+from repro.schemes.modulo import ModuloScheme
 from repro.sim.architecture import (
     build_enroute_architecture,
     build_hierarchical_architecture,
@@ -127,6 +137,39 @@ class TestFactory:
         for name in SCHEME_NAMES:
             scheme = build_scheme(name, chain_costs, 1000, 10)
             assert scheme.capacity_bytes == 1000
+
+    # name -> (class, the parent registry's defaults), in registry order.
+    _DESCRIPTOR_DEFAULTS = {
+        "dcache_entries": 10,
+        "dcache_policy": "lfu",
+        "ncl_structure": "list",
+    }
+    REGISTRY_TABLE = {
+        "lru": (LRUEverywhereScheme, {}),
+        "modulo": (ModuloScheme, {"radius": 4}),
+        "lnc-r": (LNCRScheme, _DESCRIPTOR_DEFAULTS),
+        "coordinated": (CoordinatedScheme, _DESCRIPTOR_DEFAULTS),
+        "adaptive": (AdaptiveScheme, {"step_size": 0.5, **_DESCRIPTOR_DEFAULTS}),
+        "costaware": (CostAwareScheme, _DESCRIPTOR_DEFAULTS),
+        "lfu": (LFUEverywhereScheme, {}),
+        "gds": (GDSScheme, {"popularity_aware": True}),
+        "admission-lru": (AdmissionLRUScheme, {"history_entries": 1024}),
+    }
+
+    def test_registered_defaults_and_overrides(self, chain_costs):
+        assert SCHEME_NAMES == tuple(self.REGISTRY_TABLE)
+        for name, (scheme_type, defaults) in self.REGISTRY_TABLE.items():
+            # A keyword the scheme does not know is ignored, so one
+            # parameter set can build any scheme.
+            scheme = build_scheme(
+                name, chain_costs, 1000, 10,
+                capacity_overrides={2: 77}, not_a_parameter=1,
+            )
+            assert type(scheme) is scheme_type, name
+            for attribute, value in defaults.items():
+                assert getattr(scheme, attribute) == value, (name, attribute)
+            assert scheme.capacity_for(2) == 77, name
+            assert scheme.capacity_for(1) == 1000, name
 
     def test_modulo_radius_parameter(self, chain_costs):
         scheme = build_scheme("modulo", chain_costs, 1000, 10, radius=2)

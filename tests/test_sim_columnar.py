@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costs.model import HopCostModel, LatencyCostModel
+from repro.costs.model import BandwidthCostModel, HopCostModel, LatencyCostModel
+from repro.metrics.timeseries import IntervalMetricsCollector
 from repro.obs.instruments import Instruments
 from repro.obs.probe import Probe
 from repro.obs.registry import StatRegistry
@@ -25,6 +26,7 @@ from repro.sim.architecture import (
     build_enroute_architecture,
     build_hierarchical_architecture,
 )
+from repro.sim import fastpath
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import SCHEME_NAMES, build_scheme
 from repro.verify.fastpath_diff import result_fingerprint, shadow_compare
@@ -68,6 +70,39 @@ def architectures():
 
 def _capacity(catalog) -> int:
     return max(1, int(catalog.total_bytes * 0.02))
+
+
+class _ScaledLatency(LatencyCostModel):
+    """May override ``link_cost``: never eligible for a kernel."""
+
+
+def _case(scheme, expected, cost=LatencyCostModel, observer=False,
+          interval=False, **keywords):
+    return scheme, expected, cost, observer, interval, keywords
+
+
+# configuration -> the loop that must serve the columnar run.
+_DISPATCH = {
+    "coordinated": _case("coordinated", "coordinated"),
+    "lru": _case("lru", "lru"),
+    "modulo": _case("modulo", "lru"),
+    "hop/coordinated": _case("coordinated", "generic", cost=HopCostModel),
+    "hop/lru": _case("lru", "generic", cost=HopCostModel),
+    "bandwidth/coordinated": _case(
+        "coordinated", "generic", cost=BandwidthCostModel
+    ),
+    "bandwidth/lru": _case("lru", "generic", cost=BandwidthCostModel),
+    "latency-subclass/coordinated": _case(
+        "coordinated", "generic", cost=_ScaledLatency
+    ),
+    "latency-subclass/modulo": _case(
+        "modulo", "generic", cost=_ScaledLatency
+    ),
+    "dcache-lru": _case("coordinated", "generic", dcache_policy="lru"),
+    "ncl-heap": _case("coordinated", "generic", ncl_structure="heap"),
+    "placement-observer": _case("coordinated", "generic", observer=True),
+    "interval-collector": _case("coordinated", "generic", interval=True),
+}
 
 
 class TestBitExactness:
@@ -154,6 +189,52 @@ class TestBitExactness:
             updates=updates,
             tag=f"hier/provisioned/{name}",
         )
+
+    @pytest.mark.parametrize("case", list(_DISPATCH))
+    def test_dispatch(self, workload, architectures, monkeypatch, case):
+        """Which loop serves which configuration -- and bit-exactly.
+
+        The kernels serve exactly one configuration (``LatencyCostModel``
+        itself, LFU d-cache, ``list`` NCL, nothing observing); everything
+        else must reach the generic loop, not a kernel that no longer
+        knows the variant.
+        """
+        name, expected, cost_type, observed, collected, keywords = _DISPATCH[case]
+        generator, trace, columnar, updates = workload
+        arch = architectures["hier"]
+        if issubclass(cost_type, LatencyCostModel):
+            cost = cost_type(arch.network, generator.catalog.mean_size)
+        else:
+            cost = cost_type(arch.network)
+        capacity = _capacity(generator.catalog)
+
+        def factory():
+            scheme = build_scheme(name, cost, capacity, 64, **keywords)
+            if observed:
+                scheme.placement_observer = lambda problem, solution: None
+            return scheme
+
+        served = []
+        for label, loop in (
+            ("coordinated", "_run_coordinated"),
+            ("lru", "_run_lru_family"),
+            ("generic", "_run_generic"),
+        ):
+            def spy(*args, _label=label, _loop=getattr(fastpath, loop)):
+                served.append(_label)
+                return _loop(*args)
+
+            monkeypatch.setattr(fastpath, loop, spy)
+        run_kwargs = (
+            {"interval_collector": IntervalMetricsCollector(60.0)}
+            if collected
+            else {}
+        )
+        shadow_compare(
+            arch, cost, factory, trace, columnar,
+            updates=updates, tag=case, **run_kwargs,
+        )
+        assert served == [expected]
 
     def test_columnar_trace_matches_materialized_twin(self, workload):
         generator, trace, columnar, _ = workload

@@ -57,6 +57,44 @@ class TestStaticScheme:
         assert scheme.has_object(0, 0)
         assert not scheme.has_object(0, 1)
 
+    def test_steps_by_hand_never_insert(self, chain_costs_small):
+        """The steps say what the scheme means: a served static scheme
+        (``lookup_step`` / ``decide_step`` / ``deliver_step`` per node,
+        as ``repro.serve`` drives them) changes no cache."""
+        catalog = ObjectCatalog(np.array([100, 100]), np.array([0, 0]))
+        scheme = StaticPlacementScheme(
+            chain_costs_small, 500, placements={1: [0]}, catalog=catalog
+        )
+        path = [0, 1, 2]
+
+        def contents():
+            return {
+                node: (sorted(cache.object_ids()), cache.used_bytes)
+                for node, cache in scheme.caches().items()
+            }
+
+        for node in path[:-1]:
+            scheme.cache_at(node)  # caches are created on first touch
+        before = contents()
+        for object_id, expected_hit in ((0, 1), (1, 2)):
+            hit_index = len(path) - 1
+            for i, node in enumerate(path[:-1]):
+                hit, report = scheme.lookup_step(node, object_id, 100, 0.0)
+                assert report is None
+                if hit:
+                    hit_index = i
+                    break
+            assert hit_index == expected_hit
+            decision = scheme.decide_step(
+                path, hit_index, [], object_id, 100, 0.0
+            )
+            assert decision["cache_at"] == []
+            for index in range(hit_index - 1, -1, -1):
+                assert scheme.deliver_step(
+                    index, path, decision, object_id, 100, 0.0
+                ) == (False, 0)
+            assert contents() == before
+
 
 class TestNodeDemandRates:
     def test_splits_rate_over_attachments(self):

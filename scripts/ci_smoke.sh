@@ -57,6 +57,21 @@ WALKS=$(grep -rn "def process_request" src/repro/schemes src/repro/core)
 echo "$WALKS"
 test "$(echo "$WALKS" | wc -l)" -eq 1
 
+echo "== one served walk gate =="
+# The report record has one form (the wire dict), the node no scheme-
+# specific decode, one serving branch, one fwd constructor, and the
+# message pricing lives in one module.
+PIGGYBACK=src/repro/core/piggyback.py
+NODE=src/repro/serve/node.py
+test -z "$(grep -n "to_dict\|from_dict\|class NodeReport" "$PIGGYBACK")"
+test -z "$(grep -n "_decoded_reports\|_coordinated\|repro\.core\.coordinated" "$NODE")"
+test "$(grep -c '"type": MSG_RESP' "$NODE")" -eq 1
+test "$(grep -c '"type": MSG_FWD' "$NODE")" -eq 1
+PRICED=$(grep -rlE --include='*.py' \
+    "REPORT_BYTES|TAG_BYTES|DECISION_BYTES|ACCUMULATOR_BYTES" src)
+echo "$PRICED"
+test "$PRICED" = "$PIGGYBACK"
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then

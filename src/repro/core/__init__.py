@@ -5,7 +5,8 @@
 * :mod:`repro.core.descriptors` -- object descriptors (size, sliding-window
   frequency, miss penalty) shared by main caches and d-caches.
 * :mod:`repro.core.piggyback` -- the request/response piggyback records the
-  coordinated scheme exchanges along delivery paths (section 2.3).
+  coordinated scheme exchanges along delivery paths (section 2.3), in
+  their one (wire) form, and their byte pricing.
 * :mod:`repro.core.coordinated` -- the coordinated caching scheme itself.
 """
 
@@ -17,16 +18,16 @@ from repro.core.placement import (
     enforce_monotone_frequencies,
     solve_placement,
 )
-from repro.core.piggyback import NodeReport
+from repro.core.piggyback import node_report
 from repro.core.coordinated import CoordinatedScheme
 
 __all__ = [
     "CoordinatedScheme",
-    "NodeReport",
     "ObjectDescriptor",
     "PlacementProblem",
     "PlacementSolution",
     "brute_force_placement",
     "enforce_monotone_frequencies",
+    "node_report",
     "solve_placement",
 ]

@@ -7,7 +7,8 @@ serving layer drive on the wire:
 
 1. **Upstream walk** (:meth:`CoordinatedScheme.lookup_step`).  The
    request travels from the requester towards the origin; every
-   intermediate cache appends a :class:`NodeReport` carrying its
+   intermediate cache appends a report record
+   (:func:`~repro.core.piggyback.node_report`) carrying its
    frequency estimate ``f_i``, stored miss penalty ``m_i`` and
    prospective eviction cost loss ``l_i`` for the object -- or a
    "no descriptor" tag when the object is unknown to both its main cache
@@ -30,7 +31,8 @@ serving layer drive on the wire:
 
 No extra messages or probes are used -- all information rides on the
 request/response pair, as in the paper: the request message is the list
-of reports, the response message the decision dict.
+of reports, the response message the decision dict, and both are the
+JSON-native values the serving layer ships as returned.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.piggyback import (
-    ACCUMULATOR_BYTES,
-    DECISION_BYTES,
-    REPORT_BYTES,
-    TAG_BYTES,
-    NodeReport,
     ProtocolStats,
+    is_candidate,
+    node_report,
+    report_bytes,
+    response_bytes,
 )
 from repro.obs.timers import PHASE_DP_SOLVE
 from repro.core.placement import (
@@ -89,7 +90,7 @@ class CoordinatedScheme(DescriptorSchemeBase):
 
     def lookup_step(
         self, node: int, object_id: int, size: int, now: float
-    ) -> Tuple[bool, Optional[NodeReport]]:
+    ) -> Tuple[bool, Optional[dict]]:
         """One upstream stop: local lookup plus the piggybacked report.
 
         A hit touches recency and ends the walk (no report -- the serving
@@ -104,28 +105,20 @@ class CoordinatedScheme(DescriptorSchemeBase):
             return True, None
         descriptor = state.record_request(object_id, now)
         if descriptor is None:
-            report = NodeReport(
-                node=node,
-                frequency=0.0,
-                miss_penalty=0.0,
-                cost_loss=None,
-                has_descriptor=False,
-            )
-        else:
-            report = NodeReport(
-                node=node,
-                frequency=descriptor.frequency(now),
-                miss_penalty=descriptor.miss_penalty,
-                cost_loss=state.cache.cost_loss(object_id, size, now),
-                has_descriptor=True,
-            )
-        return False, report
+            return False, node_report(node, 0.0, 0.0, None, False)
+        return False, node_report(
+            node,
+            descriptor.frequency(now),
+            descriptor.miss_penalty,
+            state.cache.cost_loss(object_id, size, now),
+            True,
+        )
 
     def decide_step(
         self,
         path: Sequence[int],
         hit_index: int,
-        reports: Sequence[NodeReport],
+        reports: Sequence[dict],
         object_id: int,
         size: int,
         now: float,
@@ -145,9 +138,9 @@ class CoordinatedScheme(DescriptorSchemeBase):
         described = 0
         candidates = []
         for report in reversed(reports):
-            if report.has_descriptor:
+            if report["d"]:
                 described += 1
-                if report.cost_loss is not None:
+                if report["l"] is not None:
                     candidates.append(report)
         stats = self.protocol_stats
         stats.requests += 1
@@ -158,17 +151,17 @@ class CoordinatedScheme(DescriptorSchemeBase):
         if not candidates:
             return {"cache_at": [], "gain": 0.0, "acc": 0.0}
         frequencies = enforce_monotone_frequencies(
-            [r.frequency for r in candidates]
+            [r["f"] for r in candidates]
         )
         problem = PlacementProblem(
             frequencies=tuple(frequencies),
-            penalties=tuple(r.miss_penalty for r in candidates),
-            losses=tuple(r.cost_loss for r in candidates),
+            penalties=tuple(r["m"] for r in candidates),
+            losses=tuple(r["l"] for r in candidates),
         )
         solution = self._solve(problem)
         if self.placement_observer is not None:
             self.placement_observer(problem, solution)
-        chosen = sorted(candidates[i].node for i in solution.indices)
+        chosen = sorted(candidates[i]["n"] for i in solution.indices)
         stats.decisions += len(chosen)
         return {"cache_at": chosen, "gain": solution.gain, "acc": 0.0}
 
@@ -222,7 +215,7 @@ class CoordinatedScheme(DescriptorSchemeBase):
         self,
         path: Sequence[int],
         hit_index: int,
-        reports: Sequence[NodeReport],
+        reports: Sequence[dict],
         decision: dict,
         inserted: Sequence[int],
         object_id: int,
@@ -243,15 +236,15 @@ class CoordinatedScheme(DescriptorSchemeBase):
         if registry is not None:
             add = registry.add_piggyback
             for report in reports:
-                add(
-                    report.node,
-                    REPORT_BYTES if report.has_descriptor else TAG_BYTES,
-                )
+                add(report["n"], report_bytes(report))
             for node in decision["cache_at"]:
-                add(node, DECISION_BYTES)
+                add(node, response_bytes(instructed=True, first_carrier=False))
             if hit_index > 0:
-                add(path[hit_index - 1], ACCUMULATOR_BYTES)
-        candidates = [r.node for r in reports if r.is_candidate()]
+                add(
+                    path[hit_index - 1],
+                    response_bytes(instructed=False, first_carrier=True),
+                )
+        candidates = [r["n"] for r in reports if is_candidate(r)]
         if candidates:
             self._emit_placement(
                 now,

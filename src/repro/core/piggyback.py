@@ -9,10 +9,14 @@ cost accumulator used to refresh miss penalties: each node adds the cost of
 the link the object just traversed, and nodes that store a copy reset it
 to zero before forwarding downstream.
 
-Neither message has an envelope class: the request message is the list of
-:class:`NodeReport` records in travel order (requester first) and the
-response message is the decision dict ``{"cache_at", "gain", "acc"}`` --
-exactly what the serving layer puts on the wire.
+Neither message has an envelope class, and the record has one form: the
+request message is the list of :func:`node_report` dicts in travel order
+(requester first) and the response message is the decision dict
+``{"cache_at", "gain", "acc"}`` -- what a scheme step returns is what the
+serving layer puts on the wire, unconverted.  This module is the one
+place that defines the record (its constructor, the :func:`is_candidate`
+predicate, the key set a receiver validates against) and the one place
+that prices the messages (:func:`report_bytes`, :func:`response_bytes`).
 """
 
 from __future__ import annotations
@@ -71,47 +75,53 @@ class ProtocolStats:
         )
 
 
-@dataclass(frozen=True)
-class NodeReport:
+# The keys of one report record; a ``fwd`` frame's reports are checked
+# against this set before a step reads them.
+REPORT_KEYS = frozenset({"n", "f", "m", "l", "d"})
+
+
+def node_report(
+    node: int,
+    frequency: float,
+    miss_penalty: float,
+    cost_loss: float | None,
+    has_descriptor: bool,
+) -> dict:
     """One intermediate cache's contribution to the request message.
 
     ``cost_loss`` is ``None`` when the node cannot cache the object at all
     (object larger than its cache); ``has_descriptor`` is ``False`` when
     the node lacks a descriptor for the object in both its main cache and
     its d-cache (the special tag of section 2.4).
+
+    The record is JSON-native and is shipped as returned.  Short keys
+    keep the per-hop frame close to the paper's few-tens-of-bytes
+    descriptor budget; floats survive JSON unchanged (shortest-repr
+    encoding).
     """
+    return {
+        "n": node,
+        "f": frequency,
+        "m": miss_penalty,
+        "l": cost_loss,
+        "d": has_descriptor,
+    }
 
-    node: int
-    frequency: float
-    miss_penalty: float
-    cost_loss: float | None
-    has_descriptor: bool
 
-    def is_candidate(self) -> bool:
-        """Whether the DP should consider caching at this node."""
-        return self.has_descriptor and self.cost_loss is not None
+def is_candidate(report: dict) -> bool:
+    """Whether the DP should consider caching at the reporting node."""
+    return report["d"] and report["l"] is not None
 
-    def to_dict(self) -> dict:
-        """Compact wire form for the live protocol (JSON round-trip exact).
 
-        Short keys keep the per-hop frame close to the paper's
-        few-tens-of-bytes descriptor budget; floats survive JSON
-        unchanged (shortest-repr encoding).
-        """
-        return {
-            "n": self.node,
-            "f": self.frequency,
-            "m": self.miss_penalty,
-            "l": self.cost_loss,
-            "d": self.has_descriptor,
-        }
+def report_bytes(report: dict) -> int:
+    """Request-message bytes one report adds: a full record or the tag."""
+    return REPORT_BYTES if report["d"] else TAG_BYTES
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "NodeReport":
-        return cls(
-            node=raw["n"],
-            frequency=raw["f"],
-            miss_penalty=raw["m"],
-            cost_loss=raw["l"],
-            has_descriptor=raw["d"],
-        )
+
+def response_bytes(instructed: bool, first_carrier: bool) -> int:
+    """Response-message bytes charged to one downstream node: its entry
+    in the ``cache_at`` set when the decision instructs it, and the cost
+    accumulator when it is the first node to carry the response."""
+    return (DECISION_BYTES if instructed else 0) + (
+        ACCUMULATOR_BYTES if first_carrier else 0
+    )

@@ -48,6 +48,9 @@ class NodeStats:
     an inflight bound).
     """
 
+    # The one declaration of the per-node counters: /metrics, the
+    # ``--node-stats`` table and the warehouse's ``node_stats`` table are
+    # pinned to this tuple, in this order (tests/test_obs_export.py).
     __slots__ = (
         "hits",
         "misses",
@@ -69,23 +72,8 @@ class NodeStats:
     )
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.evicted_bytes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.occupancy_hwm = 0
-        self.piggyback_bytes = 0
-        self.dcache_evictions = 0
-        self.invalidations = 0
-        self.rpc_timeouts = 0
-        self.rpc_retries = 0
-        self.failovers = 0
-        self.breaker_trips = 0
-        self.busy_rejections = 0
-        self.cross_shard_fwds = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def requests_seen(self) -> int:

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.registry import NodeStats
+
 __all__ = [
     "CANNED_QUERIES",
     "CannedQuery",
@@ -247,25 +249,7 @@ CREATE TABLE IF NOT EXISTS spans (
 );
 """
 
-_NODE_COUNTERS = (
-    "hits",
-    "misses",
-    "insertions",
-    "evictions",
-    "evicted_bytes",
-    "bytes_read",
-    "bytes_written",
-    "occupancy_hwm",
-    "piggyback_bytes",
-    "dcache_evictions",
-    "invalidations",
-    "rpc_timeouts",
-    "rpc_retries",
-    "failovers",
-    "breaker_trips",
-    "busy_rejections",
-    "cross_shard_fwds",
-)
+_NODE_COUNTERS = NodeStats.__slots__
 
 
 @dataclass(frozen=True)

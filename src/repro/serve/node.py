@@ -4,14 +4,18 @@ Each :class:`CacheNode` owns the cache state of exactly one network node
 -- a private instance of the configured scheme in which only this node's
 caches ever materialize -- and handles the per-request protocol through
 the scheme's node-local steps (:meth:`~repro.schemes.base.CachingScheme.
-lookup_step` / ``decide_step`` / ``deliver_step``):
+lookup_step` / ``decide_step`` / ``deliver_step``).  What a step returns
+is what goes on the wire -- the node adds transport, resilience and
+tracing, and converts nothing:
 
 * a ``get`` arrives from a client at its attachment node, which resolves
   the delivery path (a branch of the origin's distribution tree) and
   starts the upstream walk;
 * a ``fwd`` walks upstream hop by hop, accumulating piggybacked node
   reports, until a cache holds the object or the origin attachment is
-  reached; the serving node runs the placement decision;
+  reached; the serving node runs the placement decision.  Every hop
+  first checks each field a step will read (:func:`_walk_fields`) and
+  refuses a malformed frame before any of its state moves;
 * the reply unwinds downstream through the same chain of in-flight
   calls -- exactly the paper's response path -- with every node applying
   the shipped decision (inserting, or refreshing its d-cache descriptor)
@@ -58,16 +62,14 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
+from math import inf
 from typing import Awaitable, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.core.coordinated import CoordinatedScheme
 from repro.core.piggyback import (
-    ACCUMULATOR_BYTES,
-    DECISION_BYTES,
-    REPORT_BYTES,
+    REPORT_KEYS,
     SKIPPED_NODE_BYTES,
-    TAG_BYTES,
-    NodeReport,
+    report_bytes,
+    response_bytes,
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
@@ -106,6 +108,82 @@ def _is_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _walk_fields(message: dict) -> tuple:
+    """Everything a scheme step will read from a ``fwd`` frame, checked.
+
+    A frame read from a socket is outside input, and a hop reached by
+    direct call is handed the same dict, so this runs on every hop and
+    before the node's clock, counters, registry or caches move: a frame
+    that fails here leaves no trace of itself.
+    """
+    try:
+        path = message["path"]
+        index = message["index"]
+        object_id = message["object_id"]
+        size = message["size"]
+        now = message["time"]
+        reports = message["reports"]
+    except KeyError as missing:
+        raise ProtocolError(f"fwd frame missing field {missing}") from None
+    if not (isinstance(path, list) and _is_id(index) and 0 <= index < len(path)):
+        raise ProtocolError("fwd frame carries no valid path position")
+    if not _is_id(object_id):
+        raise ProtocolError("fwd frame object_id must be an integer")
+    if not _is_id(size) or size <= 0:
+        raise ProtocolError("fwd frame size must be a positive integer")
+    if not (_is_id(now) or isinstance(now, float)) or not -inf < now < inf:
+        raise ProtocolError("fwd frame time must be a finite number")
+    if not isinstance(reports, list) or not all(
+        isinstance(report, dict) and REPORT_KEYS <= report.keys()
+        for report in reports
+    ):
+        raise ProtocolError("fwd frame reports must be a list of n/f/m/l/d records")
+    skipped = message.get("skipped", [])
+    if not isinstance(skipped, list) or not all(
+        _is_id(position) and 0 <= position < len(path) for position in skipped
+    ):
+        raise ProtocolError("fwd frame skipped must be a list of path positions")
+    if not isinstance(message.get("trace", {}), dict):
+        raise ProtocolError("fwd frame trace must be an object")
+    return path, index, object_id, size, now, reports, skipped
+
+
+def _fwd_frame(
+    path: list,
+    index: int,
+    object_id,
+    size,
+    now,
+    reports: list,
+    skipped: list,
+    ctx: Optional[dict],
+) -> dict:
+    """The ``fwd`` frame asking ``path[index]`` to continue a walk.
+
+    The frame keeps the FULL original path (the decision's node-id set
+    and the cost accounting both need it) plus the positions the walk
+    bypassed.  Every frame owns its ``reports`` and ``skipped`` lists:
+    the receiver appends to them, and a same-process receiver is handed
+    the very dict built here, so a list shared with the next failover
+    candidate's frame (or kept by the sender) would leak one hop's
+    additions into another.  ``ctx`` is the trace context the receiver's
+    span hangs off; an untraced walk carries none.
+    """
+    frame = {
+        "type": MSG_FWD,
+        "path": path,
+        "index": index,
+        "object_id": object_id,
+        "size": size,
+        "time": now,
+        "reports": list(reports),
+        "skipped": list(skipped),
+    }
+    if ctx is not None:
+        frame["trace"] = ctx
+    return frame
+
+
 def _timed(span: Optional[dict], key: str, fn, *args, **kwargs):
     """Run one scheme step, accumulating its wall time into the span.
 
@@ -125,22 +203,14 @@ def _timed(span: Optional[dict], key: str, fn, *args, **kwargs):
 class ResilienceConfig:
     """How a node treats upstream failures (shared by the whole cluster).
 
-    ``retry`` shapes the per-call retry/backoff schedule;
-    ``breaker_threshold``/``breaker_cooldown_calls`` parameterize the
-    per-upstream :class:`~repro.serve.transport.CircuitBreaker`.  The
-    defaults are always safe to leave on: with no faults no call ever
-    fails, so no retry, failover or breaker transition can fire.
+    ``retry`` shapes the per-call retry/backoff schedule; the
+    per-upstream :class:`~repro.serve.transport.CircuitBreaker` runs on
+    its own constants.  The defaults are always safe to leave on: with
+    no faults no call ever fails, so no retry, failover or breaker
+    transition can fire.
     """
 
     retry: RetryPolicy = RetryPolicy()
-    breaker_threshold: int = 3
-    breaker_cooldown_calls: int = 8
-
-    def new_breaker(self) -> CircuitBreaker:
-        return CircuitBreaker(
-            failure_threshold=self.breaker_threshold,
-            cooldown_calls=self.breaker_cooldown_calls,
-        )
 
 
 class CacheNode:
@@ -192,13 +262,9 @@ class CacheNode:
         # flow through the standard observer wiring; request-level counts
         # are fed by the handler below, mirroring the engine's feeds.
         scheme.attach_instruments(Instruments(registry=self.registry))
-        # Two distinct capabilities, split on purpose: report *decoding*
-        # is tied to the coordinated protocol family (its reports are
-        # NodeReport wire dicts), while piggyback byte accounting and
-        # invalidation-frame pricing apply to any scheme that exposes
-        # protocol counters -- a future scheme with its own report format
-        # still gets its overhead priced.
-        self._coordinated = isinstance(scheme, CoordinatedScheme)
+        # Piggyback byte accounting and invalidation-frame pricing apply
+        # to any scheme that exposes protocol counters; the reports
+        # themselves are shipped as the scheme's steps return them.
         self._piggyback = getattr(scheme, "protocol_stats", None) is not None
         self._tracer = tracer
         # Channel-mode coherency: the cluster attaches a
@@ -231,27 +297,17 @@ class CacheNode:
             # admitted -- they are cheap and the operator needs them most
             # exactly when the data plane is saturated.
             self.registry.node(self.node_id).busy_rejections += 1
-            tracer = self._tracer
-            if tracer is not None:
-                ctx = message.get("trace")
-                if ctx is not None:
-                    # The shed hop of an already-traced walk: without
-                    # this span the trace would show the forwarding
-                    # parent retrying into a void.
-                    tracer.emit(
-                        {
-                            "trace": ctx.get("id"),
-                            "span": tracer.new_span_id(),
-                            "parent": ctx.get("parent"),
-                            "node": self.node_id,
-                            "shard": tracer.shard,
-                            "op": "walk",
-                            "status": "busy",
-                            "t": message.get("time"),
-                            "object": message.get("object_id"),
-                            "inflight": self.inflight,
-                        }
-                    )
+            tracer, ctx = self._tracer, message.get("trace")
+            if tracer is not None and isinstance(ctx, dict):
+                # The shed hop of an already-traced walk: without this
+                # span the trace would show the forwarding parent
+                # retrying into a void.  (Shed before the frame is
+                # validated, hence the type test.)
+                span = tracer.span(ctx, "walk", "busy")
+                span["t"] = message.get("time")
+                span["object"] = message.get("object_id")
+                span["inflight"] = self.inflight
+                tracer.emit(span)
             return {
                 "type": MSG_BUSY,
                 "node": self.node_id,
@@ -284,51 +340,36 @@ class CacheNode:
         try:
             client_id = message["client_id"]
             server_id = message["server_id"]
-            walk = {
-                "type": MSG_FWD,
-                "object_id": message["object_id"],
-                "size": message["size"],
-                "time": message["time"],
-                "index": 0,
-                "reports": [],
-                "skipped": list(message.get("skipped", [])),
-            }
+            object_id = message["object_id"]
+            size = message["size"]
+            now = message["time"]
         except KeyError as missing:
             raise ProtocolError(f"get frame missing field {missing}") from None
-        if not isinstance(walk["size"], int) or walk["size"] <= 0:
-            raise ProtocolError("object size must be a positive integer")
+        skipped = message.get("skipped", [])
+        if not isinstance(skipped, list):
+            raise ProtocolError("get frame skipped must be a list")
         path = list(self._resolve_path(client_id, server_id))
         if path[0] != self.node_id:
             raise ProtocolError(
                 f"client {client_id} attaches to node {path[0]}, "
                 f"not to node {self.node_id}"
             )
-        walk["path"] = path
         tracer = self._tracer
-        if tracer is not None:
+        ctx = message.get("trace")
+        if tracer is not None and ctx is None and tracer.sample_walk():
             # Ingress is where a walk gains (or is sampled out of) its
             # trace: a context minted here rides every fwd frame of the
             # walk, so sampled traces are always complete trees.
-            ctx = message.get("trace")
-            if ctx is None and tracer.sample_walk():
-                ctx = {"id": tracer.new_trace_id(), "parent": None}
-            if ctx is not None:
-                walk["trace"] = ctx
-        return await self._handle_walk(walk)
+            ctx = {"id": tracer.new_trace_id(), "parent": None}
+        return await self._handle_walk(
+            _fwd_frame(path, 0, object_id, size, now, [], skipped, ctx)
+        )
 
     async def _handle_walk(self, message: dict) -> dict:
         """One upstream stop of the request walk (and its downstream unwind)."""
-        try:
-            path = message["path"]
-            index = message["index"]
-            object_id = message["object_id"]
-            size = message["size"]
-            now = message["time"]
-            reports = message["reports"]
-        except KeyError as missing:
-            raise ProtocolError(f"fwd frame missing field {missing}") from None
-        if not isinstance(path, list) or not 0 <= index < len(path):
-            raise ProtocolError("fwd frame carries no valid path position")
+        path, index, object_id, size, now, reports, skipped = _walk_fields(
+            message
+        )
         if path[index] != self.node_id:
             raise ProtocolError(
                 f"misrouted frame: position {index} of {path} is not "
@@ -345,33 +386,27 @@ class CacheNode:
             # Untraced walk (tracing off, or sampled out at ingress):
             # the exact pre-tracing code path.
             return await self._walk(
-                message, path, index, object_id, size, now, reports, None
+                path, index, object_id, size, now, reports, skipped, None
             )
-        span = {
-            "trace": ctx.get("id"),
-            "span": tracer.new_span_id(),
-            "parent": ctx.get("parent"),
-            "node": self.node_id,
-            "shard": tracer.shard,
-            "op": "walk",
-            "status": "ok",
-            "t": now,
-            "object": object_id,
-            "size": size,
-            "index": index,
-            "path": list(path),
-            "skipped": [],
-            "retries": 0,
-            "failovers": 0,
-            "piggyback": 0,
-            "xshard": False,
-            "inflight": self.inflight,
-            "start": time.time(),
-        }
+        span = tracer.span(ctx, "walk")
+        span.update(
+            t=now,
+            object=object_id,
+            size=size,
+            index=index,
+            path=list(path),
+            skipped=[],
+            retries=0,
+            failovers=0,
+            piggyback=0,
+            xshard=False,
+            inflight=self.inflight,
+            start=time.time(),
+        )
         begin = time.perf_counter()
         try:
             reply = await self._walk(
-                message, path, index, object_id, size, now, reports, span
+                path, index, object_id, size, now, reports, skipped, span
             )
         except BaseException as error:
             # The walk died at or above this hop (exhausted failover,
@@ -388,62 +423,47 @@ class CacheNode:
 
     async def _walk(
         self,
-        message: dict,
         path: list,
         index: int,
         object_id,
         size: int,
         now: float,
         reports: list,
+        skipped: list,
         span: Optional[dict],
     ) -> dict:
-        """The walk body; ``span`` (when tracing) only observes it."""
+        """The walk body; ``span`` (when tracing) only observes it, and
+        ``reports`` / ``skipped`` are the received frame's own lists."""
         last = len(path) - 1
         scheme = self.scheme
 
-        if index == last:
-            # Origin attachment: the origin itself serves; decide from the
-            # piggybacked reports and start the downstream unwind.
-            decision = _timed(
-                span,
-                "decide",
-                scheme.decide_step,
-                path,
-                last,
-                self._decoded_reports(reports),
-                object_id,
-                size,
-                now,
+        # Served here?  At the origin attachment the origin itself
+        # serves: no lookup, and no registry entry is materialised for a
+        # node that holds no cache.  Anywhere else the lookup says.
+        served = index == last
+        if not served:
+            served, report = _timed(
+                span, "lookup", scheme.lookup_step, self.node_id, object_id, size, now
             )
-            reply = {
-                "type": MSG_RESP,
-                "hit_index": last,
-                "decision": decision,
-                "inserted": [],
-                "evictions": 0,
-            }
-            if span is not None:
-                reply["trace"] = {"id": span["trace"], "span": span["span"]}
-            return reply
-
-        hit, report = _timed(
-            span, "lookup", scheme.lookup_step, self.node_id, object_id, size, now
-        )
-        stats = self.registry.node(self.node_id)
-        if hit:
-            stats.hits += 1
-            stats.bytes_read += size
-            if self.subscriber is not None:
-                # Channel mode: log the hit so a later event can judge
-                # retroactively whether it was served off a stale copy.
-                self.subscriber.note_hit(object_id, now, size)
+            stats = self.registry.node(self.node_id)
+            if served:
+                stats.hits += 1
+                stats.bytes_read += size
+                if self.subscriber is not None:
+                    # Channel mode: log the hit so a later event can judge
+                    # retroactively whether it was served off a stale copy.
+                    self.subscriber.note_hit(object_id, now, size)
+        if served:
+            # Decide from the piggybacked reports -- the request message,
+            # as the steps below returned it -- and start the downstream
+            # unwind.
             decision = _timed(
                 span,
                 "decide",
                 scheme.decide_step,
                 path,
                 index,
-                self._decoded_reports(reports),
+                reports,
                 object_id,
                 size,
                 now,
@@ -461,40 +481,25 @@ class CacheNode:
 
         stats.misses += 1
         if report is not None:
-            payload = report.to_dict() if hasattr(report, "to_dict") else report
-            reports.append(payload)
+            reports.append(report)
             if self._piggyback:
-                added = REPORT_BYTES if payload.get("d") else TAG_BYTES
+                added = report_bytes(report)
                 stats.piggyback_bytes += added
                 if span is not None:
                     span["piggyback"] += added
         # Forward upstream, failing over past dead hops: each candidate
-        # frame keeps the FULL original path (the decision's node-id set
-        # and the cost accounting both need it) plus the indices the walk
-        # bypassed.  An unreachable origin attachment has nothing left to
-        # fail over to and the error propagates downstream.  Every frame
-        # owns its ``reports`` and ``skipped`` lists: the receiver appends
-        # to them, and a same-process receiver is handed the very dict
-        # built here, so a list shared with the next candidate's frame
-        # (or kept here) would leak one hop's additions into another.
-        skipped = list(message.get("skipped", []))
+        # gets its own frame (see _fwd_frame) naming the positions the
+        # walk bypassed so far.  An unreachable origin attachment has
+        # nothing left to fail over to and the error propagates
+        # downstream.
+        ctx = None
+        if span is not None:
+            ctx = {"id": span["trace"], "parent": span["span"]}
         next_index = index + 1
         while True:
-            upstream = {
-                "type": MSG_FWD,
-                "path": path,
-                "index": next_index,
-                "object_id": object_id,
-                "size": size,
-                "time": now,
-                "reports": list(reports),
-                "skipped": list(skipped),
-            }
-            if span is not None:
-                upstream["trace"] = {
-                    "id": span["trace"],
-                    "parent": span["span"],
-                }
+            upstream = _fwd_frame(
+                path, next_index, object_id, size, now, reports, skipped, ctx
+            )
             if (
                 self._shard_of is not None
                 and self._shard_of.get(path[next_index]) != self._home_shard
@@ -562,17 +567,16 @@ class CacheNode:
                 self.subscriber.note_insert(object_id, now)
         reply["evictions"] += evictions
         if self._piggyback:
-            if self.node_id in decision["cache_at"]:
-                stats.piggyback_bytes += DECISION_BYTES
-                if span is not None:
-                    span["piggyback"] += DECISION_BYTES
-            if next_index == reply["hit_index"]:
-                # First downstream carrier of the response accumulator --
-                # the hop directly below the serving node in the chain of
-                # nodes that actually answered.
-                stats.piggyback_bytes += ACCUMULATOR_BYTES
-                if span is not None:
-                    span["piggyback"] += ACCUMULATOR_BYTES
+            # The accumulator is charged to its first downstream carrier
+            # -- the hop directly below the serving node in the chain of
+            # nodes that actually answered.
+            added = response_bytes(
+                self.node_id in decision["cache_at"],
+                next_index == reply["hit_index"],
+            )
+            stats.piggyback_bytes += added
+            if span is not None:
+                span["piggyback"] += added
         return reply
 
     async def _call_upstream(
@@ -591,8 +595,7 @@ class CacheNode:
         """
         breaker = self.breakers.get(node)
         if breaker is None:
-            breaker = self.resilience.new_breaker()
-            self.breakers[node] = breaker
+            breaker = self.breakers[node] = CircuitBreaker()
         stats = self.registry.node(self.node_id)
         if not breaker.allow():
             raise NodeUnreachable(
@@ -620,12 +623,6 @@ class CacheNode:
             else:
                 breaker.record_success()
                 return reply
-
-    def _decoded_reports(self, reports: list) -> list:
-        """Reports in the form the scheme's decision step expects."""
-        if not self._coordinated:
-            return reports
-        return [NodeReport.from_dict(raw) for raw in reports]
 
     # -- control plane -------------------------------------------------------
 
@@ -662,21 +659,12 @@ class CacheNode:
             start = time.time()
             t0 = time.perf_counter()
             removed = self.scheme.invalidate_step(self.node_id, object_id)
-            tracer.emit(
-                {
-                    "trace": ctx.get("id"),
-                    "span": tracer.new_span_id(),
-                    "parent": ctx.get("parent"),
-                    "node": self.node_id,
-                    "shard": tracer.shard,
-                    "op": "inv",
-                    "status": "ok",
-                    "object": object_id,
-                    "removed": removed,
-                    "start": start,
-                    "wall": time.perf_counter() - t0,
-                }
-            )
+            span = tracer.span(ctx, "inv")
+            span["object"] = object_id
+            span["removed"] = removed
+            span["start"] = start
+            span["wall"] = time.perf_counter() - t0
+            tracer.emit(span)
         reply = {"type": MSG_INV_OK, "node": self.node_id, "removed": removed}
         if nodes is not None:
             reply["delivered"] = 1

@@ -92,6 +92,20 @@ class NodeTracer:
         self._seq += 1
         return f"s{self.node_id}.{self._seq}"
 
+    def span(self, ctx: dict, op: str, status: str = "ok") -> dict:
+        """Open a span under ``ctx``: the header every span starts with
+        (a fresh span id hung off the context's trace and parent, where
+        it ran, what it did); the caller appends its own fields."""
+        return {
+            "trace": ctx.get("id"),
+            "span": self.new_span_id(),
+            "parent": ctx.get("parent"),
+            "node": self.node_id,
+            "shard": self.shard,
+            "op": op,
+            "status": status,
+        }
+
     def sample_walk(self) -> bool:
         """Ingress sampling decision: does this walk get a trace at all?
 

@@ -8,12 +8,15 @@ import pytest
 
 from repro.cli import main
 from repro.obs.export import (
+    _NODE_FIELDS,
     escape_label_value,
     format_node_stats,
     parse_prometheus_text,
     prometheus_text,
     summarize_trace_events,
 )
+from repro.obs.registry import NodeStats
+from repro.obs.warehouse import Warehouse
 
 SIM_BASE = [
     "sim",
@@ -37,6 +40,29 @@ def sample_stats():
              "occupancy_hwm": 0, "piggyback_bytes": 2,
              "dcache_evictions": 0, "invalidations": 1},
     }
+
+
+class TestCountersDeclaredOnce:
+    """``NodeStats.__slots__`` is the declaration; the literal listings
+    kept beside it (export labels, warehouse DDL) must follow it, so a
+    counter added in one place fails here instead of silently missing
+    from ``/metrics`` or the warehouse."""
+
+    def test_export_table_follows_the_slots(self):
+        assert tuple(name for name, _, _ in _NODE_FIELDS) == NodeStats.__slots__
+
+    def test_warehouse_table_follows_the_slots(self, tmp_path):
+        with Warehouse(tmp_path / "w.sqlite") as warehouse:
+            columns = [
+                row[1]
+                for row in warehouse.conn.execute("PRAGMA table_info(node_stats)")
+            ]
+        first = columns.index("node") + 1
+        assert tuple(columns[first : columns.index("source")]) == NodeStats.__slots__
+
+    def test_a_fresh_entry_is_all_zero(self):
+        assert set(NodeStats().to_dict().values()) == {0}
+        assert tuple(NodeStats().to_dict()) == NodeStats.__slots__
 
 
 class TestNodeTable:

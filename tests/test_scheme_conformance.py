@@ -20,6 +20,12 @@ honor the same contracts, whatever its placement rule:
   behave the same whether a shard plan puts a frame between them or
   hands the dict over directly (``repro.serve.cluster.shard_forwarder``).
 
+* **One message, two drivers** -- for the report-carrying family the
+  request message ``decide_step`` reads in the simulator and the
+  ``reports`` list of the ``fwd`` frame that reaches the serving node are
+  the same dicts in the same order, and a ``resp`` reply has one shape
+  whether the origin or a cache served.
+
 New schemes get all of this for free by being registered; see
 ``docs/schemes.md``.
 """
@@ -27,6 +33,7 @@ New schemes get all of this for free by being registered; see
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -367,3 +374,69 @@ class TestWireCleanliness:
         assert report.errors == 0 and report.updates_applied > 0
         assert {"get", "fwd", "resp", "inv", "inv-ok"} <= audit.kinds
         assert audit.dirty == []
+
+
+class MessageAudit(FrameAudit):
+    """Also keeps, per walk, the request message that reached the serving
+    node -- the ``reports`` of the walk's last ``fwd`` frame, or nothing
+    when the ingress node itself served -- and every ``resp`` key set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.walks: list = []
+        self.resp_shapes: set = set()
+
+    def check(self, frame: dict) -> None:
+        super().check(frame)
+        kind = frame.get("type")
+        if kind == "get":
+            self.walks.append([])
+        elif kind == "fwd":
+            self.walks[-1] = list(frame["reports"])
+        elif kind == "resp":
+            self.resp_shapes.add(frozenset(frame))
+
+
+class TestSameMessage:
+    """What a step returns is what goes on the wire, unconverted."""
+
+    @pytest.mark.parametrize(
+        "scheme_name", ["coordinated", "adaptive", "costaware"]
+    )
+    def test_decide_step_reads_what_the_last_fwd_frame_carries(
+        self, seeded_trace, scheme_name
+    ):
+        trace, catalog = seeded_trace
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+
+        cost_model = LatencyCostModel(arch.network, catalog.mean_size)
+        scheme = build_scheme(
+            scheme_name,
+            cost_model,
+            CONFIG.capacity_bytes(catalog.total_bytes),
+            CONFIG.dcache_entries(catalog.total_bytes, catalog.mean_size),
+        )
+        decide, simulated = scheme.decide_step, []
+
+        def recording(path, hit_index, reports, *rest):
+            simulated.append(list(reports))
+            return decide(path, hit_index, reports, *rest)
+
+        scheme.decide_step = recording
+        SimulationEngine(
+            arch, cost_model, scheme, warmup_fraction=CONFIG.warmup_fraction
+        ).run(trace)
+
+        audit = MessageAudit()
+        report = serve_replay(
+            arch, catalog, scheme_name, trace, transport=audit
+        )
+        assert report.cache_served > 0 and report.origin_served > 0
+        assert len(simulated) == len(audit.walks) == len(trace)
+        assert any(simulated), "seed must yield piggybacked reports"
+        for number, (sim, served) in enumerate(zip(simulated, audit.walks)):
+            assert served == sim, f"request {number}"
+            assert same_value_and_type(json.loads(json.dumps(served)), served)
+        assert audit.resp_shapes == {
+            frozenset({"type", "hit_index", "decision", "inserted", "evictions"})
+        }

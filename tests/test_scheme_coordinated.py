@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coordinated import CoordinatedScheme
-from repro.core.piggyback import NodeReport
+from repro.core.piggyback import node_report
 from repro.costs.model import LatencyCostModel
 from repro.topology.builder import build_chain
 
@@ -67,7 +67,7 @@ class TestPlacementDecision:
     def test_empty_candidates_yield_no_placement(self, scheme):
         decision = self._decide(
             scheme,
-            [NodeReport(0, 0.0, 0.0, None, has_descriptor=False)],
+            [node_report(0, 0.0, 0.0, None, has_descriptor=False)],
         )
         assert decision["cache_at"] == []
         assert decision["gain"] == 0.0
@@ -75,8 +75,8 @@ class TestPlacementDecision:
     def test_single_beneficial_candidate_selected(self, scheme):
         decision = self._decide(
             scheme,
-            [NodeReport(0, frequency=2.0, miss_penalty=3.0, cost_loss=1.0,
-                        has_descriptor=True)],
+            [node_report(0, frequency=2.0, miss_penalty=3.0, cost_loss=1.0,
+                         has_descriptor=True)],
         )
         assert decision["cache_at"] == [0]
         assert decision["gain"] == pytest.approx(5.0)
@@ -84,8 +84,8 @@ class TestPlacementDecision:
     def test_harmful_candidate_rejected(self, scheme):
         decision = self._decide(
             scheme,
-            [NodeReport(0, frequency=1.0, miss_penalty=1.0, cost_loss=10.0,
-                        has_descriptor=True)],
+            [node_report(0, frequency=1.0, miss_penalty=1.0, cost_loss=10.0,
+                         has_descriptor=True)],
         )
         assert decision["cache_at"] == []
 
@@ -94,9 +94,9 @@ class TestPlacementDecision:
         decision = self._decide(
             scheme,
             [
-                NodeReport(9, 0.0, 0.0, None, has_descriptor=False),
-                NodeReport(3, frequency=2.0, miss_penalty=3.0, cost_loss=0.0,
-                           has_descriptor=True),
+                node_report(9, 0.0, 0.0, None, has_descriptor=False),
+                node_report(3, frequency=2.0, miss_penalty=3.0, cost_loss=0.0,
+                            has_descriptor=True),
             ],
         )
         assert decision["cache_at"] == [3]
@@ -104,8 +104,8 @@ class TestPlacementDecision:
     def test_uncacheable_node_pruned(self, scheme):
         decision = self._decide(
             scheme,
-            [NodeReport(0, frequency=5.0, miss_penalty=5.0, cost_loss=None,
-                        has_descriptor=True)],
+            [node_report(0, frequency=5.0, miss_penalty=5.0, cost_loss=None,
+                         has_descriptor=True)],
         )
         assert decision["cache_at"] == []
 
@@ -114,10 +114,10 @@ class TestPlacementDecision:
         decision = self._decide(
             scheme,
             [
-                NodeReport(0, frequency=9.0, miss_penalty=2.0, cost_loss=0.0,
-                           has_descriptor=True),
-                NodeReport(1, frequency=1.0, miss_penalty=1.0, cost_loss=0.0,
-                           has_descriptor=True),
+                node_report(0, frequency=9.0, miss_penalty=2.0, cost_loss=0.0,
+                            has_descriptor=True),
+                node_report(1, frequency=1.0, miss_penalty=1.0, cost_loss=0.0,
+                            has_descriptor=True),
             ],
         )
         assert 0 in decision["cache_at"]

@@ -71,6 +71,8 @@ PRICED=$(grep -rlE --include='*.py' \
     "REPORT_BYTES|TAG_BYTES|DECISION_BYTES|ACCUMULATOR_BYTES" src)
 echo "$PRICED"
 test "$PRICED" = "$PIGGYBACK"
+# Shards follow the distribution tree: no hash ring under serve/.
+test -z "$(grep -rn "HashRing\|hashlib" src/repro/serve/)"
 
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
@@ -244,11 +246,12 @@ echo "== sharded serve smoke (two worker processes, open-loop load, updates) =="
 # The cluster split across two shard worker processes, driven open-loop
 # (requests fire at retimed trace timestamps regardless of completions).
 # Gates: zero client-visible errors AND zero rejections -- at this
-# offered rate the cluster must absorb everything -- plus nonzero
-# cross-shard forward counters in the drain snapshot, proving walks
-# really crossed the process boundary.  The workers' endpoints get the
-# single-process stage's scrape: a worker is a Cluster, and one that
-# drifts from it again fails here.
+# offered rate the cluster must absorb everything -- plus cross-shard
+# forward counters in the drain snapshot that are nonzero, proving walks
+# really crossed the process boundary, and no more than the requests
+# served: the tree-contiguous plan cuts a walk at most once on two
+# shards.  The workers' endpoints get the single-process stage's scrape:
+# a worker is a Cluster, and one that drifts from it again fails here.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro serve \
     --scheme coordinated --arch hierarchical --scale small \
     --shards 2 --coherency inband \
@@ -302,6 +305,8 @@ xfwd = sum(
     for node in snapshot["nodes"].values()
 )
 assert xfwd > 0, "no walk crossed the shard boundary"
+served = report["requests_total"] + updated["requests_total"]
+assert xfwd <= served, f"{xfwd} crossings on {served} walks"
 print(f"open-loop sharded smoke: {report['requests_total']} requests, "
       f"0 errors, {xfwd} cross-shard forwards")
 EOF

@@ -1616,7 +1616,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="split the topology over this many worker processes "
-        "(consistent-hash node assignment; 1 = single process)",
+        "(tree-contiguous node assignment; 1 = single process)",
     )
     serve.add_argument(
         "--max-inflight",

@@ -42,7 +42,6 @@ from repro.serve.protocol import (
     is_retryable,
 )
 from repro.serve.shard import (
-    HashRing,
     ShardedCluster,
     ShardPlan,
     ShardSpec,
@@ -68,7 +67,6 @@ __all__ = [
     "ClusterClient",
     "FrameCorruption",
     "FrameDecoder",
-    "HashRing",
     "InProcessTransport",
     "LoadGenerator",
     "LoadReport",

@@ -13,14 +13,15 @@ shard does too, because it is the same object.
 
 Three pieces here, one next door:
 
-* :class:`HashRing` / :class:`ShardPlan` -- a consistent-hash
-  assignment of network nodes to shards.  The ring is what makes the
-  split *stable*: growing from N to N+1 shards remaps only the nodes
-  that land on the new shard's ring points, not the whole topology.
-  The **client edge** falls out of the same map: a client's ingress
-  shard is the shard that owns its attachment node
-  (:meth:`ShardPlan.client_shard`), so any frontend that can hash a
-  node id routes clients without consulting a directory.
+* :class:`ShardPlan` -- a tree-contiguous assignment of network nodes
+  to shards: the distribution tree in post-order, cut into equal
+  consecutive runs.  Requests are root-ward chains of hops, and a
+  parent follows its descendants in post-order, so a walk toward the
+  plan's root only ever moves to a later shard.  The **client edge**
+  falls out of the same map: a client's ingress shard is the shard
+  that owns its attachment node (:meth:`ShardPlan.client_shard`), so
+  any frontend holding the plan routes clients without consulting a
+  directory.
 * :func:`~repro.serve.cluster.shard_forwarder` (beside ``Cluster``,
   which wires it) -- the one rule for a hop between two nodes: frames
   exist only at process boundaries.  A hop inside the shard is a
@@ -58,16 +59,17 @@ Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
 the backpressure story: an overloaded shard sheds instead of queueing
 without bound, and clients retry or fail over around it.  The
-``cross_shard_fwds`` counter makes the partitioning observable -- a
-two-shard run of any non-trivial topology must show boundary crossings.
+``cross_shard_fwds`` counter makes the partitioning observable: a walk
+toward the plan's root adds at most ``num_shards - 1`` to it, and the
+total stays above zero whenever clients attach below more than one
+shard.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import multiprocessing
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -80,48 +82,6 @@ from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.workload.catalog import ObjectCatalog
 
-# Virtual points per shard on the hash ring: enough to spread small
-# topologies evenly, cheap enough that ring construction is trivial.
-DEFAULT_REPLICAS = 64
-
-
-def _ring_hash(key: str) -> int:
-    """Stable 64-bit ring position (sha1; never Python's salted hash)."""
-    return int.from_bytes(
-        hashlib.sha1(key.encode("utf-8")).digest()[:8], "big"
-    )
-
-
-class HashRing:
-    """Consistent hashing of integer keys onto shard ids.
-
-    Each shard contributes ``replicas`` virtual points; a key is owned
-    by the first point at or clockwise after its hash.  Deterministic
-    across processes and Python versions by construction.
-    """
-
-    def __init__(self, shard_ids: List[int], replicas: int = DEFAULT_REPLICAS):
-        if not shard_ids:
-            raise ValueError("ring needs at least one shard")
-        if replicas < 1:
-            raise ValueError("replicas must be at least 1")
-        self.replicas = replicas
-        points: List[Tuple[int, int]] = []
-        for shard in shard_ids:
-            for replica in range(replicas):
-                points.append((_ring_hash(f"shard:{shard}:{replica}"), shard))
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._shards = [s for _, s in points]
-
-    def assign(self, key: int) -> int:
-        """The shard owning ``key`` (clockwise successor on the ring)."""
-        position = bisect.bisect_right(self._hashes, _ring_hash(f"node:{key}"))
-        if position == len(self._hashes):
-            position = 0
-        return self._shards[position]
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """A complete nodes->shards assignment for one architecture."""
@@ -133,35 +93,50 @@ class ShardPlan:
     def compute(
         cls, architecture: Architecture, num_shards: int
     ) -> "ShardPlan":
-        """Ring-assign every network node; guarantee no shard is empty.
+        """Split the distribution tree into post-order-contiguous shards.
 
-        The consistent-hash pass can starve a shard on small topologies;
-        the deterministic repair loop moves the largest-id node from the
-        most-loaded shard into each empty one, so every worker process
-        always has at least one node to host.
+        The tree is the one rooted at the origin attachment that serves
+        the most servers (ties to the lowest node id).  Listed in
+        post-order, children by ascending id, a parent follows all of
+        its descendants, so giving position ``i`` of ``n`` to shard
+        ``i * num_shards // n`` makes the shard sequence along any
+        root-ward walk of that tree non-decreasing: a walk crosses at
+        most ``num_shards - 1`` process boundaries and never re-enters
+        a shard.  Shard sizes differ by at most one, none is empty, and
+        while every shard holds two nodes the root shares the last one
+        with its highest-id child (on the hierarchical architecture,
+        the origin attachment with the cache root).  Walks toward
+        another origin attachment (en-route) follow a different tree
+        and carry no such bound.
         """
-        nodes = sorted(architecture.network.nodes())
+        nodes = architecture.network.nodes()
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         if num_shards > len(nodes):
             raise ValueError(
                 f"cannot spread {len(nodes)} nodes over {num_shards} shards"
             )
-        ring = HashRing(list(range(num_shards)))
-        assignment = {node: ring.assign(node) for node in nodes}
-        members: Dict[int, List[int]] = {s: [] for s in range(num_shards)}
-        for node, shard in assignment.items():
-            members[shard].append(node)
-        for shard in range(num_shards):
-            while not members[shard]:
-                donor = max(
-                    members, key=lambda s: (len(members[s]), -s)
-                )
-                moved = max(members[donor])
-                members[donor].remove(moved)
-                members[shard].append(moved)
-                assignment[moved] = shard
-        return cls(num_shards=num_shards, assignment=dict(assignment))
+        served = Counter(architecture.server_nodes.values())
+        root = min(served, key=lambda node: (-served[node], node))
+        tree = architecture.routing.tree(root)
+        children: Dict[int, List[int]] = {node: [] for node in nodes}
+        for node in nodes:
+            if node != root:
+                children[tree.parent(node)].append(node)
+        # Parent first, children by descending id (the stack pops the
+        # largest), read backwards: post-order, children ascending.
+        order: List[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children[node])
+        order.reverse()
+        assignment = {
+            node: position * num_shards // len(order)
+            for position, node in enumerate(order)
+        }
+        return cls(num_shards=num_shards, assignment=assignment)
 
     def nodes_of(self, shard_id: int) -> List[int]:
         return sorted(

@@ -1,9 +1,10 @@
-"""The sharded cluster: ring assignment, worker fleet, backpressure.
+"""The sharded cluster: tree-contiguous plan, worker fleet, backpressure.
 
 Five layers of guarantees:
 
-* the consistent-hash plan is a deterministic, stable, total partition
-  of the topology (pure functions, no processes);
+* the plan is a deterministic, balanced, total partition of the
+  topology that a root-ward walk crosses at most ``num_shards - 1``
+  times and never re-enters (pure functions, no processes);
 * a **multi-process** TCP run -- one shard (every hop a direct call) or
   two (direct and framed hops mixed) -- replays a trace with zero
   client-visible errors and the simulator's exact summary and per-node
@@ -34,11 +35,10 @@ import pytest
 from repro.cache.descriptors import ObjectDescriptor
 from repro.coherency.config import CoherencyConfig
 from repro.costs.model import LatencyCostModel
-from repro.experiments.presets import build_architecture
+from repro.experiments.presets import STANDARD_SCALE, build_architecture
 from repro.serve import (
     Cluster,
     ClusterClient,
-    HashRing,
     InProcessTransport,
     LoadGenerator,
     NodeBusy,
@@ -95,34 +95,49 @@ def run(coro, timeout=120.0):
     return asyncio.run(bounded())
 
 
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        a = HashRing([0, 1, 2])
-        b = HashRing([0, 1, 2])
-        assert [a.assign(k) for k in range(200)] == [
-            b.assign(k) for k in range(200)
+def path_shards(arch, plan):
+    """The shard sequence along every client->server request path."""
+    return [
+        [
+            plan.assignment[node]
+            for node in arch.request_path(client_id, server_id)
         ]
+        for client_id in arch.client_nodes
+        for server_id in arch.server_nodes
+    ]
 
-    def test_all_shards_reachable(self):
-        ring = HashRing([0, 1, 2, 3])
-        seen = {ring.assign(k) for k in range(500)}
-        assert seen == {0, 1, 2, 3}
 
-    def test_removal_is_stable(self):
-        # Consistent hashing's defining property: dropping one shard
-        # only remaps the keys that shard owned.
-        full = HashRing([0, 1, 2, 3])
-        reduced = HashRing([0, 1, 2])
-        for key in range(500):
-            before = full.assign(key)
-            if before != 3:
-                assert reduced.assign(key) == before
+def crossings(shards):
+    return sum(a != b for a, b in zip(shards, shards[1:]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing([])
-        with pytest.raises(ValueError):
-            HashRing([0], replicas=0)
+
+class TestTreeContiguousPlan:
+    """What the post-order split guarantees, whatever its bytes."""
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 4, 5])
+    def test_walks_only_move_to_later_shards(self, scenario, num_shards):
+        arch, _, _ = scenario
+        plan = ShardPlan.compute(arch, num_shards)
+        for shards in path_shards(arch, plan):
+            # Non-decreasing: no shard is re-entered, so at most
+            # num_shards - 1 crossings.
+            assert shards == sorted(shards)
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 4, 5])
+    def test_balanced_and_root_with_origin(self, scenario, num_shards):
+        arch, _, _ = scenario
+        plan = ShardPlan.compute(arch, num_shards)
+        sizes = [len(plan.nodes_of(shard)) for shard in range(num_shards)]
+        assert max(sizes) - min(sizes) <= 1
+        # Every path ends [..., cache root, origin attachment].
+        root, origin = arch.request_path(0, 0)[-2:]
+        assert plan.assignment[root] == plan.assignment[origin]
+
+    def test_enroute_paths_cross_less_than_once(self):
+        """Many trees, one plan: the split still keeps subtrees whole."""
+        arch = build_architecture("en-route", STANDARD_SCALE.workload, seed=4)
+        paths = path_shards(arch, ShardPlan.compute(arch, 2))
+        assert sum(map(crossings, paths)) / len(paths) < 1.0
 
 
 class TestShardPlan:
@@ -136,7 +151,6 @@ class TestShardPlan:
 
     def test_no_shard_is_empty(self, scenario):
         arch, _, _ = scenario
-        # Push the shard count up to stress the repair loop.
         for shards in (2, 3, 5, 8):
             plan = ShardPlan.compute(arch, shards)
             for shard in range(shards):
@@ -158,12 +172,12 @@ class TestShardPlan:
             )
 
     def test_assignment_is_pinned(self, scenario):
-        """The ring's points per shard are a constant, not a knob: the
-        split of this scenario is the one every earlier run used."""
+        """The split has no knob: this scenario's second shard is the
+        origin attachment, the root, the root's last subtree and the
+        tail of the one before."""
         arch, _, _ = scenario
         assert ShardPlan.compute(arch, 2).nodes_of(1) == [
-            1, 2, 4, 5, 7, 8, 12, 13, 14, 16, 18, 21, 22, 24, 26, 27, 28,
-            33, 38,
+            0, 2, 3, 9, 10, 11, 12, *range(28, 41),
         ]
 
     def test_bounds(self, scenario):
@@ -340,12 +354,15 @@ class TestShardedClusterLive:
 
 
 class TestTwoShardsInProcess:
-    def test_two_cluster_halves_match_the_simulator(self, scenario):
-        """The sharded oracle with no subprocess: two ``Cluster`` halves
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_two_cluster_halves_match_the_simulator(
+        self, scenario, num_shards
+    ):
+        """The sharded oracle with no subprocess: the ``Cluster`` pieces
         of one plan over one wire, with an update stream."""
         arch, trace, catalog = scenario
         cost_model, updates, sim, expected = simulated(scenario)
-        plan = ShardPlan.compute(arch, 2)
+        plan = ShardPlan.compute(arch, num_shards)
 
         async def replay():
             wire = InProcessTransport()
@@ -358,7 +375,7 @@ class TestTwoShardsInProcess:
                     transport=wire,
                     shard=(shard, plan.assignment),
                 )
-                for shard in range(2)
+                for shard in range(num_shards)
             ]
             addresses = {}
             for half in halves:
@@ -400,7 +417,10 @@ class TestTwoShardsInProcess:
                 assert stats[node].get(counter, 0) == expected.get(
                     node, {}
                 ).get(counter, 0), f"node {node} {counter}"
-        assert sum(s.get("cross_shard_fwds", 0) for s in stats.values()) > 0
+        # Every walk heads for the plan's root: it can only move to a
+        # later shard, so it crosses at most num_shards - 1 times.
+        xfwd = sum(s.get("cross_shard_fwds", 0) for s in stats.values())
+        assert 0 < xfwd <= (num_shards - 1) * len(trace)
 
 
 def get_frame(record, object_id):

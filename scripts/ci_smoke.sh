@@ -74,6 +74,12 @@ test "$PRICED" = "$PIGGYBACK"
 # Shards follow the distribution tree: no hash ring under serve/.
 test -z "$(grep -rn "HashRing\|hashlib" src/repro/serve/)"
 
+echo "== one walk loop gate =="
+# A process crosses its co-hosted hops in the node's own walk loop: no
+# forwarder or frame-free call sits between two nodes, and the retry
+# policy is passed as itself.
+test -z "$(grep -rn "shard_forwarder\|direct_call\|ResilienceConfig" src)"
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then
@@ -318,7 +324,8 @@ echo "== observability smoke (traced shards + results warehouse) =="
 # everything is ingested into one temporary sqlite warehouse.  Gates:
 # the scheme-arch canned query returns exactly the sweep's row count,
 # re-ingesting an artifact adds zero rows, and the spans reconstruct
-# into a request tree covering both shard processes.
+# into a request tree covering both shard processes, every walk span's
+# upstream wait inside its own wall time.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sweep \
     --arch hierarchical --schemes lru --sizes 0.05 --scale small \
     --metrics latency --node-stats --save "$SERVE_DIR/points.json"
@@ -375,6 +382,12 @@ events = [e for path in sys.argv[3:] for e in read_trace_events(path)]
 trees = reconstruct_traces(events)
 cross = [t for t in trees.values() if len(t.shards()) >= 2]
 assert cross, "no reconstructed trace covers both shard processes"
+walks = [
+    s for t in trees.values() for s in t.walk_spans() if s.status != "busy"
+]
+assert walks and all(
+    0.0 <= (s.upstream or 0.0) <= s.wall for s in walks
+), "a walk span waited on its upstream longer than it ran"
 print(f"warehouse smoke: {len(trees)} traces reconstructed, "
       f"{len(cross)} crossing shards; idempotent re-ingest verified")
 print(cross[0].format())

@@ -828,7 +828,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.serve import Cluster, ResilienceConfig, RetryPolicy, TCPTransport
+    from repro.serve import Cluster, RetryPolicy, TCPTransport
     from repro.sim.config import SimulationConfig
 
     if args.scheme not in SCHEME_NAMES:
@@ -881,9 +881,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    resilience = ResilienceConfig(
-        retry=RetryPolicy(attempts=args.retry_attempts)
-    )
+    retry = RetryPolicy(attempts=args.retry_attempts)
     tracing = None
     if args.trace_out:
         from repro.serve import TracingConfig
@@ -901,7 +899,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
         return _serve_sharded(
-            args, arch, generator, config, resilience, preset, coherency
+            args, arch, generator, config, retry, preset, coherency
         )
 
     async def run() -> None:
@@ -917,7 +915,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.scheme,
             config=config,
             transport=transport,
-            resilience=resilience,
+            retry=retry,
             seed=args.seed,
             max_inflight=args.max_inflight,
             tracing=tracing,
@@ -965,7 +963,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_sharded(
-    args, arch, generator, config, resilience, preset, coherency
+    args, arch, generator, config, retry, preset, coherency
 ) -> int:
     """Multi-process serve: one worker per shard, coordinated over pipes.
 
@@ -989,7 +987,7 @@ def _serve_sharded(
         args.scheme,
         num_shards=args.shards,
         config=config,
-        resilience=resilience,
+        retry=retry,
         seed=args.seed,
         host=args.host,
         max_inflight=args.max_inflight,

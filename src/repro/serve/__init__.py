@@ -26,7 +26,7 @@ from repro.serve.channel import (
 from repro.serve.cluster import Cluster
 from repro.serve.loadgen import ClusterClient, LoadGenerator, LoadReport
 from repro.serve.metrics_http import MetricsServer
-from repro.serve.node import CacheNode, ResilienceConfig
+from repro.serve.node import CacheNode
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     RETRYABLE_ERRORS,
@@ -78,7 +78,6 @@ __all__ = [
     "ProtocolError",
     "RETRYABLE_ERRORS",
     "RemoteProtocolError",
-    "ResilienceConfig",
     "RetryPolicy",
     "ShardPlan",
     "ShardSpec",

@@ -12,10 +12,11 @@ paths from the same shared routing table.
 
 A cluster is also what a shard worker process runs
 (:mod:`repro.serve.shard`): built with ``shard=(shard_id, assignment)``
-it hosts only the nodes the assignment gives it, reaches those by
-direct calls and every other node by frames (:func:`shard_forwarder`),
-and is otherwise the same object -- one place builds nodes, tracers and
-scrape endpoints, drains and snapshots.
+it hosts only the nodes the assignment gives it and shares its node map
+with each of them (:attr:`CacheNode.hosted`), so a walk crosses the
+nodes of the shard in memory and every other node by frames; it is
+otherwise the same object -- one place builds nodes, tracers and scrape
+endpoints, drains and snapshots.
 
 The orchestrator also provides the control plane
 (:class:`ControlPlane`, the part shared with the wire-side
@@ -72,7 +73,7 @@ from repro.serve.channel import (
     merge_channel_stats,
 )
 from repro.serve.metrics_http import MetricsServer
-from repro.serve.node import CacheNode, Forwarder, ResilienceConfig
+from repro.serve.node import CacheNode
 from repro.serve.protocol import (
     MSG_CHSYNC,
     MSG_INV,
@@ -81,7 +82,7 @@ from repro.serve.protocol import (
     RETRYABLE_ERRORS,
 )
 from repro.serve.tracing import NodeTracer, TracingConfig
-from repro.serve.transport import InProcessTransport, Transport, direct_call
+from repro.serve.transport import InProcessTransport, RetryPolicy, Transport
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.sim.factory import build_scheme
@@ -123,29 +124,6 @@ async def broadcast_invalidate(
         # Still sorted: failed entries precede every id the relay saw.
         return reply["removed"], reply["delivered"], skipped + reply["skipped"]
     return 0, 0, skipped
-
-
-def shard_forwarder(
-    hosted: Mapping[int, CacheNode],
-    transport: Transport,
-    peers: Mapping[int, object],
-) -> Forwarder:
-    """How the nodes of one process reach an upstream node.
-
-    A hop to a node this process hosts is a direct call (no frame; see
-    :mod:`repro.serve.shard` for the contract), a hop that leaves it an
-    ordinary frame on ``transport``.  ``hosted`` and ``peers`` are read
-    at call time: the cluster fills them after its nodes, which need
-    the forwarder, exist.
-    """
-
-    async def forward(node_id: int, message: dict) -> dict:
-        node = hosted.get(node_id)
-        if node is not None:
-            return await direct_call(node.handle, message)
-        return await transport.call(peers[node_id], message)
-
-    return forward
 
 
 class ControlPlane:
@@ -259,7 +237,7 @@ class Cluster(ControlPlane):
         scheme_factory: SchemeFactory,
         transport: Optional[Transport] = None,
         scheme_name: str = "",
-        resilience: Optional[ResilienceConfig] = None,
+        retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         max_inflight: Optional[int] = None,
         tracing: Optional[TracingConfig] = None,
@@ -298,24 +276,14 @@ class Cluster(ControlPlane):
         self.trace_writer: Optional[JsonlTraceWriter] = None
         self._trace_probe: Optional[Probe] = None
         self._inv_seq = 0
-        self.resilience = (
-            resilience if resilience is not None else ResilienceConfig()
-        )
+        # Each node's retry/backoff schedule (None: the default policy).
+        self.retry = retry
         # Seeds the per-node retry-jitter RNGs; node ``i`` always draws
         # from ``Random(f"{seed}:{i}")``, so a chaos run's backoff
         # schedule -- and with it every resilience counter -- is a pure
         # function of (seed, fault plan, trace).
         self.seed = seed
         self.nodes: Dict[int, CacheNode] = {}
-        # Frames exist only at process boundaries: a shard reaches the
-        # nodes it hosts directly.  An unsharded cluster frames every
-        # hop -- its transport is the oracles' reference and what a
-        # fault plan sees.
-        self._forward = shard_forwarder(
-            self.nodes if shard is not None else {},
-            self.transport,
-            self.addresses,
-        )
         self.metrics_servers: Dict[int, MetricsServer] = {}
         # Nodes skipped by best-effort invalidation broadcasts (control
         # plane's failure visibility; the data plane has its own counters).
@@ -332,7 +300,7 @@ class Cluster(ControlPlane):
         scheme_name: str,
         config: Optional[SimulationConfig] = None,
         transport: Optional[Transport] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         max_inflight: Optional[int] = None,
         tracing: Optional[TracingConfig] = None,
@@ -369,7 +337,7 @@ class Cluster(ControlPlane):
             ),
             transport=transport,
             scheme_name=scheme_name,
-            resilience=resilience,
+            retry=retry,
             seed=seed,
             max_inflight=max_inflight,
             tracing=tracing,
@@ -406,14 +374,19 @@ class Cluster(ControlPlane):
             node = CacheNode(
                 node_id,
                 self.scheme_factory(),
-                self.architecture.request_path,
+                self.architecture,
                 self._forward,
-                resilience=self.resilience,
+                retry=self.retry,
                 rng=random.Random(f"{self.seed}:{node_id}"),
                 max_inflight=self.max_inflight,
                 shard_of=self.shard_of,
                 tracer=tracer,
             )
+            if self.shard_of is not None:
+                # Frames exist only at process boundaries.  An unsharded
+                # cluster frames every hop: its transport is the oracles'
+                # reference and what a fault plan sees.
+                node.hosted = self.nodes
             self.nodes[node_id] = node
             self.addresses[node_id] = await self.transport.start_node(
                 node_id, node.handle
@@ -435,6 +408,10 @@ class Cluster(ControlPlane):
                 )
         self._started = True
         return dict(self.addresses)
+
+    async def _forward(self, node_id: int, message: dict) -> dict:
+        """One frame to a node, wherever it is hosted."""
+        return await self.transport.call(self.addresses[node_id], message)
 
     async def _call_broker(self, message: dict) -> dict:
         return await self.transport.call(self.broker_address, message)

@@ -11,19 +11,24 @@ tracing, and converts nothing:
 * a ``get`` arrives from a client at its attachment node, which resolves
   the delivery path (a branch of the origin's distribution tree) and
   starts the upstream walk;
-* a ``fwd`` walks upstream hop by hop, accumulating piggybacked node
-  reports, until a cache holds the object or the origin attachment is
-  reached; the serving node runs the placement decision.  Every hop
-  first checks each field a step will read (:func:`_walk_fields`) and
-  refuses a malformed frame before any of its state moves;
-* the reply unwinds downstream through the same chain of in-flight
-  calls -- exactly the paper's response path -- with every node applying
-  the shipped decision (inserting, or refreshing its d-cache descriptor)
-  and advancing the cost accumulator;
+* a ``fwd`` walks upstream, accumulating piggybacked node reports, until
+  a cache holds the object or the origin attachment is reached; the
+  serving node runs the placement decision.  A process runs the walk as
+  one loop over the consecutive path positions it hosts
+  (:meth:`CacheNode._walk`): the node a frame enters checks each field a
+  step will read (:func:`_walk_fields`) once, refusing a malformed frame
+  before any state moves, every hosted position then runs its own steps
+  in memory, and the first position the process does not host gets one
+  ``fwd`` frame;
+* the reply unwinds downstream along the same positions -- exactly the
+  paper's response path, as a ``resp`` frame across a process boundary
+  and in memory inside one -- with every node applying the shipped
+  decision (inserting, or refreshing its d-cache descriptor) and
+  advancing the cost accumulator;
 * ``inv`` drops the node's copy of an object (push invalidation); an
   ``inv`` that lists further ``nodes`` is also relayed to them -- by
-  direct hand-over inside the process, as one frame to every other
-  process -- so a broadcast costs one frame per process.
+  hand-over to the nodes of the same process, as one frame to every
+  other process -- so a broadcast costs one frame per process.
 
 Every node carries a live :class:`~repro.obs.registry.StatRegistry` fed
 the same way the simulator's engine feeds it (lookup hits/misses, serving
@@ -31,7 +36,8 @@ reads, insertion writes, piggyback bytes; evictions and occupancy arrive
 through the attached cache observers), so ``stats`` frames and the
 ``/metrics`` endpoint expose the standard per-node counters.
 
-**Resilience.**  Node-to-node forwarding runs through
+**Resilience.**  Reaching the next position -- a frame to another
+process, or a co-hosted node's admission check -- runs through
 :meth:`CacheNode._call_upstream`: a per-upstream circuit breaker, then a
 bounded retry loop with exponential backoff and seeded jitter around the
 retryable failures (:data:`~repro.serve.protocol.RETRYABLE_ERRORS` --
@@ -51,7 +57,9 @@ protocol.
 **Admission control.**  With ``max_inflight`` set, a ``get``/``fwd``
 arriving while the node already has that many walks in flight is shed
 with a retryable ``busy`` frame *before* any cache state is touched
-(counted as ``busy_rejections``).  One request in flight can never trip
+(counted as ``busy_rejections``); a co-hosted position at its bound
+sheds the same way, as the :class:`~repro.serve.protocol.NodeBusy` a
+``busy`` frame raises at its caller.  One request in flight can never trip
 the bound, so sequential replay -- the simulator-equivalence oracle --
 is unaffected by any ``max_inflight`` value.
 """
@@ -61,9 +69,8 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass
 from math import inf
-from typing import Awaitable, Callable, Dict, Mapping, Optional, Sequence
+from typing import Awaitable, Callable, Dict, Mapping, Optional
 
 from repro.core.piggyback import (
     REPORT_KEYS,
@@ -93,14 +100,14 @@ from repro.serve.protocol import (
     CallTimeout,
     NodeUnreachable,
     ProtocolError,
+    raise_if_error,
 )
 from repro.serve.tracing import NodeTracer
 from repro.serve.transport import CircuitBreaker, RetryPolicy
+from repro.sim.architecture import Architecture
 
-# async (node_id, message) -> reply: how a node reaches its upstream peer.
+# async (node_id, message) -> reply: how a node sends a frame to a peer.
 Forwarder = Callable[[int, dict], Awaitable[dict]]
-# (client_id, server_id) -> delivery path, shared routing state.
-PathResolver = Callable[[int, int], Sequence[int]]
 
 
 def _is_id(value) -> bool:
@@ -109,13 +116,14 @@ def _is_id(value) -> bool:
 
 
 def _walk_fields(message: dict) -> tuple:
-    """Everything a scheme step will read from a ``fwd`` frame, checked.
+    """Everything a scheme step will read from a walk frame, checked.
 
-    A frame read from a socket is outside input, and a hop reached by
-    direct call is handed the same dict, so this runs on every hop and
-    before the node's clock, counters, registry or caches move: a frame
-    that fails here leaves no trace of itself.
+    A frame is outside input, so this runs where one enters a process,
+    before any node's clock, counters, registry or caches move: a frame
+    that fails here leaves no trace of itself.  The positions the walk
+    then crosses in memory read the values checked here.
     """
+    kind = message["type"]
     try:
         path = message["path"]
         index = message["index"]
@@ -124,27 +132,27 @@ def _walk_fields(message: dict) -> tuple:
         now = message["time"]
         reports = message["reports"]
     except KeyError as missing:
-        raise ProtocolError(f"fwd frame missing field {missing}") from None
+        raise ProtocolError(f"{kind} frame missing field {missing}") from None
     if not (isinstance(path, list) and _is_id(index) and 0 <= index < len(path)):
-        raise ProtocolError("fwd frame carries no valid path position")
+        raise ProtocolError(f"{kind} frame carries no valid path position")
     if not _is_id(object_id):
-        raise ProtocolError("fwd frame object_id must be an integer")
+        raise ProtocolError(f"{kind} frame object_id must be an integer")
     if not _is_id(size) or size <= 0:
-        raise ProtocolError("fwd frame size must be a positive integer")
+        raise ProtocolError(f"{kind} frame size must be a positive integer")
     if not (_is_id(now) or isinstance(now, float)) or not -inf < now < inf:
-        raise ProtocolError("fwd frame time must be a finite number")
+        raise ProtocolError(f"{kind} frame time must be a finite number")
     if not isinstance(reports, list) or not all(
         isinstance(report, dict) and REPORT_KEYS <= report.keys()
         for report in reports
     ):
-        raise ProtocolError("fwd frame reports must be a list of n/f/m/l/d records")
+        raise ProtocolError(f"{kind} frame reports must be a list of n/f/m/l/d records")
     skipped = message.get("skipped", [])
     if not isinstance(skipped, list) or not all(
         _is_id(position) and 0 <= position < len(path) for position in skipped
     ):
-        raise ProtocolError("fwd frame skipped must be a list of path positions")
+        raise ProtocolError(f"{kind} frame skipped must be a list of path positions")
     if not isinstance(message.get("trace", {}), dict):
-        raise ProtocolError("fwd frame trace must be an object")
+        raise ProtocolError(f"{kind} frame trace must be an object")
     return path, index, object_id, size, now, reports, skipped
 
 
@@ -163,11 +171,10 @@ def _fwd_frame(
     The frame keeps the FULL original path (the decision's node-id set
     and the cost accounting both need it) plus the positions the walk
     bypassed.  Every frame owns its ``reports`` and ``skipped`` lists:
-    the receiver appends to them, and a same-process receiver is handed
-    the very dict built here, so a list shared with the next failover
-    candidate's frame (or kept by the sender) would leak one hop's
-    additions into another.  ``ctx`` is the trace context the receiver's
-    span hangs off; an untraced walk carries none.
+    the walk goes on appending to its own after a failed candidate,
+    and a transport may still hold the frame (a delayed duplicate) or
+    hand it to a receiver that appends to it.  ``ctx`` is the trace
+    context the receiver's span hangs off; an untraced walk carries none.
     """
     frame = {
         "type": MSG_FWD,
@@ -199,18 +206,40 @@ def _timed(span: Optional[dict], key: str, fn, *args, **kwargs):
     return result
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """How a node treats upstream failures (shared by the whole cluster).
+class _Hop:
+    """One path position a process runs, and what its unwind needs."""
 
-    ``retry`` shapes the per-call retry/backoff schedule; the
-    per-upstream :class:`~repro.serve.transport.CircuitBreaker` runs on
-    its own constants.  The defaults are always safe to leave on: with
-    no faults no call ever fails, so no retry, failover or breaker
-    transition can fire.
-    """
+    __slots__ = ("node", "index", "now", "span", "begin", "t0", "came_from")
 
-    retry: RetryPolicy = RetryPolicy()
+    def __init__(self, node, index: int, now: float, span: Optional[dict]):
+        self.node, self.index, self.now, self.span = node, index, now, span
+        self.begin = time.perf_counter() if span is not None else 0.0
+        # While the span waits on its upstream: when the wait began.
+        self.t0: Optional[float] = None
+        self.came_from: Optional[int] = None
+
+    def resume(self) -> None:
+        """End the upstream wait: failover candidates, retries, backoff
+        and, in memory, the positions above it all count."""
+        if self.t0 is not None:
+            span = self.span
+            span["upstream"] = span.get("upstream", 0.0) + (
+                time.perf_counter() - self.t0
+            )
+            self.t0 = None
+
+    def finish(self, status: str = "ok", hit_index=None) -> None:
+        """Close the span: ``hit_index`` once served, else the error that
+        ended the walk at or above this position."""
+        span = self.span
+        if span is not None:
+            self.resume()
+            if status == "ok":
+                span["hit_index"] = hit_index
+            else:
+                span["status"] = status
+            span["wall"] = time.perf_counter() - self.begin
+            self.node._tracer.emit(span)
 
 
 class CacheNode:
@@ -220,22 +249,28 @@ class CacheNode:
         self,
         node_id: int,
         scheme: CachingScheme,
-        resolve_path: PathResolver,
+        architecture: Architecture,
         forward: Forwarder,
         registry: Optional[StatRegistry] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        retry: Optional[RetryPolicy] = None,
         rng: Optional[random.Random] = None,
         max_inflight: Optional[int] = None,
         shard_of: Optional[Mapping[int, int]] = None,
         tracer: Optional[NodeTracer] = None,
     ) -> None:
-        """``max_inflight`` bounds concurrently admitted request walks
+        """``architecture`` resolves a client's delivery path (shared
+        routing state); ``forward`` sends a frame to a peer node.
+        ``retry`` shapes the retry/backoff schedule of every upstream
+        call (the per-upstream :class:`~repro.serve.transport.
+        CircuitBreaker` runs on its own constants); the default is always
+        safe to leave on, since with no faults no call ever fails.
+        ``max_inflight`` bounds concurrently admitted request walks
         (``None`` = unbounded); a request arriving at the bound is shed
         with a retryable ``busy`` frame before touching any cache state.
         ``shard_of`` maps node id -> shard id so upstream forwards that
         leave this node's shard are counted (``cross_shard_fwds``) and an
-        ``inv`` relay knows which listed nodes are co-hosted (``None``:
-        all of them).
+        ``inv`` relay sends one frame per other shard (``None``: one per
+        listed node it does not host).
         ``tracer`` opts the node into distributed tracing (see
         :mod:`repro.serve.tracing`); ``None`` runs the exact untraced
         code path."""
@@ -243,16 +278,19 @@ class CacheNode:
             raise ValueError("max_inflight must be at least 1")
         self.node_id = node_id
         self.scheme = scheme
-        self._resolve_path = resolve_path
+        self.architecture = architecture
         self._forward = forward
         self.max_inflight = max_inflight
         self._shard_of = dict(shard_of) if shard_of is not None else None
         self._home_shard = (
             self._shard_of.get(node_id) if self._shard_of is not None else None
         )
-        self.resilience = (
-            resilience if resilience is not None else ResilienceConfig()
-        )
+        self.retry = retry if retry is not None else RetryPolicy()
+        # The nodes of this process, by id, that a walk or an inv relay
+        # reaches in memory; every other node is a frame away.  The
+        # hosting cluster shares its node map here when it is a shard,
+        # and leaves it empty otherwise, so every hop is a frame.
+        self.hosted: Mapping[int, CacheNode] = {}
         # Jitter source for retry backoff; a per-node seeded RNG makes the
         # whole retry schedule (and thus the chaos counters) reproducible.
         self._rng = rng
@@ -296,23 +334,7 @@ class CacheNode:
             # touched.  Control frames (inv/stats/ping) are always
             # admitted -- they are cheap and the operator needs them most
             # exactly when the data plane is saturated.
-            self.registry.node(self.node_id).busy_rejections += 1
-            tracer, ctx = self._tracer, message.get("trace")
-            if tracer is not None and isinstance(ctx, dict):
-                # The shed hop of an already-traced walk: without this
-                # span the trace would show the forwarding parent
-                # retrying into a void.  (Shed before the frame is
-                # validated, hence the type test.)
-                span = tracer.span(ctx, "walk", "busy")
-                span["t"] = message.get("time")
-                span["object"] = message.get("object_id")
-                span["inflight"] = self.inflight
-                tracer.emit(span)
-            return {
-                "type": MSG_BUSY,
-                "node": self.node_id,
-                "inflight": self.inflight,
-            }
+            return self._shed(message)
         self.inflight += 1
         try:
             if kind == MSG_FWD:
@@ -333,40 +355,69 @@ class CacheNode:
         finally:
             self.inflight -= 1
 
+    def _shed(self, message: dict) -> dict:
+        """Count one walk shed at the bound; the ``busy`` frame saying so."""
+        self.registry.node(self.node_id).busy_rejections += 1
+        tracer, ctx = self._tracer, message.get("trace")
+        if tracer is not None and isinstance(ctx, dict):
+            # The shed hop of an already-traced walk: without this
+            # span the trace would show the forwarding parent
+            # retrying into a void.  (A frame is shed before it is
+            # validated, hence the type test.)
+            span = tracer.span(ctx, "walk", "busy")
+            span["t"] = message.get("time")
+            span["object"] = message.get("object_id")
+            span["inflight"] = self.inflight
+            tracer.emit(span)
+        return {"type": MSG_BUSY, "node": self.node_id, "inflight": self.inflight}
+
+    async def _admit(self, ctx: Optional[dict], now: float, object_id) -> None:
+        """Admission at a co-hosted position: a walk reaching this node in
+        memory is shed exactly as its frame would be, with the
+        :class:`~repro.serve.protocol.NodeBusy` that frame would raise."""
+        if self.max_inflight is not None and self.inflight >= self.max_inflight:
+            raise_if_error(
+                self._shed({"trace": ctx, "time": now, "object_id": object_id})
+            )
+
     # -- request path --------------------------------------------------------
 
     async def _handle_get(self, message: dict) -> dict:
-        """Client entry: resolve the delivery path, start the walk."""
-        try:
-            client_id = message["client_id"]
-            server_id = message["server_id"]
-            object_id = message["object_id"]
-            size = message["size"]
-            now = message["time"]
-        except KeyError as missing:
-            raise ProtocolError(f"get frame missing field {missing}") from None
-        skipped = message.get("skipped", [])
-        if not isinstance(skipped, list):
-            raise ProtocolError("get frame skipped must be a list")
-        path = list(self._resolve_path(client_id, server_id))
+        """Client entry: check the frame, resolve the delivery path, start
+        the walk.  Every field is checked before the ingress tracer samples
+        or mints anything, so a refused ``get`` moves no state at all."""
+        architecture = self.architecture
+        for field, known in (("client_id", architecture.client_nodes),
+                             ("server_id", architecture.server_nodes)):
+            if field not in message:
+                raise ProtocolError(f"get frame missing field '{field}'")
+            if not (_is_id(message[field]) and message[field] in known):
+                raise ProtocolError(f"get frame {field} must be a known id")
+        client_id = message["client_id"]
+        path = architecture.request_path(client_id, message["server_id"])
         if path[0] != self.node_id:
             raise ProtocolError(
                 f"client {client_id} attaches to node {path[0]}, "
                 f"not to node {self.node_id}"
             )
+        path, index, object_id, size, now, reports, skipped = _walk_fields(
+            {**message, "path": list(path), "index": 0, "reports": []}
+        )
         tracer = self._tracer
-        ctx = message.get("trace")
-        if tracer is not None and ctx is None and tracer.sample_walk():
-            # Ingress is where a walk gains (or is sampled out of) its
-            # trace: a context minted here rides every fwd frame of the
-            # walk, so sampled traces are always complete trees.
-            ctx = {"id": tracer.new_trace_id(), "parent": None}
-        return await self._handle_walk(
-            _fwd_frame(path, 0, object_id, size, now, [], skipped, ctx)
+        ctx = None
+        if tracer is not None:
+            ctx = message.get("trace")
+            if ctx is None and tracer.sample_walk():
+                # Ingress is where a walk gains (or is sampled out of)
+                # its trace: a context minted here rides every position
+                # of the walk, so sampled traces are always complete trees.
+                ctx = {"id": tracer.new_trace_id(), "parent": None}
+        return await self._walk(
+            path, index, object_id, size, now, reports, list(skipped), ctx
         )
 
     async def _handle_walk(self, message: dict) -> dict:
-        """One upstream stop of the request walk (and its downstream unwind)."""
+        """A ``fwd`` frame entering this process: checked once, then walked."""
         path, index, object_id, size, now, reports, skipped = _walk_fields(
             message
         )
@@ -375,222 +426,210 @@ class CacheNode:
                 f"misrouted frame: position {index} of {path} is not "
                 f"node {self.node_id}"
             )
-        if now < self._clock:
-            now = self._clock
-        else:
-            self._clock = now
-        self.requests_handled += 1
-        tracer = self._tracer
-        ctx = message.get("trace") if tracer is not None else None
-        if ctx is None:
-            # Untraced walk (tracing off, or sampled out at ingress):
-            # the exact pre-tracing code path.
-            return await self._walk(
-                path, index, object_id, size, now, reports, skipped, None
-            )
-        span = tracer.span(ctx, "walk")
-        span.update(
-            t=now,
-            object=object_id,
-            size=size,
-            index=index,
-            path=list(path),
-            skipped=[],
-            retries=0,
-            failovers=0,
-            piggyback=0,
-            xshard=False,
-            inflight=self.inflight,
-            start=time.time(),
+        ctx = message.get("trace") if self._tracer is not None else None
+        return await self._walk(
+            path, index, object_id, size, now, reports, skipped, ctx
         )
-        begin = time.perf_counter()
-        try:
-            reply = await self._walk(
-                path, index, object_id, size, now, reports, skipped, span
-            )
-        except BaseException as error:
-            # The walk died at or above this hop (exhausted failover,
-            # remote handler error); the span records it so partial
-            # traces still show how far the request got.
-            span["status"] = type(error).__name__
-            span["wall"] = time.perf_counter() - begin
-            tracer.emit(span)
-            raise
-        span["hit_index"] = reply.get("hit_index")
-        span["wall"] = time.perf_counter() - begin
-        tracer.emit(span)
-        return reply
 
     async def _walk(
-        self,
-        path: list,
-        index: int,
-        object_id,
-        size: int,
-        now: float,
-        reports: list,
-        skipped: list,
-        span: Optional[dict],
+        self, path: list, index: int, object_id, size: int, now: float,
+        reports: list, skipped: list, ctx: Optional[dict],
     ) -> dict:
-        """The walk body; ``span`` (when tracing) only observes it, and
-        ``reports`` / ``skipped`` are the received frame's own lists."""
+        """The walk over the consecutive path positions this process hosts.
+
+        Upward, each position runs on its own node -- clock clamp,
+        request count, span, ``lookup_step``, miss/report/piggyback
+        accounting -- and reaches the next live position through that
+        node's :meth:`_call_upstream`: in memory when it is
+        :attr:`hosted`, else as one ``fwd`` frame carrying the rest of
+        the walk.  Downward, the reply meets every position below the
+        serving one in reverse, each applying ``deliver_step``.  A
+        failure leaves the loop as itself: every entered position's span
+        records it, every slot taken is given back, and the caller sees
+        one ``error`` frame -- not retried, not failed over.
+        """
         last = len(path) - 1
-        scheme = self.scheme
-
-        # Served here?  At the origin attachment the origin itself
-        # serves: no lookup, and no registry entry is materialised for a
-        # node that holds no cache.  Anywhere else the lookup says.
-        served = index == last
-        if not served:
-            served, report = _timed(
-                span, "lookup", scheme.lookup_step, self.node_id, object_id, size, now
-            )
-            stats = self.registry.node(self.node_id)
-            if served:
-                stats.hits += 1
-                stats.bytes_read += size
-                if self.subscriber is not None:
-                    # Channel mode: log the hit so a later event can judge
-                    # retroactively whether it was served off a stale copy.
-                    self.subscriber.note_hit(object_id, now, size)
-        if served:
-            # Decide from the piggybacked reports -- the request message,
-            # as the steps below returned it -- and start the downstream
-            # unwind.
-            decision = _timed(
-                span,
-                "decide",
-                scheme.decide_step,
-                path,
-                index,
-                reports,
-                object_id,
-                size,
-                now,
-            )
-            reply = {
-                "type": MSG_RESP,
-                "hit_index": index,
-                "decision": decision,
-                "inserted": [],
-                "evictions": 0,
-            }
-            if span is not None:
-                reply["trace"] = {"id": span["trace"], "span": span["span"]}
-            return reply
-
-        stats.misses += 1
-        if report is not None:
-            reports.append(report)
-            if self._piggyback:
-                added = report_bytes(report)
-                stats.piggyback_bytes += added
-                if span is not None:
-                    span["piggyback"] += added
-        # Forward upstream, failing over past dead hops: each candidate
-        # gets its own frame (see _fwd_frame) naming the positions the
-        # walk bypassed so far.  An unreachable origin attachment has
-        # nothing left to fail over to and the error propagates
-        # downstream.
-        ctx = None
-        if span is not None:
-            ctx = {"id": span["trace"], "parent": span["span"]}
-        next_index = index + 1
-        while True:
-            upstream = _fwd_frame(
-                path, next_index, object_id, size, now, reports, skipped, ctx
-            )
-            if (
-                self._shard_of is not None
-                and self._shard_of.get(path[next_index]) != self._home_shard
-            ):
-                stats.cross_shard_fwds += 1
-                if span is not None:
-                    span["xshard"] = True
-            try:
-                if span is None:
-                    reply = await self._call_upstream(path[next_index], upstream)
+        hops = []
+        entered = []  # co-hosted nodes whose inflight slot the walk holds
+        node = self
+        try:
+            while True:
+                if now < node._clock:
+                    now = node._clock
                 else:
-                    t0 = time.perf_counter()
-                    try:
-                        reply = await self._call_upstream(
-                            path[next_index], upstream, span
-                        )
-                    finally:
-                        # Cumulative over failover candidates: the whole
-                        # time this hop spent waiting on upstreams,
-                        # retries and backoff included.
-                        span["upstream"] = span.get("upstream", 0.0) + (
-                            time.perf_counter() - t0
-                        )
-                break
-            except RETRYABLE_ERRORS:
-                if next_index >= last:
-                    raise
-                stats.failovers += 1
-                skipped.append(next_index)
-                if span is not None:
-                    span["failovers"] += 1
-                    span["skipped"].append(next_index)
-                if self._piggyback:
-                    stats.piggyback_bytes += SKIPPED_NODE_BYTES
-                    if span is not None:
-                        span["piggyback"] += SKIPPED_NODE_BYTES
-                next_index += 1
-        if reply.get("type") != MSG_RESP:
-            raise ProtocolError(
-                f"expected resp frame from upstream, got {reply.get('type')!r}"
-            )
+                    node._clock = now
+                node.requests_handled += 1
+                span = None
+                if node._tracer is not None and ctx is not None:
+                    span = node._tracer.span(ctx, "walk")
+                    span.update(
+                        t=now, object=object_id, size=size, index=index,
+                        path=list(path), skipped=[], retries=0, failovers=0,
+                        piggyback=0, xshard=False, inflight=node.inflight,
+                        start=time.time(),
+                    )
+                    ctx = {"id": span["trace"], "parent": span["span"]}
+                else:
+                    ctx = None
+                hop = _Hop(node, index, now, span)
+                hops.append(hop)
 
-        # Downstream unwind: the object physically traversed every link
-        # from path[next_index] down (a bypassed node's cache process is
-        # dead, its router still forwards); apply the shipped decision at
-        # this node, charging that whole segment.
-        decision = reply["decision"]
-        inserted, evictions = _timed(
-            span,
-            "deliver",
-            scheme.deliver_step,
-            index,
-            path,
-            decision,
-            object_id,
-            size,
-            now,
-            came_from=next_index,
-        )
-        if inserted:
-            reply["inserted"].append(self.node_id)
-            stats.insertions += 1
-            stats.bytes_written += size
-            if self.subscriber is not None:
-                self.subscriber.note_insert(object_id, now)
-        reply["evictions"] += evictions
-        if self._piggyback:
-            # The accumulator is charged to its first downstream carrier
-            # -- the hop directly below the serving node in the chain of
-            # nodes that actually answered.
-            added = response_bytes(
-                self.node_id in decision["cache_at"],
-                next_index == reply["hit_index"],
-            )
-            stats.piggyback_bytes += added
-            if span is not None:
-                span["piggyback"] += added
-        return reply
+                # Served here?  At the origin attachment the origin
+                # itself serves: no lookup, and no registry entry is
+                # materialised for a node that holds no cache.  Anywhere
+                # else the lookup says.
+                served = index == last
+                if not served:
+                    served, report = _timed(
+                        span, "lookup", node.scheme.lookup_step,
+                        node.node_id, object_id, size, now,
+                    )
+                    stats = node.registry.node(node.node_id)
+                    if served:
+                        stats.hits += 1
+                        stats.bytes_read += size
+                        if node.subscriber is not None:
+                            # Channel mode: log the hit so a later event
+                            # can judge retroactively whether it was
+                            # served off a stale copy.
+                            node.subscriber.note_hit(object_id, now, size)
+                if served:
+                    # Decide from the piggybacked reports -- the request
+                    # message, as the steps below returned it -- and
+                    # start the downstream unwind.
+                    decision = _timed(
+                        span, "decide", node.scheme.decide_step,
+                        path, index, reports, object_id, size, now,
+                    )
+                    reply = {"type": MSG_RESP, "hit_index": index,
+                             "decision": decision, "inserted": [], "evictions": 0}
+                    if span is not None:
+                        reply["trace"] = {"id": span["trace"], "span": span["span"]}
+                    break
+
+                stats.misses += 1
+                if report is not None:
+                    reports.append(report)
+                    if node._piggyback:
+                        added = report_bytes(report)
+                        stats.piggyback_bytes += added
+                        if span is not None:
+                            span["piggyback"] += added
+                # Reach the next live position, failing over past dead or
+                # shedding ones.  An unreachable origin attachment has
+                # nothing left to fail over to and the error propagates
+                # downstream.
+                if span is not None:
+                    hop.t0 = time.perf_counter()
+                next_index = index + 1
+                while True:
+                    target = path[next_index]
+                    upstream = self.hosted.get(target)
+                    try:
+                        if upstream is not None:
+                            await node._call_upstream(
+                                target, span, upstream._admit, ctx, now, object_id
+                            )
+                            break
+                        # Each candidate gets its own frame (see
+                        # _fwd_frame) naming the positions bypassed so far.
+                        frame = _fwd_frame(path, next_index, object_id, size,
+                                           now, reports, skipped, ctx)
+                        if node._shard_of is not None and (
+                            node._shard_of.get(target) != node._home_shard
+                        ):
+                            stats.cross_shard_fwds += 1
+                            if span is not None:
+                                span["xshard"] = True
+                        reply = await node._call_upstream(
+                            target, span, node._forward, target, frame
+                        )
+                        break
+                    except RETRYABLE_ERRORS:
+                        if next_index >= last:
+                            raise
+                        stats.failovers += 1
+                        skipped.append(next_index)
+                        if span is not None:
+                            span["failovers"] += 1
+                            span["skipped"].append(next_index)
+                        if node._piggyback:
+                            stats.piggyback_bytes += SKIPPED_NODE_BYTES
+                            if span is not None:
+                                span["piggyback"] += SKIPPED_NODE_BYTES
+                        next_index += 1
+                hop.came_from = next_index
+                if upstream is None:
+                    if reply.get("type") != MSG_RESP:
+                        raise ProtocolError(
+                            "expected resp frame from upstream, got "
+                            f"{reply.get('type')!r}"
+                        )
+                    break
+                upstream.inflight += 1
+                entered.append(upstream)
+                node, index = upstream, next_index
+
+            # Downstream unwind: the object physically traversed every
+            # link from a position's came_from down (a bypassed node's
+            # cache process is dead, its router still forwards); apply
+            # the shipped decision at each position, charging that whole
+            # segment.
+            decision = reply["decision"]
+            hit_index = reply["hit_index"]
+            while hops:
+                hop = hops.pop()
+                node, span, now, came_from = hop.node, hop.span, hop.now, hop.came_from
+                if came_from is not None:
+                    hop.resume()
+                    inserted, evictions = _timed(
+                        span, "deliver", node.scheme.deliver_step, hop.index,
+                        path, decision, object_id, size, now, came_from=came_from,
+                    )
+                    stats = node.registry.node(node.node_id)
+                    if inserted:
+                        reply["inserted"].append(node.node_id)
+                        stats.insertions += 1
+                        stats.bytes_written += size
+                        if node.subscriber is not None:
+                            node.subscriber.note_insert(object_id, now)
+                    reply["evictions"] += evictions
+                    if node._piggyback:
+                        # The accumulator is charged to its first
+                        # downstream carrier -- the hop directly below
+                        # the serving node in the chain of nodes that
+                        # actually answered.
+                        added = response_bytes(
+                            node.node_id in decision["cache_at"],
+                            came_from == hit_index,
+                        )
+                        stats.piggyback_bytes += added
+                        if span is not None:
+                            span["piggyback"] += added
+                hop.finish(hit_index=hit_index)
+            return reply
+        except BaseException as error:
+            while hops:
+                hops.pop().finish(type(error).__name__)
+            raise
+        finally:
+            for node in entered:
+                node.inflight -= 1
 
     async def _call_upstream(
-        self, node: int, message: dict, span: Optional[dict] = None
-    ) -> dict:
+        self, node: int, span: Optional[dict], attempt: Callable[..., Awaitable], *args
+    ):
         """One logical upstream call: breaker gate + bounded retry loop.
 
-        Timeouts, unreachable peers and damaged frames are retried with
-        exponential backoff (jitter drawn from the node's seeded RNG);
-        anything else -- notably a remote handler error -- propagates
-        immediately, because the remote side may already have mutated
-        state.  An exhausted call feeds the upstream's circuit breaker;
-        while the breaker is open, calls fail fast without touching the
-        transport, which is what lets a walk skip a dead parent without
+        ``attempt(*args)`` makes one try at reaching ``node``: a frame to
+        it, or its admission check when this process hosts it.  Timeouts,
+        unreachable peers, damaged frames and ``busy`` sheds are retried
+        with exponential backoff (jitter drawn from the node's seeded
+        RNG); anything else -- notably a remote handler error --
+        propagates immediately, because the remote side may already have
+        mutated state.  An exhausted call feeds the upstream's circuit
+        breaker; while the breaker is open, calls fail fast without
+        trying, which is what lets a walk skip a dead parent without
         paying the retry schedule on every request.
         """
         breaker = self.breakers.get(node)
@@ -601,23 +640,23 @@ class CacheNode:
             raise NodeUnreachable(
                 f"circuit to upstream node {node} is open (failing fast)"
             )
-        policy = self.resilience.retry
-        attempt = 0
+        policy = self.retry
+        tries = 0
         while True:
             try:
-                reply = await self._forward(node, message)
+                reply = await attempt(*args)
             except RETRYABLE_ERRORS as error:
                 if isinstance(error, CallTimeout):
                     stats.rpc_timeouts += 1
-                attempt += 1
-                if attempt >= policy.attempts:
+                tries += 1
+                if tries >= policy.attempts:
                     if breaker.record_failure():
                         stats.breaker_trips += 1
                     raise
                 stats.rpc_retries += 1
                 if span is not None:
                     span["retries"] += 1
-                delay = policy.delay(attempt - 1, self._rng)
+                delay = policy.delay(tries - 1, self._rng)
                 if delay > 0:
                     await asyncio.sleep(delay)
             else:
@@ -680,15 +719,15 @@ class CacheNode:
         answers into ``reply``.
 
         Frames exist only at process boundaries: a co-hosted node is
-        handed a plain ``inv`` through the forwarder (a direct call in a
-        shard worker), every other shard gets one ``inv`` naming its
-        members, sent to the first of them, and relays it the same way.
-        Best-effort and single-attempt like any broadcast: a hand-over
-        that fails retryably lands in ``skipped`` (a remote group is
-        tried once more through its second member), without the retry
-        RNG or the breakers -- those belong to the request walks.  Every
-        relayed list is shorter than the one received, so a forged list
-        cannot loop.
+        handed the plain ``inv`` in memory (:attr:`hosted`), every other
+        shard gets one ``inv`` naming its members, sent to the first of
+        them, and relays it the same way; without a shard map every other
+        node gets a plain frame.  Best-effort and single-attempt like any
+        broadcast: a frame that fails retryably lands in ``skipped`` (a
+        remote group is tried once more through its second member),
+        without the retry RNG or the breakers -- those belong to the
+        request walks.  Every relayed list is shorter than the one
+        received, so a forged list cannot loop.
         """
 
         plain = {"type": MSG_INV, "object_id": object_id}
@@ -719,7 +758,12 @@ class CacheNode:
         for node in nodes:
             if node == self.node_id:
                 continue
-            if shard_of is not None and shard_of[node] != home:
+            local = self.hosted.get(node)
+            if local is not None:
+                answer = await local._handle_invalidate(plain)
+                reply["removed"] += answer["removed"]
+                reply["delivered"] += 1
+            elif shard_of is not None and shard_of[node] != home:
                 remote.setdefault(shard_of[node], []).append(node)
             else:
                 await hand_over(node)

@@ -22,14 +22,13 @@ Three pieces here, one next door:
   that owns its attachment node (:meth:`ShardPlan.client_shard`), so
   any frontend holding the plan routes clients without consulting a
   directory.
-* :func:`~repro.serve.cluster.shard_forwarder` (beside ``Cluster``,
-  which wires it) -- the one rule for a hop between two nodes: frames
-  exist only at process boundaries.  A hop inside the shard is a
-  direct call on the hosted node's handler; a hop that leaves it is a
-  TCP frame.  The rule covers both planes: the ``fwd`` hops of a
-  request walk, and the ``inv`` hand-overs of an update broadcast, which
-  reaches a shard as *one* frame naming its members and is relayed to
-  them through this forwarder (:meth:`CacheNode._relay_invalidate`).
+* :attr:`~repro.serve.node.CacheNode.hosted` (filled by ``Cluster``)
+  -- the one rule for a hop between two nodes: frames exist only at
+  process boundaries.  A request walk runs the positions a shard hosts
+  as one in-memory loop and sends one ``fwd`` frame where it leaves the
+  shard; an update broadcast reaches a shard as *one* ``inv`` frame
+  naming its members, handed over in memory to the rest of them
+  (:meth:`CacheNode._relay_invalidate`).
 * :class:`ShardSpec` / :func:`_shard_worker_main` -- the picklable
   work order shipped to each ``spawn`` worker, and the worker's
   entrypoint: start a ``Cluster`` with ``shard=`` on TCP, rendezvous
@@ -40,20 +39,13 @@ Three pieces here, one next door:
   fleet down in order.
 
 Semantics are unchanged by construction: every node still runs the same
-scheme steps on the same private state, and paths still come from the
-shared routing table.  A same-shard forward skips the codec, so what the
-codec's copy gave for free is a contract instead
-(:func:`~repro.serve.transport.direct_call`): every ``fwd`` frame a node
-builds owns its ``reports`` and ``skipped`` lists (every relayed ``inv``
-is a fresh dict, its ``nodes`` list read and never written), a reply is
-never read again by the node that returned it (``decision``,
-``inserted`` and ``evictions`` are advanced hop by hop by design),
-frames hold only values the codec maps to themselves, and a handler
-exception or ``busy`` reply raises what a framed call raises.  Input checks stay where outside
-input arrives: field validation on every hop, frame-size and JSON checks
-on every frame read from a socket.  ``InProcessTransport`` keeps its
-codec round trip -- it is the reference the simulator oracles compare
-against, and an unsharded ``Cluster`` puts every hop on its transport.
+scheme steps on the same private state, charged to its own counters,
+and paths still come from the shared routing table.  Input checks stay
+where outside input arrives: field validation where a frame enters a
+process, frame-size and JSON checks on every frame read from a socket.
+``InProcessTransport`` keeps its codec round trip -- it is the reference
+the simulator oracles compare against, and an unsharded ``Cluster``
+puts every hop on its transport.
 
 Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
@@ -74,10 +66,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.cluster import Cluster
-from repro.serve.node import ResilienceConfig
 from repro.serve.protocol import MSG_STATS
 from repro.serve.tracing import TracingConfig, shard_trace_path
-from repro.serve.transport import TCPTransport
+from repro.serve.transport import RetryPolicy, TCPTransport
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.workload.catalog import ObjectCatalog
@@ -165,7 +156,7 @@ class ShardSpec:
     scheme_name: str
     config: SimulationConfig
     params: dict = field(default_factory=dict)
-    resilience: Optional[ResilienceConfig] = None
+    retry: Optional[RetryPolicy] = None
     seed: int = 0
     host: str = "127.0.0.1"
     max_inflight: Optional[int] = None
@@ -213,7 +204,7 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
             transport=TCPTransport(
                 host=spec.host, call_timeout=spec.rpc_timeout
             ),
-            resilience=spec.resilience,
+            retry=spec.retry,
             seed=spec.seed,
             max_inflight=spec.max_inflight,
             tracing=spec.tracing,
@@ -273,7 +264,7 @@ class ShardedCluster:
         num_shards: int,
         config: Optional[SimulationConfig] = None,
         params: Optional[dict] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         host: str = "127.0.0.1",
         max_inflight: Optional[int] = None,
@@ -287,7 +278,7 @@ class ShardedCluster:
         self.scheme_name = scheme_name
         self.config = config if config is not None else SimulationConfig()
         self.params = dict(params) if params else {}
-        self.resilience = resilience
+        self.retry = retry
         self.seed = seed
         self.host = host
         self.max_inflight = max_inflight
@@ -331,7 +322,7 @@ class ShardedCluster:
                 scheme_name=self.scheme_name,
                 config=self.config,
                 params=self.params,
-                resilience=self.resilience,
+                retry=self.retry,
                 seed=self.seed,
                 host=self.host,
                 max_inflight=self.max_inflight,

@@ -17,8 +17,7 @@ between them.  Two implementations:
 Handlers are ``async (dict) -> dict``.  A handler exception is converted
 into an ``error`` frame by the hosting side and surfaces at the caller
 as :class:`~repro.serve.protocol.RemoteProtocolError` -- identically on
-both transports and on :func:`direct_call`, the frame-free call a shard
-worker makes between two nodes it hosts itself.
+both transports.
 """
 
 from __future__ import annotations
@@ -166,23 +165,6 @@ async def _dispatch(handler: Handler, message: dict) -> dict:
         return await handler(message)
     except Exception as error:  # noqa: BLE001 - the frame carries the type
         return error_message(error)
-
-
-async def direct_call(handler: Handler, message: dict) -> dict:
-    """One call to a handler of this process, with no frame in between.
-
-    Error parity: the hosting side (:func:`_dispatch`) and the calling
-    side (:func:`~repro.serve.protocol.raise_if_error`) are the ones
-    every transport uses, so a handler exception is the same
-    non-retryable ``RemoteProtocolError`` and a ``busy`` reply the same
-    retryable ``NodeBusy`` a framed call raises.  Value isolation, which
-    the codec's copy gave for free, is a contract here: ``message``
-    shares no list or dict the caller will mutate or put into another
-    frame, the handler never reads its reply again once it has returned
-    it, and both hold only values the codec maps to themselves
-    (``TestWireCleanliness`` in ``tests/test_scheme_conformance.py``).
-    """
-    return raise_if_error(await _dispatch(handler, message))
 
 
 class InProcessTransport(Transport):

@@ -47,7 +47,6 @@ from repro.serve import (
     InProcessTransport,
     LoadGenerator,
     NodeUnreachable,
-    ResilienceConfig,
     RetryPolicy,
 )
 from repro.sim.config import SimulationConfig
@@ -66,10 +65,8 @@ WORKLOAD = WorkloadConfig(
 CONFIG = SimulationConfig(relative_cache_size=0.01, dcache_ratio=3.0)
 # Millisecond-scale backoff keeps a 900-request chaos replay fast while
 # still walking the whole retry schedule.
-FAST_RESILIENCE = ResilienceConfig(
-    retry=RetryPolicy(
-        attempts=3, backoff_base=0.0005, backoff_max=0.002, jitter=0.5
-    )
+FAST_RETRY = RetryPolicy(
+    attempts=3, backoff_base=0.0005, backoff_max=0.002, jitter=0.5
 )
 
 
@@ -136,7 +133,7 @@ def replay_under_faults(arch, catalog, scheme_name, trace, plan):
             scheme_name,
             config=CONFIG,
             transport=FaultyTransport(InProcessTransport(), injector),
-            resilience=FAST_RESILIENCE,
+            retry=FAST_RETRY,
             seed=plan.seed,
         )
         await cluster.start()

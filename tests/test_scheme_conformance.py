@@ -18,7 +18,7 @@ honor the same contracts, whatever its placement rule:
 * **Wire cleanliness** -- every frame a node sends or returns is a fixed
   point of the frame codec (same values, same types), so two nodes
   behave the same whether a shard plan puts a frame between them or
-  hands the dict over directly (``repro.serve.cluster.shard_forwarder``).
+  the walk crosses them in memory (``CacheNode.hosted``).
 
 * **One message, two drivers** -- for the report-carrying family the
   request message ``decide_step`` reads in the simulator and the
@@ -341,7 +341,7 @@ class FrameAudit(Transport):
 
 
 class TestWireCleanliness:
-    """What makes a direct same-shard hop equal to a framed one."""
+    """What makes an in-memory same-shard hop equal to a framed one."""
 
     @pytest.mark.parametrize(
         "frame",

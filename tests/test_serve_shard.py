@@ -5,17 +5,18 @@ Five layers of guarantees:
 * the plan is a deterministic, balanced, total partition of the
   topology that a root-ward walk crosses at most ``num_shards - 1``
   times and never re-enters (pure functions, no processes);
-* a **multi-process** TCP run -- one shard (every hop a direct call) or
-  two (direct and framed hops mixed) -- replays a trace with zero
+* a **multi-process** TCP run -- one shard (every hop in memory) or
+  two (in-memory and framed hops mixed) -- replays a trace with zero
   client-visible errors and the simulator's exact summary and per-node
   counters -- sharding is an ownership split, never a behavior change
   -- while the ``cross_shard_fwds`` counters prove walks crossed the
   process boundary exactly when there is one, and an in-band update
   stream reaches every cache node of every shard; the same oracle holds
-  for two ``Cluster(shard=...)`` halves in this process, and a worker's
-  scrape endpoint is a ``Cluster``'s;
-* a same-shard hop, which carries no frame, still fails, sheds and
-  isolates values the way a framed hop does;
+  for one, two or three ``Cluster(shard=...)`` pieces in this process,
+  and a worker's scrape endpoint is a ``Cluster``'s;
+* a same-shard hop, which carries no frame, still fails and sheds the
+  way a framed hop does, and a framed failover gives every candidate
+  its own lists;
 * an update broadcast puts one ``inv`` frame on the wire per process,
   is relayed inside each shard, skips what it cannot reach without
   touching a walk's retry state, and refuses malformed frames;
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
 import urllib.request
 
 import pytest
@@ -45,12 +45,15 @@ from repro.serve import (
     ShardPlan,
     ShardedCluster,
     TCPTransport,
+    Transport,
     fetch_stats,
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
-from repro.serve.cluster import broadcast_invalidate, shard_forwarder
-from repro.serve.node import CacheNode, ResilienceConfig
+from repro.obs import read_trace_events
+from repro.serve.cluster import broadcast_invalidate
+from repro.serve.node import CacheNode
+from repro.serve.tracing import TracingConfig
 from repro.serve.protocol import (
     MSG_GET,
     MSG_INV,
@@ -222,7 +225,7 @@ class TestShardedClusterLive:
     def test_two_shard_run_matches_simulator(self, scenario, num_shards):
         """The acceptance oracle: multi-process == simulator, exactly.
 
-        One shard makes every hop a direct call, two mix direct calls
+        One shard runs every hop in memory, two mix in-memory hops
         with TCP frames; neither may move a single per-node counter.
         """
         arch, trace, catalog = scenario
@@ -354,12 +357,13 @@ class TestShardedClusterLive:
 
 
 class TestTwoShardsInProcess:
-    @pytest.mark.parametrize("num_shards", [2, 3])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
     def test_two_cluster_halves_match_the_simulator(
         self, scenario, num_shards
     ):
         """The sharded oracle with no subprocess: the ``Cluster`` pieces
-        of one plan over one wire, with an update stream."""
+        of one plan over one wire, with an update stream.  One piece
+        hosts every node, so every hop of every walk runs in memory."""
         arch, trace, catalog = scenario
         cost_model, updates, sim, expected = simulated(scenario)
         plan = ShardPlan.compute(arch, num_shards)
@@ -420,7 +424,8 @@ class TestTwoShardsInProcess:
         # Every walk heads for the plan's root: it can only move to a
         # later shard, so it crosses at most num_shards - 1 times.
         xfwd = sum(s.get("cross_shard_fwds", 0) for s in stats.values())
-        assert 0 < xfwd <= (num_shards - 1) * len(trace)
+        assert xfwd <= (num_shards - 1) * len(trace)
+        assert (xfwd > 0) == (num_shards > 1)
 
 
 def get_frame(record, object_id):
@@ -441,7 +446,7 @@ def host(scenario, node_ids, forward, options=None):
         node_id: CacheNode(
             node_id,
             coordinated_scheme(arch, catalog),
-            arch.request_path,
+            arch,
             forward,
             **(options or {}).get(node_id, {}),
         )
@@ -449,79 +454,104 @@ def host(scenario, node_ids, forward, options=None):
     }
 
 
-class GatedLink:
+async def start(clusters):
+    """Start every piece and give each the merged address map."""
+    addresses = {}
+    for cluster in clusters:
+        addresses.update(await cluster.start())
+    for cluster in clusters:
+        cluster.addresses.update(addresses)
+    return addresses
+
+
+class GatedLink(Transport):
     """Stands in for the link out of the shard: calls queue at a gate,
     keeping the walks that reached it in flight in the nodes below."""
 
-    def __init__(self, far: InProcessTransport) -> None:
-        self.far = far
+    def __init__(self) -> None:
+        self.far = InProcessTransport()
         self.gate = asyncio.Event()
         self.frames: list = []
+
+    async def start_node(self, node_id, handler):
+        return await self.far.start_node(node_id, handler)
 
     async def call(self, address, message: dict) -> dict:
         self.frames.append(message)
         await self.gate.wait()
         return await self.far.call(address, message)
 
+    async def close(self) -> None:
+        await self.far.close()
+
 
 class TestSameShardHops:
-    """A hop inside a shard carries no frame (``shard_forwarder``); what
-    the codec round trip gave it for free must hold all the same."""
+    """A hop inside a shard carries no frame (``CacheNode.hosted``); it
+    must fail and shed the way a framed hop does."""
 
     def test_handler_error_surfaces_as_over_a_frame(self, scenario):
-        arch, trace, _ = scenario
+        arch, trace, catalog = scenario
         record = trace[0]
         path = arch.request_path(record.client_id, record.server_id)
 
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
-        async def walk(framed: bool):
+        async def walk(shard):
             wire = InProcessTransport()
-            nodes = {}
-            forward = shard_forwarder(
-                {} if framed else nodes, wire, {n: n for n in path}
+            cluster = Cluster.build(
+                arch, catalog, "coordinated", config=CONFIG, transport=wire,
+                shard=shard,
             )
-            nodes.update(host(scenario, path, forward))
-            for node_id, node in nodes.items():
-                await wire.start_node(node_id, node.handle)
+            await cluster.start()
+            nodes = cluster.nodes
             nodes[path[1]].scheme.lookup_step = boom
             with pytest.raises(RemoteProtocolError) as caught:
-                await forward(path[0], get_frame(record, 1))
+                await wire.call(path[0], get_frame(record, 1))
             ingress = nodes[path[0]].registry.node(path[0])
-            return (
-                str(caught.value),
+            outcome = (
                 ingress.rpc_retries,
                 ingress.failovers,
+                nodes[path[1]].requests_handled,
                 nodes[path[2]].requests_handled,
+                [node.inflight for node in nodes.values()],
             )
+            await cluster.stop(drain=False)
+            return str(caught.value), outcome
 
-        direct = run(walk(framed=False))
-        # The framed text; not retried, not failed over, went no further.
-        assert direct == ("RemoteProtocolError: ValueError: boom", 0, 0, 0)
-        assert direct == run(walk(framed=True))
+        text, outcome = run(walk((0, ShardPlan.compute(arch, 1).assignment)))
+        # One error naming the step's exception; not retried, not failed
+        # over, went no further, and every slot it held was given back.
+        assert text.endswith("ValueError: boom"), text
+        assert outcome == (0, 0, 1, 0, [0] * len(arch.network.nodes()))
+        framed_text, framed = run(walk(None))
+        assert framed_text.endswith("ValueError: boom") and framed == outcome
 
-    def test_hop_at_its_bound_sheds_and_the_walk_fails_over(self, scenario):
-        arch, trace, _ = scenario
+    def test_hop_at_its_bound_sheds_and_the_walk_fails_over(
+        self, scenario, tmp_path
+    ):
+        arch, trace, catalog = scenario
         record = trace[0]
         path = arch.request_path(record.client_id, record.server_id)
         ingress, bounded = path[0], path[1]
+        assignment = {
+            node: int(node not in (ingress, bounded))
+            for node in arch.network.nodes()
+        }
+        spans = tmp_path / "spans.jsonl"
 
         async def two_walks():
-            far = InProcessTransport()
-            link = GatedLink(far)
-            near = {}
-            forward = shard_forwarder(near, link, {n: n for n in path[2:]})
-            near.update(
-                host(
-                    scenario,
-                    [ingress, bounded],
-                    forward,
-                    {bounded: {"max_inflight": 1}},
+            link = GatedLink()
+            near, far = (
+                Cluster.build(
+                    arch, catalog, "coordinated", config=CONFIG,
+                    transport=transport, shard=(shard, assignment),
+                    tracing=TracingConfig(spans) if shard == 0 else None,
                 )
+                for shard, transport in ((0, link), (1, link.far))
             )
-            for node_id, node in host(scenario, path[2:], far.call).items():
-                await far.start_node(node_id, node.handle)
+            await start([near, far])
+            near.nodes[bounded].max_inflight = 1
 
             async def reaches_the_link(walk, frames):
                 while len(link.frames) < frames:
@@ -531,21 +561,25 @@ class TestSameShardHops:
             # The first walk holds the bounded node's only slot while it
             # waits at the link; the second finds the node at its bound.
             first = asyncio.ensure_future(
-                forward(ingress, get_frame(record, 1))
+                link.far.call(ingress, get_frame(record, 1))
             )
             await reaches_the_link(first, 1)
             second = asyncio.ensure_future(
-                forward(ingress, get_frame(record, 2))
+                link.far.call(ingress, get_frame(record, 2))
             )
             await reaches_the_link(second, 2)
             link.gate.set()
             replies = await asyncio.gather(first, second)
-            return replies, near, link.frames
+            inflight = [node.inflight for node in near.nodes.values()]
+            await near.stop(drain=False)
+            await far.stop(drain=False)
+            return replies, near.nodes, link.frames, inflight
 
-        replies, near, frames = run(two_walks())
+        replies, near, frames, inflight = run(two_walks())
         assert [reply["type"] for reply in replies] == [MSG_RESP, MSG_RESP]
+        assert inflight == [0, 0]
         shed = near[bounded].registry.node(bounded)
-        attempts = ResilienceConfig().retry.attempts
+        attempts = RetryPolicy().attempts
         # Shed on every attempt, before any cache state was touched ...
         assert shed.busy_rejections == attempts
         assert near[bounded].requests_handled == 1 and shed.misses == 1
@@ -555,10 +589,17 @@ class TestSameShardHops:
         assert upstream.failovers == 1
         assert (frames[0]["index"], frames[0]["skipped"]) == (2, [])
         assert (frames[1]["index"], frames[1]["skipped"]) == (2, [1])
+        # Every shed attempt left a busy span at the bounded node.
+        busy = [
+            event["node"]
+            for event in read_trace_events(spans)
+            if event.get("status") == "busy"
+        ]
+        assert busy == [bounded] * attempts
 
     def test_each_candidate_frame_owns_its_lists(self, scenario):
-        """A hosted receiver is handed the frame dict itself and appends
-        to its lists; what it added must not reach the next candidate."""
+        """A receiver may append to the frame it is handed; what it added
+        must not reach the next failover candidate."""
         arch, trace, _ = scenario
         record = trace[0]
         path = arch.request_path(record.client_id, record.server_id)
@@ -580,9 +621,9 @@ class TestSameShardHops:
                 "evictions": 0,
             }
 
-        once = ResilienceConfig(retry=RetryPolicy(attempts=1))
+        once = RetryPolicy(attempts=1)
         node = host(
-            scenario, [path[0]], forward, {path[0]: {"resilience": once}}
+            scenario, [path[0]], forward, {path[0]: {"retry": once}}
         )[path[0]]
         reply = run(node.handle(get_frame(record, 1)))
         assert reply["type"] == MSG_RESP
@@ -592,7 +633,7 @@ class TestSameShardHops:
         assert skipped == [1]
 
 
-class CountingWire:
+class CountingWire(Transport):
     """Everything that is a frame -- client to entry node, shard to
     shard -- crosses here, is counted, and round-trips the codec."""
 
@@ -601,37 +642,33 @@ class CountingWire:
         self.frames: list = []
         self.down: set = set()
 
+    async def start_node(self, node_id, handler):
+        return await self.inner.start_node(node_id, handler)
+
     async def call(self, address, message: dict) -> dict:
         self.frames.append((address, message))
         if address in self.down:
             raise NodeUnreachable(f"node {address} is down")
         return await self.inner.call(address, message)
 
+    async def close(self) -> None:
+        await self.inner.close()
+
 
 async def two_shards(scenario, wire):
-    """Both halves of a two-shard plan in this process, each behind its
-    own ``shard_forwarder``, warmed with the head of the trace."""
-    arch, trace, _ = scenario
+    """Both ``Cluster(shard=...)`` halves of a two-shard plan in this
+    process, warmed with the head of the trace."""
+    arch, trace, catalog = scenario
     plan = ShardPlan.compute(arch, 2)
-    addresses = {node: node for node in plan.assignment}
-    rngs = {node: random.Random(node) for node in plan.assignment}
-    nodes = {}
-    for shard in range(2):
-        hosted: dict = {}
-        hosted.update(
-            host(
-                scenario,
-                plan.nodes_of(shard),
-                shard_forwarder(hosted, wire, addresses),
-                {
-                    node: {"shard_of": plan.assignment, "rng": rngs[node]}
-                    for node in plan.nodes_of(shard)
-                },
-            )
+    halves = [
+        Cluster.build(
+            arch, catalog, "coordinated", config=CONFIG, transport=wire,
+            shard=(shard, plan.assignment),
         )
-        nodes.update(hosted)
-    for node_id, node in nodes.items():
-        await wire.inner.start_node(node_id, node.handle)
+        for shard in range(2)
+    ]
+    addresses = await start(halves)
+    nodes = {n: node for half in halves for n, node in half.nodes.items()}
     for record in trace.records[:200]:
         await wire.call(
             arch.client_nodes[record.client_id],
@@ -639,6 +676,7 @@ async def two_shards(scenario, wire):
              "time": record.time},
         )
     wire.frames.clear()
+    rngs = {n: node._rng for n, node in nodes.items()}
     return plan, nodes, addresses, rngs
 
 
@@ -648,8 +686,8 @@ def invalidations(nodes, targets):
 
 class TestInvalidationRelay:
     """One ``inv`` frame per process: the entry node relays a broadcast
-    inside its shard by direct calls and sends each other shard one
-    frame (``CacheNode._relay_invalidate``)."""
+    inside its shard in memory and sends each other shard one frame
+    (``CacheNode._relay_invalidate``)."""
 
     def test_one_frame_per_other_shard_and_the_loop_s_outcome(self, scenario):
         arch, trace, _ = scenario

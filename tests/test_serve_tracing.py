@@ -29,8 +29,8 @@ from repro.serve import (
     ClusterClient,
     InProcessTransport,
     LoadGenerator,
-    ResilienceConfig,
     RetryPolicy,
+    ShardPlan,
     ShardedCluster,
     TCPTransport,
     TracingConfig,
@@ -49,10 +49,8 @@ WORKLOAD = WorkloadConfig(
     seed=7,
 )
 CONFIG = SimulationConfig(relative_cache_size=0.01)
-FAST_RESILIENCE = ResilienceConfig(
-    retry=RetryPolicy(
-        attempts=3, backoff_base=0.0005, backoff_max=0.002, jitter=0.5
-    )
+FAST_RETRY = RetryPolicy(
+    attempts=3, backoff_base=0.0005, backoff_max=0.002, jitter=0.5
 )
 
 
@@ -73,7 +71,7 @@ def run(coro, timeout=120.0):
 
 
 def replay_inprocess(arch, catalog, trace, tracing=None, transport=None,
-                     resilience=None):
+                     retry=None, shard=None):
     """One sequential in-process replay; returns (report, cluster)."""
 
     async def scenario():
@@ -85,8 +83,9 @@ def replay_inprocess(arch, catalog, trace, tracing=None, transport=None,
             transport=transport if transport is not None else (
                 InProcessTransport()
             ),
-            resilience=resilience,
+            retry=retry,
             tracing=tracing,
+            shard=shard,
         )
         await cluster.start()
         loadgen = LoadGenerator(
@@ -254,7 +253,7 @@ class TestFailoverTracing:
             trace,
             tracing=TracingConfig(path=trace_file),
             transport=FaultyTransport(InProcessTransport(), FaultInjector(plan)),
-            resilience=FAST_RESILIENCE,
+            retry=FAST_RETRY,
         )
         assert report.errors == 0
         trees = [
@@ -279,6 +278,45 @@ class TestFailoverTracing:
         assert touched > 0, "victim never sat on a served prefix"
         # Retries the resilience layer burned are attributed to spans.
         assert sum(t.total_retries() for t in trees) > 0
+
+
+class TestInMemoryHopSpans:
+    def test_one_nested_span_per_position(self, scenario, tmp_path):
+        """A one-piece shard crosses every hop in memory: still one span
+        per visited position, each wait inside its span, and each child
+        inside its parent's wait -- so self and link time stay >= 0."""
+        arch, trace, catalog = scenario
+        baseline = replay_inprocess(arch, catalog, trace)
+        trace_file = tmp_path / "spans.jsonl"
+        traced = replay_inprocess(
+            arch,
+            catalog,
+            trace,
+            tracing=TracingConfig(path=trace_file),
+            shard=(0, ShardPlan.compute(arch, 1).assignment),
+        )
+        assert traced.summary == baseline.summary and traced.errors == 0
+        trees = [
+            t
+            for t in reconstruct_traces(read_trace_events(trace_file)).values()
+            if not t.trace_id.startswith("tinv.")
+        ]
+        assert len(trees) == traced.requests_total
+        for tree in trees:
+            assert_tree_matches_frame_path(tree)
+            walks = tree.walk_spans()
+            assert len(walks) == (
+                tree.hit_index() + 1 - len(tree.skipped_indices())
+            )
+            for span in walks:
+                upstream = span.upstream or 0.0
+                steps = sum(
+                    t or 0.0 for t in (span.lookup, span.decide, span.deliver)
+                )
+                assert 0.0 <= upstream <= span.wall
+                assert span.wall - upstream - steps >= -1e-9
+                for child in span.children:
+                    assert child.wall <= upstream
 
 
 class TestShardedTracing:

@@ -8,6 +8,9 @@ field, and no node's clock, request count, registry, protocol counters
 or cache contents moved -- the frame is rejected before any state does.
 The connection-level contract is unchanged: a handler error is an
 ``error`` frame, so a well-formed request afterwards is served normally.
+A ``get`` names its client and server first: both must be ids the
+architecture knows, and a refused ``get`` leaves a traced ingress's
+sampler and trace ids where they were.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import copy
 import pytest
 
 from repro.experiments.presets import build_architecture
-from repro.serve import Cluster, LoadGenerator
+from repro.serve import Cluster, LoadGenerator, TracingConfig
 from repro.serve.protocol import (
     MSG_FWD,
     MSG_GET,
@@ -62,10 +65,25 @@ ROWS = [
     ("trace", 3),
     ("trace", "t"),
 ]
-# A ``get`` carries no ``reports``: the ingress node starts the list.
-KINDS = [(MSG_FWD, row) for row in ROWS] + [
-    (MSG_GET, row) for row in ROWS if row[0] != "reports"
+# Only a ``get`` names its endpoints: JSON integers the architecture
+# knows (the scenario has 8 clients and 3 servers).
+ENDPOINT_ROWS = [
+    ("client_id", "3"),
+    ("client_id", None),
+    ("client_id", 1.0),
+    ("client_id", True),
+    ("client_id", 999),
+    ("server_id", "0"),
+    ("server_id", -1),
+    ("server_id", True),
+    ("server_id", 999),
 ]
+# A ``get`` carries no ``reports``: the ingress node starts the list.
+KINDS = (
+    [(MSG_FWD, row) for row in ROWS]
+    + [(MSG_GET, row) for row in ROWS if row[0] != "reports"]
+    + [(MSG_GET, row) for row in ENDPOINT_ROWS]
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,4 +186,43 @@ def test_the_check_runs_on_every_hop_not_only_at_ingress(scenario):
         return before, after
 
     before, after = asyncio.run(run())
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "field,value", [("client_id", 999), ("size", -5), ("object_id", "7")]
+)
+def test_a_refused_get_leaves_the_ingress_tracer_alone(
+    scenario, tmp_path, field, value
+):
+    """Sampling and trace-id minting happen only once every field holds."""
+    arch, trace, catalog = scenario
+
+    async def run():
+        cluster = Cluster.build(
+            arch,
+            catalog,
+            "coordinated",
+            config=CONFIG,
+            tracing=TracingConfig(tmp_path / "spans.jsonl"),
+        )
+        await cluster.start()
+        await LoadGenerator(cluster, trace).run(mode="sequential")
+        ingress, frames = frames_for(arch, trace[len(trace) - 1])
+        tracer = cluster.nodes[ingress]._tracer
+
+        def tracer_state():
+            return tracer._seq, dict(tracer.probe._counts)
+
+        before = tracer_state(), state_of(cluster)
+        with pytest.raises(RemoteProtocolError) as raised:
+            await cluster.transport.call(
+                cluster.addresses[ingress], {**frames[MSG_GET], field: value}
+            )
+        after = tracer_state(), state_of(cluster)
+        await cluster.stop()
+        return str(raised.value), before, after
+
+    text, before, after = asyncio.run(run())
+    assert text.startswith("ProtocolError") and field in text, text
     assert after == before

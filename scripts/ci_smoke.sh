@@ -79,6 +79,15 @@ echo "== one walk loop gate =="
 # forwarder or frame-free call sits between two nodes, and the retry
 # policy is passed as itself.
 test -z "$(grep -rn "shard_forwarder\|direct_call\|ResilienceConfig" src)"
+# Fault decisions exist in one routine, FaultInjector.hop: a frame (in
+# the FaultyTransport) and an in-memory hop (at the node it reaches)
+# meet the same seat, so each decision is called at one site, inside it.
+INJECTOR=src/repro/faults/injector.py
+SEAT=$(sed -n '/async def hop(/,/return decision.duplicate/p' "$INJECTOR")
+for decision in link_decision node_down; do
+    test "$(grep -rn "[.]$decision(" src | wc -l)" -eq 1
+    echo "$SEAT" | grep -q "[.]$decision("
+done
 
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
@@ -211,7 +220,9 @@ echo "== chaos smoke (fault-injected serve + loadgen) =="
 # slow-down (the plan targets the small hierarchical topology at seed 0).
 # The run must complete with zero client-visible errors -- the resilience
 # layer (deadlines, retries, breakers, failover) absorbs every fault --
-# and the retry counters scraped from /metrics must have moved.
+# and the retry counters scraped from /metrics must have moved.  A one-
+# process serve crosses every hop in memory, so the timeouts counter
+# moving shows the plan's drops fire at the nodes' per-hop seat.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro serve \
     --scheme coordinated --arch hierarchical --scale small \
     --fault-plan examples/fault_plan.json \
@@ -242,6 +253,7 @@ for node, (host, port) in sorted(manifest["metrics"].items()):
 print("resilience counters:",
       ", ".join(f"{k}={v}" for k, v in sorted(survived.items())))
 assert survived["rpc_retries_total"] > 0, "fault plan exercised nothing"
+assert survived["rpc_timeouts_total"] > 0, "no drop fired on an in-memory hop"
 EOF
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true

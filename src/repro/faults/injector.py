@@ -1,29 +1,38 @@
-"""Deterministic fault injection above any cluster transport.
+"""Deterministic fault injection at every hop of a cluster.
 
 The :class:`FaultInjector` turns a :class:`~repro.faults.plan.FaultPlan`
-into per-call decisions; the :class:`FaultyTransport` applies them while
-wrapping a real :class:`~repro.serve.transport.Transport`:
+into per-hop decisions, all taken in one routine (:meth:`FaultInjector.
+hop`).  Two callers consult it: the :class:`FaultyTransport`, which
+wraps a real :class:`~repro.serve.transport.Transport` and so sees every
+frame, and a :class:`~repro.serve.node.CacheNode` reached in memory by a
+co-hosted node (a walk's ``fwd`` position, an ``inv`` hand-over), which
+the cluster hosting it hands the transport's injector.  A hop meets the
+same seat either way:
 
-* a **dropped** frame never reaches the destination handler -- the
-  wrapper (optionally after a short hold) raises
-  :class:`~repro.serve.protocol.CallTimeout`, exactly what the caller
-  would observe when its per-RPC deadline expires on a lost frame;
-* a **corrupted** frame is rejected before dispatch and surfaces as
+* a **dropped** hop never reaches the destination -- after a short hold
+  the seat raises :class:`~repro.serve.protocol.CallTimeout`, exactly
+  what the caller would observe when its per-RPC deadline expires on a
+  lost frame;
+* a **corrupted** hop is rejected before dispatch and surfaces as
   :class:`~repro.serve.protocol.FrameCorruption` (the receiving side's
   error-frame answer, collapsed into one exception);
-* a **delayed** frame is held back, then delivered normally;
+* a **delayed** hop is held back, then delivered normally;
+* a hop towards a **crashed** node is refused with
+  :class:`~repro.serve.protocol.NodeUnreachable` before the destination
+  is touched, and hops towards a **slow** node are delayed by the
+  fault's ``delay_seconds``;
 * a **duplicated** frame is dispatched twice, back to back, and the
-  first reply wins -- the retransmit case where both copies arrive;
-* a call towards a **crashed** node is refused with
-  :class:`~repro.serve.protocol.NodeUnreachable` before touching the
-  inner transport, and calls towards a **slow** node are delayed by the
-  fault's ``delay_seconds``.
+  first reply wins -- the retransmit case where both copies arrive.  An
+  in-memory hand-over cannot arrive twice: there a drawn duplicate is
+  tallied in :attr:`FaultInjector.duplicates` and moves no state, the
+  one difference between a framed and an in-memory hop.
 
-Faults are decided *above* the inner transport and *before* dispatch, so
-a handler is never cancelled mid-mutation: under a sequential driver the
-whole faulted run -- including which frames drop and when a node dies --
-is a deterministic function of (plan, seed, call sequence).  That
-determinism is the chaos suite's repeatability gate.
+The RNG stream and the call counter advance once per hop, framed or
+not.  Faults are decided *before* dispatch, so a handler is never
+cancelled mid-mutation: under a sequential driver the whole faulted
+run -- including which hops drop and when a node dies -- is a
+deterministic function of (plan, seed, hop sequence).  That determinism
+is the chaos suite's repeatability gate.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ DROP_HOLD_SECONDS = 0.001
 
 
 class FaultInjector:
-    """Seeded per-call fault decisions for one run of a plan."""
+    """Seeded per-hop fault decisions for one run of a plan."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -64,10 +73,9 @@ class FaultInjector:
 
     # -- schedule state ------------------------------------------------------
 
-    def observe(self, message: dict) -> None:
+    def observe(self, now) -> None:
         """Advance the injector's call counter and trace clock."""
         self.calls += 1
-        now = message.get("time")
         if isinstance(now, (int, float)) and now > self.clock:
             self.clock = float(now)
 
@@ -112,6 +120,37 @@ class FaultInjector:
         if decision.delay_seconds > 0:
             self.delays += 1
         return decision
+
+    # -- the per-hop seat ----------------------------------------------------
+
+    async def hop(self, op: str, dest: Optional[int], now=None) -> bool:
+        """Every fault decision for one hop towards ``dest``, in order.
+
+        Observes the hop (``now`` is its trace time, if it carries one),
+        refuses it when ``dest`` is down, draws its link faults, holds
+        for any delay or slow-down, then fails it as a drop or a
+        corruption.  Returns whether a duplicate was drawn; what a
+        duplicate does is the caller's (a frame arrives twice, an
+        in-memory hand-over does not).
+        """
+        self.observe(now)
+        if self.node_down(dest):
+            self.refused_calls += 1
+            raise NodeUnreachable(f"node {dest} is down (injected crash)")
+        decision = self.link_decision(op, dest)
+        hold = decision.delay_seconds + self.node_slowdown(dest)
+        if hold > 0:
+            await asyncio.sleep(hold)
+        if decision.drop:
+            await asyncio.sleep(DROP_HOLD_SECONDS)
+            raise CallTimeout(
+                f"frame to node {dest} lost (injected drop); deadline expired"
+            )
+        if decision.corrupt:
+            raise FrameCorruption(
+                f"frame to node {dest} damaged in flight (injected corruption)"
+            )
+        return decision.duplicate
 
     def summary(self) -> dict:
         return {
@@ -164,6 +203,8 @@ class FaultyTransport(Transport):
         injector = FaultInjector(FaultPlan.from_json_file(path))
         cluster = Cluster.build(..., transport=FaultyTransport(inner, injector))
 
+    The cluster hands :attr:`injector` to its nodes, so the hops they
+    cross in memory meet the same plan as the frames crossing here.
     ``start_node`` passes handlers through untouched (node death is
     modelled at the caller's edge, like a refused connection) but records
     the address -> node mapping so per-node faults can be resolved on
@@ -185,27 +226,13 @@ class FaultyTransport(Transport):
         return address
 
     async def call(self, address, message: dict) -> dict:
-        injector = self.injector
-        injector.observe(message)
-        dest = self._node_by_address.get(self._freeze(address))
-        if injector.node_down(dest):
-            injector.refused_calls += 1
-            raise NodeUnreachable(f"node {dest} is down (injected crash)")
-        decision = injector.link_decision(message.get("type", "?"), dest)
-        hold = decision.delay_seconds + injector.node_slowdown(dest)
-        if hold > 0:
-            await asyncio.sleep(hold)
-        if decision.drop:
-            await asyncio.sleep(DROP_HOLD_SECONDS)
-            raise CallTimeout(
-                f"frame to node {dest} lost (injected drop); deadline expired"
-            )
-        if decision.corrupt:
-            raise FrameCorruption(
-                f"frame to node {dest} damaged in flight (injected corruption)"
-            )
+        duplicate = await self.injector.hop(
+            message.get("type", "?"),
+            self._node_by_address.get(self._freeze(address)),
+            message.get("time"),
+        )
         reply = await self.inner.call(address, message)
-        if decision.duplicate:
+        if duplicate:
             # The retransmit also arrives; the first reply wins.
             await self.inner.call(address, message)
         return reply

@@ -10,10 +10,18 @@ a request entering at a client's attachment node walks exactly the
 delivery path the simulator would route, because every node resolves
 paths from the same shared routing table.
 
+Every cluster shares its node map with each of its nodes
+(:attr:`CacheNode.hosted`), so a walk crosses the nodes of one process
+in memory and frames exist only where they must: at the client edge
+(``get``/``resp``, the ``inv`` entry frame, channel broker traffic) and
+at process boundaries.  A fault plan follows the hops into memory: the
+cluster hands its transport's injector (a
+:class:`~repro.faults.injector.FaultyTransport` carries one) to every
+node, whose in-memory hops meet the same per-hop seat as a frame.
+
 A cluster is also what a shard worker process runs
 (:mod:`repro.serve.shard`): built with ``shard=(shard_id, assignment)``
-it hosts only the nodes the assignment gives it and shares its node map
-with each of them (:attr:`CacheNode.hosted`), so a walk crosses the
+it hosts only the nodes the assignment gives it, so a walk crosses the
 nodes of the shard in memory and every other node by frames; it is
 otherwise the same object -- one place builds nodes, tracers and scrape
 endpoints, drains and snapshots.
@@ -361,6 +369,9 @@ class Cluster(ControlPlane):
                 seed=self.tracing.seed,
                 kinds=("span",),
             )
+        # A transport carrying a fault plan exposes its injector; the
+        # nodes consult it for the hops they cross in memory.
+        injector = getattr(self.transport, "injector", None)
         for node_id in sorted(self.architecture.network.nodes()):
             if self.shard_of is not None and (
                 self.shard_of[node_id] != self.shard_id
@@ -382,11 +393,8 @@ class Cluster(ControlPlane):
                 shard_of=self.shard_of,
                 tracer=tracer,
             )
-            if self.shard_of is not None:
-                # Frames exist only at process boundaries.  An unsharded
-                # cluster frames every hop: its transport is the oracles'
-                # reference and what a fault plan sees.
-                node.hosted = self.nodes
+            node.hosted = self.nodes
+            node.injector = injector
             self.nodes[node_id] = node
             self.addresses[node_id] = await self.transport.start_node(
                 node_id, node.handle

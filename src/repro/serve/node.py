@@ -19,7 +19,8 @@ tracing, and converts nothing:
   step will read (:func:`_walk_fields`) once, refusing a malformed frame
   before any state moves, every hosted position then runs its own steps
   in memory, and the first position the process does not host gets one
-  ``fwd`` frame;
+  ``fwd`` frame.  A one-process cluster hosts every node, so its walks
+  leave no frame behind the client's ``get``;
 * the reply unwinds downstream along the same positions -- exactly the
   paper's response path, as a ``resp`` frame across a process boundary
   and in memory inside one -- with every node applying the shipped
@@ -37,7 +38,9 @@ through the attached cache observers), so ``stats`` frames and the
 ``/metrics`` endpoint expose the standard per-node counters.
 
 **Resilience.**  Reaching the next position -- a frame to another
-process, or a co-hosted node's admission check -- runs through
+process, or a co-hosted node's admission check, which first meets the
+fault plan's per-hop seat (:meth:`~repro.faults.injector.FaultInjector.
+hop`) when the cluster runs one -- runs through
 :meth:`CacheNode._call_upstream`: a per-upstream circuit breaker, then a
 bounded retry loop with exponential backoff and seeded jitter around the
 retryable failures (:data:`~repro.serve.protocol.RETRYABLE_ERRORS` --
@@ -288,9 +291,16 @@ class CacheNode:
         self.retry = retry if retry is not None else RetryPolicy()
         # The nodes of this process, by id, that a walk or an inv relay
         # reaches in memory; every other node is a frame away.  The
-        # hosting cluster shares its node map here when it is a shard,
-        # and leaves it empty otherwise, so every hop is a frame.
+        # hosting cluster shares its node map here, so frames exist only
+        # at process boundaries.  Reached in memory, nothing suspends a
+        # walk unless a fault holds it, so concurrent walks through one
+        # process never interleave.
         self.hosted: Mapping[int, CacheNode] = {}
+        # The fault plan's per-hop seat (a FaultInjector) an in-memory
+        # hop meets before this node's state moves, as a frame meets it
+        # in the FaultyTransport; the hosting cluster hands over its
+        # transport's.  None, without a plan, costs one test per hop.
+        self.injector = None
         # Jitter source for retry backoff; a per-node seeded RNG makes the
         # whole retry schedule (and thus the chaos counters) reproducible.
         self._rng = rng
@@ -373,8 +383,11 @@ class CacheNode:
 
     async def _admit(self, ctx: Optional[dict], now: float, object_id) -> None:
         """Admission at a co-hosted position: a walk reaching this node in
-        memory is shed exactly as its frame would be, with the
-        :class:`~repro.serve.protocol.NodeBusy` that frame would raise."""
+        memory meets the fault plan's seat, then is shed exactly as its
+        frame would be, with the :class:`~repro.serve.protocol.NodeBusy`
+        that frame would raise."""
+        if self.injector is not None:
+            await self.injector.hop(MSG_FWD, self.node_id, now)
         if self.max_inflight is not None and self.inflight >= self.max_inflight:
             raise_if_error(
                 self._shed({"trace": ctx, "time": now, "object_id": object_id})
@@ -719,15 +732,16 @@ class CacheNode:
         answers into ``reply``.
 
         Frames exist only at process boundaries: a co-hosted node is
-        handed the plain ``inv`` in memory (:attr:`hosted`), every other
-        shard gets one ``inv`` naming its members, sent to the first of
-        them, and relays it the same way; without a shard map every other
-        node gets a plain frame.  Best-effort and single-attempt like any
-        broadcast: a frame that fails retryably lands in ``skipped`` (a
-        remote group is tried once more through its second member),
-        without the retry RNG or the breakers -- those belong to the
-        request walks.  Every relayed list is shorter than the one
-        received, so a forged list cannot loop.
+        handed the plain ``inv`` in memory (:attr:`hosted`) once the
+        fault plan's seat lets it through, every other shard gets one
+        ``inv`` naming its members, sent to the first of them, and relays
+        it the same way; without a shard map every other node gets a
+        plain frame.  Best-effort and single-attempt like any broadcast:
+        a hand-over that fails retryably lands in ``skipped`` (a remote
+        group is tried once more through its second member), without the
+        retry RNG or the breakers -- those belong to the request walks.
+        Every relayed list is shorter than the one received, so a forged
+        list cannot loop.
         """
 
         plain = {"type": MSG_INV, "object_id": object_id}
@@ -760,6 +774,12 @@ class CacheNode:
                 continue
             local = self.hosted.get(node)
             if local is not None:
+                if local.injector is not None:
+                    try:
+                        await local.injector.hop(MSG_INV, node)
+                    except RETRYABLE_ERRORS:
+                        reply["skipped"].append(node)
+                        continue
                 answer = await local._handle_invalidate(plain)
                 reply["removed"] += answer["removed"]
                 reply["delivered"] += 1

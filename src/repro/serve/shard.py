@@ -43,9 +43,10 @@ scheme steps on the same private state, charged to its own counters,
 and paths still come from the shared routing table.  Input checks stay
 where outside input arrives: field validation where a frame enters a
 process, frame-size and JSON checks on every frame read from a socket.
-``InProcessTransport`` keeps its codec round trip -- it is the reference
-the simulator oracles compare against, and an unsharded ``Cluster``
-puts every hop on its transport.
+``InProcessTransport`` keeps its codec round trip for the frames that
+remain: the client edge of a one-process ``Cluster``, which hosts every
+node and so puts no hop on its transport, and the boundaries between
+``Cluster(shard=...)`` pieces sharing one in-process wire.
 
 Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is

@@ -8,7 +8,11 @@ between them.  Two implementations:
   each message through the real frame codec, so the serialization path
   is identical to the wire.  Deterministic (no sockets, no scheduling
   races under sequential drivers), which is what the simulator-vs-
-  cluster differential oracle runs on.
+  cluster differential oracle runs on.  A one-process cluster crosses
+  its hops in memory (:attr:`~repro.serve.node.CacheNode.hosted`), so
+  here this is the client edge's codec: ``get``/``resp`` and the
+  ``inv`` entry frame, plus the frames between ``Cluster(shard=...)``
+  pieces sharing one in-process wire.
 * :class:`TCPTransport` -- every node listens on its own TCP socket and
   frames flow over loopback or a real network.  Connections are pooled
   per destination; a pooled connection is only ever used by one in-
@@ -172,10 +176,9 @@ class InProcessTransport(Transport):
 
     ``call_timeout`` bounds one dispatch; it is meant for single-hop
     handlers (a timeout cancels the handler mid-flight, which for a
-    nested walk -- or an ``inv`` entry frame, whose dispatch spans the
-    whole relay -- would abandon in-flight nested calls), so cluster
-    runs leave it ``None`` and let injected faults model lost frames
-    instead.
+    walk -- or an ``inv`` entry frame, whose dispatch spans the whole
+    relay -- would abandon it half done), so cluster runs leave it
+    ``None`` and let injected faults model lost frames instead.
     """
 
     def __init__(self, call_timeout: Optional[float] = None) -> None:

@@ -17,6 +17,13 @@ machinery together:
   ``MetricsSummary`` for every scheme, and every resilience counter
   stays zero.
 
+A one-process cluster crosses its hops in memory, so the plan meets
+them at the nodes' per-hop seat rather than on frames; the seat is
+pinned on its own: a crash or a drop on an in-memory hop fails it
+exactly as a frame would, a drawn duplicate moves no state, and the
+injector counts one call per hop, as many as the frames a cluster split
+into one piece per node sends.
+
 Plus unit coverage of the pieces: retry backoff shape, circuit-breaker
 transitions, fault-plan JSON round-trips and schedule windows, and the
 injector's per-fault behavior.
@@ -53,6 +60,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
+from repro.workload.updates import generate_update_events
+from tests.test_serve_shard import framed_replay
 
 WORKLOAD = WorkloadConfig(
     num_objects=100,
@@ -122,7 +131,7 @@ def chaos_plan(arch, trace, seed=7):
     )
 
 
-def replay_under_faults(arch, catalog, scheme_name, trace, plan):
+def replay_under_faults(arch, catalog, scheme_name, trace, plan, updates=()):
     """One sequential in-process replay through a FaultyTransport."""
 
     async def scenario():
@@ -138,7 +147,8 @@ def replay_under_faults(arch, catalog, scheme_name, trace, plan):
         )
         await cluster.start()
         loadgen = LoadGenerator(
-            cluster, trace, warmup_fraction=CONFIG.warmup_fraction
+            cluster, trace, updates=updates,
+            warmup_fraction=CONFIG.warmup_fraction,
         )
         report = await loadgen.run(mode="sequential")
         merged = StatRegistry()
@@ -229,6 +239,172 @@ class TestEmptyPlanTransparency:
             assert merged.total(field) == 0
         assert injected["drops"] == 0
         assert injected["refused_calls"] == 0
+
+
+class TestInMemoryHopSeat:
+    """The fault plan at a hop a one-process cluster crosses in memory."""
+
+    @staticmethod
+    def first_walk(arch, trace):
+        """The first request whose path has a position to fail over to
+        past its second one."""
+        for record in trace.records:
+            path = arch.request_path(record.client_id, record.server_id)
+            if len(path) >= 4:
+                return record, path
+        raise AssertionError("trace has no walk of four positions")
+
+    def one_get(self, seeded_trace, plan_for):
+        """One cold ``get`` through an unsharded cluster, under the plan
+        ``plan_for`` builds against the walk's second position."""
+        trace, catalog = seeded_trace
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        record, path = self.first_walk(arch, trace)
+
+        async def scenario():
+            injector = FaultInjector(plan_for(path[1]))
+            cluster = Cluster.build(
+                arch,
+                catalog,
+                "coordinated",
+                config=CONFIG,
+                transport=FaultyTransport(InProcessTransport(), injector),
+                retry=FAST_RETRY,
+            )
+            await cluster.start()
+            victim = cluster.nodes[path[1]]
+            before = victim.registry.snapshot()
+            reply = await cluster.transport.call(
+                cluster.ingress_address(record.client_id),
+                {
+                    "type": "get",
+                    "client_id": record.client_id,
+                    "server_id": record.server_id,
+                    "object_id": record.object_id,
+                    "size": record.size,
+                    "time": record.time,
+                },
+            )
+            untouched = (
+                victim.requests_handled == 0
+                and victim.inflight == 0
+                and victim.registry.snapshot() == before
+            )
+            ingress = cluster.nodes[path[0]].registry.node(path[0])
+            await cluster.stop()
+            return reply, untouched, ingress, injector
+
+        return asyncio.run(scenario())
+
+    def test_crash_refuses_before_the_victim_moves(self, seeded_trace):
+        reply, untouched, ingress, injector = self.one_get(
+            seeded_trace,
+            lambda victim: FaultPlan(
+                seed=1, nodes=(NodeFault(node=victim, kind="crash"),)
+            ),
+        )
+        attempts = FAST_RETRY.attempts
+        assert reply["type"] == "resp" and reply["hit_index"] >= 2
+        # Every attempt was refused at the seat, before the victim's
+        # request count, registry or inflight slot moved ...
+        assert injector.refused_calls == attempts
+        assert untouched
+        # ... and the walk went round it.
+        assert (ingress.rpc_retries, ingress.failovers) == (attempts - 1, 1)
+        assert ingress.rpc_timeouts == 0
+
+    def test_certain_drop_is_a_retried_timeout(self, seeded_trace):
+        reply, untouched, ingress, injector = self.one_get(
+            seeded_trace,
+            lambda victim: FaultPlan(
+                seed=1,
+                links=(LinkRule(ops=("fwd",), dest=victim, drop_rate=1.0),),
+            ),
+        )
+        attempts = FAST_RETRY.attempts
+        assert reply["type"] == "resp"
+        assert injector.drops == attempts and untouched
+        assert ingress.rpc_timeouts == attempts
+        assert (ingress.rpc_retries, ingress.failovers) == (attempts - 1, 1)
+
+    def test_inv_hand_over_meets_the_seat(self, seeded_trace):
+        """A broadcast relayed in memory skips the node whose hand-over
+        the plan drops, and reaches every other one."""
+        _, catalog = seeded_trace
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        targets = sorted(arch.cache_nodes)
+        victim = targets[1]  # not the entry, which gets the one frame
+        plan = FaultPlan(
+            seed=1, links=(LinkRule(ops=("inv",), dest=victim, drop_rate=1.0),)
+        )
+
+        async def scenario():
+            injector = FaultInjector(plan)
+            cluster = Cluster.build(
+                arch,
+                catalog,
+                "coordinated",
+                config=CONFIG,
+                transport=FaultyTransport(InProcessTransport(), injector),
+            )
+            await cluster.start()
+            await cluster.invalidate(0)
+            counted = {
+                n: cluster.nodes[n].scheme.protocol_stats.invalidations
+                for n in targets
+            }
+            skips = cluster.invalidate_skips
+            await cluster.stop()
+            return injector, counted, skips
+
+        injector, counted, skips = asyncio.run(scenario())
+        assert (injector.calls, injector.drops) == (len(targets), 1)
+        assert skips == 1
+        assert counted == {n: int(n != victim) for n in targets}
+
+    def test_duplicate_is_tallied_and_moves_nothing(self, seeded_trace):
+        trace, catalog = seeded_trace
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        doubled = FaultPlan(
+            seed=1, links=(LinkRule(ops=("fwd",), duplicate_rate=1.0),)
+        )
+        report, merged, injected = replay_under_faults(
+            arch, catalog, "coordinated", trace, doubled
+        )
+        clean, clean_merged, clean_injected = replay_under_faults(
+            arch, catalog, "coordinated", trace, FaultPlan.empty()
+        )
+        # Every in-memory fwd hop drew a duplicate (one call per hop,
+        # beyond the clients' get frames) ...
+        assert injected["calls"] == clean_injected["calls"]
+        assert injected["duplicates"] == injected["calls"] - len(trace) > 0
+        # ... and not one of them moved a counter or a cache.
+        assert merged.snapshot() == clean_merged.snapshot()
+        assert report.summary == clean.summary
+
+    def test_fault_free_calls_equal_the_framed_hops(self, seeded_trace):
+        """One injector call per hop: as many as the frames the same
+        trace sends when every hop is a frame."""
+        trace, catalog = seeded_trace
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        updates = generate_update_events(
+            num_objects=WORKLOAD.num_objects,
+            duration=trace[len(trace) - 1].time,
+            update_rate=0.5,
+            seed=9,
+        )
+
+        in_memory, _, injected = replay_under_faults(
+            arch, catalog, "coordinated", trace, FaultPlan.empty(), updates
+        )
+        framing = FaultInjector(FaultPlan.empty())
+        framed = framed_replay(
+            arch, catalog, "coordinated", trace,
+            FaultyTransport(InProcessTransport(), framing), CONFIG, updates,
+        )
+        assert in_memory.summary == framed.summary
+        assert in_memory.updates_applied == len(updates) > 0
+        assert injected["calls"] == framing.calls > len(trace) + len(updates)
 
 
 class TestRetryPolicy:

@@ -18,7 +18,8 @@ honor the same contracts, whatever its placement rule:
 * **Wire cleanliness** -- every frame a node sends or returns is a fixed
   point of the frame codec (same values, same types), so two nodes
   behave the same whether a shard plan puts a frame between them or
-  the walk crosses them in memory (``CacheNode.hosted``).
+  the walk crosses them in memory (``CacheNode.hosted``).  Checked on
+  a cluster split into one piece per node, where every hop is a frame.
 
 * **One message, two drivers** -- for the report-carrying family the
   request message ``decide_step`` reads in the simulator and the
@@ -50,6 +51,7 @@ from repro.topology.builder import build_chain
 from repro.verify.fastpath_diff import assert_cache_state_identical
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
 from repro.workload.updates import generate_update_events
+from tests.test_serve_shard import framed_replay
 
 WORKLOAD = WorkloadConfig(
     num_objects=80,
@@ -132,11 +134,9 @@ def simulate(arch, catalog, scheme_name, trace, updates=()):
     return engine.run(trace, updates=updates)
 
 
-def serve_replay(arch, catalog, scheme_name, trace, updates=(), transport=None):
+def serve_replay(arch, catalog, scheme_name, trace, updates=()):
     async def scenario():
-        cluster = Cluster.build(
-            arch, catalog, scheme_name, config=CONFIG, transport=transport
-        )
+        cluster = Cluster.build(arch, catalog, scheme_name, config=CONFIG)
         await cluster.start()
         loadgen = LoadGenerator(
             cluster,
@@ -368,8 +368,8 @@ class TestWireCleanliness:
         )
         arch = build_architecture("hierarchical", WORKLOAD, seed=2)
         audit = FrameAudit()
-        report = serve_replay(
-            arch, catalog, scheme_name, trace, updates=updates, transport=audit
+        report = framed_replay(
+            arch, catalog, scheme_name, trace, audit, CONFIG, updates=updates
         )
         assert report.errors == 0 and report.updates_applied > 0
         assert {"get", "fwd", "resp", "inv", "inv-ok"} <= audit.kinds
@@ -428,8 +428,8 @@ class TestSameMessage:
         ).run(trace)
 
         audit = MessageAudit()
-        report = serve_replay(
-            arch, catalog, scheme_name, trace, transport=audit
+        report = framed_replay(
+            arch, catalog, scheme_name, trace, audit, CONFIG
         )
         assert report.cache_served > 0 and report.origin_served > 0
         assert len(simulated) == len(audit.walks) == len(trace)

@@ -9,6 +9,10 @@ means the live protocol (piggybacked reports, shipped decisions, the
 downstream cost accumulator) no longer implements the paper's algorithm
 the simulator implements.
 
+A one-process cluster crosses every hop in memory, so the only frames
+it exchanges are at its client edge: one ``get``/``resp`` pair per
+request and one ``inv`` entry frame per in-band update.
+
 This is the contract pinning the per-node step decomposition
 (``lookup_step`` / ``decide_step`` / ``deliver_step`` /
 ``invalidate_step``) to ``process_request``; see
@@ -18,6 +22,7 @@ This is the contract pinning the per-node step decomposition
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -25,7 +30,8 @@ from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
-from repro.serve import Cluster, LoadGenerator, ShardPlan
+from repro.serve import Cluster, InProcessTransport, LoadGenerator, ShardPlan
+from repro.serve.transport import Transport
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
@@ -136,6 +142,68 @@ class TestUpdateStreamEquivalence:
         assert report.summary == sim.summary
         assert report.updates_applied == sim.updates_applied
         assert report.copies_invalidated == sim.copies_invalidated
+
+
+class RecordingWire(Transport):
+    """An in-process transport keeping the type of every frame it carries."""
+
+    def __init__(self) -> None:
+        self.inner = InProcessTransport()
+        self.sent: Counter = Counter()
+        self.replies: Counter = Counter()
+
+    async def start_node(self, node_id, handler):
+        return await self.inner.start_node(node_id, handler)
+
+    async def call(self, address, message):
+        self.sent[message["type"]] += 1
+        reply = await self.inner.call(address, message)
+        self.replies[reply["type"]] += 1
+        return reply
+
+    async def close(self) -> None:
+        await self.inner.close()
+
+
+class TestFramesOnlyAtTheEdge:
+    def test_one_get_one_resp_per_request_one_inv_per_update(
+        self, seeded_trace
+    ):
+        """Every hop of a one-process cluster runs in memory: the walk
+        and the inv relay leave no frame behind the client's."""
+        trace, catalog = seeded_trace
+        updates = generate_update_events(
+            num_objects=WORKLOAD.num_objects,
+            duration=trace[len(trace) - 1].time,
+            update_rate=0.5,
+            seed=9,
+        )
+        arch = build_architecture("hierarchical", WORKLOAD, seed=2)
+        sim = simulate(arch, catalog, "coordinated", trace, updates=updates)
+
+        async def scenario():
+            wire = RecordingWire()
+            cluster = Cluster.build(
+                arch, catalog, "coordinated", config=CONFIG, transport=wire
+            )
+            await cluster.start()
+            report = await LoadGenerator(
+                cluster,
+                trace,
+                updates=updates,
+                warmup_fraction=CONFIG.warmup_fraction,
+            ).run(mode="sequential")
+            handled = sum(n.requests_handled for n in cluster.nodes.values())
+            await cluster.stop()
+            return report, wire, handled
+
+        report, wire, handled = asyncio.run(scenario())
+        assert report.summary == sim.summary
+        assert report.updates_applied == len(updates) > 0
+        assert wire.sent == {"get": len(trace), "inv": len(updates)}
+        assert wire.replies == {"resp": len(trace), "inv-ok": len(updates)}
+        # The walks still visited their positions: many hops, no frames.
+        assert handled > len(trace)
 
 
 class TestNodeRegistryEquivalence:

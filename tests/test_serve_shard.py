@@ -464,6 +464,44 @@ async def start(clusters):
     return addresses
 
 
+def framed_pieces(arch, catalog, scheme_name, transport, **options):
+    """A cluster split into one ``Cluster(shard=...)`` piece per node over
+    ``transport``: no two nodes share a process, so every hop of a walk
+    and of an ``inv`` relay is a frame on it."""
+    assignment = {node: node for node in arch.network.nodes()}
+    return [
+        Cluster.build(
+            arch, catalog, scheme_name, transport=transport,
+            shard=(node, assignment), **options,
+        )
+        for node in sorted(assignment)
+    ]
+
+
+def framed_replay(arch, catalog, scheme_name, trace, transport, config,
+                  updates=()):
+    """A sequential replay with every hop a frame on ``transport``: the
+    :func:`framed_pieces` of the cluster, driven by a client."""
+
+    async def scenario():
+        pieces = framed_pieces(
+            arch, catalog, scheme_name, transport, config=config
+        )
+        addresses = await start(pieces)
+        client = ClusterClient(arch, pieces[0].cost_model, addresses, transport)
+        report = await LoadGenerator(
+            client,
+            trace,
+            updates=updates,
+            warmup_fraction=config.warmup_fraction,
+        ).run(mode="sequential")
+        for piece in pieces:
+            await piece.stop()
+        return report
+
+    return asyncio.run(scenario())
+
+
 class GatedLink(Transport):
     """Stands in for the link out of the shard: calls queue at a gate,
     keeping the walks that reached it in flight in the nodes below."""
@@ -497,14 +535,17 @@ class TestSameShardHops:
         def boom(*args, **kwargs):
             raise ValueError("boom")
 
-        async def walk(shard):
+        async def walk(framed):
             wire = InProcessTransport()
-            cluster = Cluster.build(
-                arch, catalog, "coordinated", config=CONFIG, transport=wire,
-                shard=shard,
+            pieces = (
+                framed_pieces(arch, catalog, "coordinated", wire, config=CONFIG)
+                if framed
+                else [Cluster.build(
+                    arch, catalog, "coordinated", config=CONFIG, transport=wire
+                )]
             )
-            await cluster.start()
-            nodes = cluster.nodes
+            await start(pieces)
+            nodes = {n: node for piece in pieces for n, node in piece.nodes.items()}
             nodes[path[1]].scheme.lookup_step = boom
             with pytest.raises(RemoteProtocolError) as caught:
                 await wire.call(path[0], get_frame(record, 1))
@@ -516,15 +557,16 @@ class TestSameShardHops:
                 nodes[path[2]].requests_handled,
                 [node.inflight for node in nodes.values()],
             )
-            await cluster.stop(drain=False)
+            for piece in pieces:
+                await piece.stop(drain=False)
             return str(caught.value), outcome
 
-        text, outcome = run(walk((0, ShardPlan.compute(arch, 1).assignment)))
+        text, outcome = run(walk(framed=False))
         # One error naming the step's exception; not retried, not failed
         # over, went no further, and every slot it held was given back.
         assert text.endswith("ValueError: boom"), text
         assert outcome == (0, 0, 1, 0, [0] * len(arch.network.nodes()))
-        framed_text, framed = run(walk(None))
+        framed_text, framed = run(walk(framed=True))
         assert framed_text.endswith("ValueError: boom") and framed == outcome
 
     def test_hop_at_its_bound_sheds_and_the_walk_fails_over(
@@ -873,35 +915,33 @@ class TestAdmissionControl:
         arch, trace, catalog = scenario
 
         async def flood():
-            # A bare in-process dispatch never suspends (plain coroutine
-            # awaits), so concurrent gets would serialize and the bound
-            # could never trip; a call timeout wraps each dispatch in a
-            # real task, giving the walks genuine overlap.
-            cluster = Cluster.build(
-                arch,
-                catalog,
-                "lru",
-                config=CONFIG,
-                transport=InProcessTransport(call_timeout=30.0),
-                max_inflight=1,
+            # A walk crossing its hops in memory never suspends, and
+            # neither does a bare in-process dispatch, so concurrent gets
+            # would serialize and the bound could never trip.  One piece
+            # per node makes every hop a frame, and a call timeout wraps
+            # each dispatch in a real task, giving the walks genuine
+            # overlap.
+            wire = InProcessTransport(call_timeout=30.0)
+            pieces = framed_pieces(
+                arch, catalog, "lru", wire, config=CONFIG, max_inflight=1
             )
-            await cluster.start()
+            addresses = await start(pieces)
             record = trace[0]
-            ingress = cluster.ingress_address(record.client_id)
+            ingress = addresses[arch.client_nodes[record.client_id]]
 
             async def one(object_id: int):
-                return await cluster.transport.call(
-                    ingress, get_frame(record, object_id)
-                )
+                return await wire.call(ingress, get_frame(record, object_id))
 
             results = await asyncio.gather(
                 *(one(i) for i in range(12)), return_exceptions=True
             )
             busy_total = sum(
                 node.registry.node(node_id).busy_rejections
-                for node_id, node in cluster.nodes.items()
+                for piece in pieces
+                for node_id, node in piece.nodes.items()
             )
-            await cluster.stop(drain=False)
+            for piece in pieces:
+                await piece.stop(drain=False)
             return results, busy_total
 
         results, busy_total = run(flood())

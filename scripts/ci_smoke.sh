@@ -89,6 +89,13 @@ for decision in link_decision node_down; do
     echo "$SEAT" | grep -q "[.]$decision("
 done
 
+echo "== one descriptor object gate =="
+# A descriptor is one object -- it *is* its sliding-window estimator, no
+# second object hangs off it -- and the d-cache's victim pick is O(1):
+# the LFU victim is the first id of the lowest-count bucket, never a sort.
+test -z "$(grep -rn "[.]estimator" src)"
+test -z "$(grep -n "sorted(" src/repro/cache/dcache.py)"
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then
@@ -150,6 +157,12 @@ echo "== fast-path micro speedup gate =="
 # that silently reroute everything through the generic loop).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     benchmarks/test_micro_fastpath.py
+
+echo "== fast-path long-form differential sweep =="
+# Every scheme on both architectures under all three exact cost models,
+# with an update stream, fast path against the reference loop down to
+# the written-back descriptor, d-cache and NCL state (~20 s).
+python3 scripts/_diff_fastpath.py
 
 echo "== live serve/loadgen smoke (loopback TCP) =="
 # End to end through the serving layer: background `repro serve`, drive

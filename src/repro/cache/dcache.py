@@ -11,7 +11,11 @@ The paper manages the d-cache with simple LFU, and notes that descriptors
 can alternatively be organized into LRU stacks for O(1) maintenance when
 frequencies come from a sliding window.  Both policies are provided here
 (``policy="lfu"`` -- the default -- and ``policy="lru"``); the ablation
-bench ``benchmarks/test_ablation_dcache_policy.py`` compares them.
+bench ``benchmarks/test_ablation_dcache_policy.py`` compares them.  Each
+policy is one order object with the same four operations (``add``,
+``promote``, ``discard``, ``pop_victim``), picked once at construction,
+and every one of them is O(1): the LFU victim is the oldest id of the
+lowest-count bucket, the LRU victim the oldest id overall.
 """
 
 from __future__ import annotations
@@ -23,6 +27,33 @@ from repro.cache.lfu import _FrequencyBuckets
 from repro.cache.descriptors import ObjectDescriptor
 
 _POLICIES = ("lfu", "lru")
+
+
+class _RecencyOrder:
+    """LRU order over ids, least recently referenced first."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self) -> None:
+        self._order: "OrderedDict[int, None]" = OrderedDict()
+
+    def add(self, key: int) -> None:
+        self._order[key] = None
+
+    def promote(self, key: int) -> None:
+        self._order.move_to_end(key)
+
+    def discard(self, key: int) -> None:
+        self._order.pop(key, None)
+
+    def pop_victim(self) -> int:
+        return self._order.popitem(last=False)[0]
+
+    def eviction_order(self):
+        return iter(self._order)
+
+    def check_invariants(self) -> None:
+        pass
 
 
 class DescriptorCache:
@@ -39,8 +70,7 @@ class DescriptorCache:
         # strictly observational, None in uninstrumented runs.
         self.observer = None
         self._descriptors: Dict[int, ObjectDescriptor] = {}
-        self._buckets = _FrequencyBuckets() if policy == "lfu" else None
-        self._recency: "OrderedDict[int, None]" = OrderedDict()
+        self._order = _FrequencyBuckets() if policy == "lfu" else _RecencyOrder()
 
     def __len__(self) -> int:
         return len(self._descriptors)
@@ -48,30 +78,9 @@ class DescriptorCache:
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._descriptors
 
-    # -- policy bookkeeping --------------------------------------------------
-
-    def _track_insert(self, object_id: int) -> None:
-        if self._buckets is not None:
-            self._buckets.add(object_id)
-        else:
-            self._recency[object_id] = None
-
-    def _track_reference(self, object_id: int) -> None:
-        if self._buckets is not None:
-            self._buckets.promote(object_id)
-        else:
-            self._recency.move_to_end(object_id)
-
-    def _track_remove(self, object_id: int) -> None:
-        if self._buckets is not None:
-            self._buckets.discard(object_id)
-        else:
-            self._recency.pop(object_id, None)
-
-    def _victim(self) -> int:
-        if self._buckets is not None:
-            return next(self._buckets.eviction_order())
-        return next(iter(self._recency))
+    def eviction_order(self) -> List[int]:
+        """Descriptor ids in the order the policy would evict them."""
+        return list(self._order.eviction_order())
 
     # -- operations ------------------------------------------------------------
 
@@ -79,7 +88,7 @@ class DescriptorCache:
         """Descriptor lookup; counts as a policy reference when present."""
         descriptor = self._descriptors.get(object_id)
         if descriptor is not None:
-            self._track_reference(object_id)
+            self._order.promote(object_id)
         return descriptor
 
     def peek(self, object_id: int) -> Optional[ObjectDescriptor]:
@@ -93,18 +102,18 @@ class DescriptorCache:
         replaces the stored descriptor without resetting its policy state.
         """
         object_id = descriptor.object_id
-        if object_id in self._descriptors:
-            self._descriptors[object_id] = descriptor
+        descriptors = self._descriptors
+        if object_id in descriptors:
+            descriptors[object_id] = descriptor
             return []
         if self.capacity == 0:
             return [descriptor]
+        order = self._order
         evicted: List[ObjectDescriptor] = []
-        while len(self._descriptors) >= self.capacity:
-            victim_id = self._victim()
-            evicted.append(self._descriptors.pop(victim_id))
-            self._track_remove(victim_id)
-        self._descriptors[object_id] = descriptor
-        self._track_insert(object_id)
+        while len(descriptors) >= self.capacity:
+            evicted.append(descriptors.pop(order.pop_victim()))
+        descriptors[object_id] = descriptor
+        order.add(object_id)
         if evicted and self.observer is not None:
             self.observer.on_evictions(self, evicted)
         return evicted
@@ -113,16 +122,15 @@ class DescriptorCache:
         """Remove a descriptor (e.g. when the object enters the main cache)."""
         descriptor = self._descriptors.pop(object_id, None)
         if descriptor is not None:
-            self._track_remove(object_id)
+            self._order.discard(object_id)
         return descriptor
 
     def check_invariants(self) -> None:
         if len(self._descriptors) > self.capacity:
             raise AssertionError("d-cache over capacity")
-        tracked = (
-            len(self._recency)
-            if self._buckets is None
-            else sum(1 for _ in self._buckets.eviction_order())
-        )
-        if tracked != len(self._descriptors):
+        self._order.check_invariants()
+        tracked = self.eviction_order()
+        if len(tracked) != len(self._descriptors) or set(tracked) != (
+            self._descriptors.keys()
+        ):
             raise AssertionError("d-cache policy bookkeeping drift")

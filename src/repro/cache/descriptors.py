@@ -6,6 +6,10 @@ timestamps) and its miss penalty with respect to the node.  Descriptors
 live either attached to a cached copy in the main cache or standalone in
 the node's d-cache, and migrate between the two as objects are inserted
 and evicted.
+
+A descriptor is one object: :class:`ObjectDescriptor` subclasses the
+sliding-window estimator, so the reference window, the cached estimate
+and its refresh time sit in the descriptor's own slots.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from repro.cache.frequency import (
 )
 
 
-class ObjectDescriptor:
+class ObjectDescriptor(SlidingWindowFrequencyEstimator):
     """Per-(node, object) metadata used in caching decisions."""
 
-    __slots__ = ("object_id", "size", "estimator", "miss_penalty")
+    __slots__ = ("object_id", "size", "miss_penalty")
 
     def __init__(
         self,
@@ -34,26 +38,40 @@ class ObjectDescriptor:
             raise ValueError("object size must be positive")
         if miss_penalty < 0:
             raise ValueError("miss penalty must be non-negative")
+        super().__init__(window, aging_interval)
         self.object_id = object_id
         self.size = size
-        self.estimator = SlidingWindowFrequencyEstimator(window, aging_interval)
         self.miss_penalty = miss_penalty
 
-    def record_access(self, now: float) -> float:
-        """Record one reference; returns the refreshed frequency."""
-        return self.estimator.record(now)
+    @classmethod
+    def referenced(
+        cls, object_id: int, size: int, miss_penalty: float, now: float
+    ) -> "ObjectDescriptor":
+        """A new descriptor with its first reference, at ``now``, recorded.
 
-    def frequency(self, now: float) -> float:
-        """Current access-frequency estimate ``f(O)``."""
-        return self.estimator.value(now)
+        Same state as ``record_access(now)`` on a fresh descriptor: a
+        one-entry window with zero elapsed time, hence the estimator's
+        one-reference-per-aging-interval prior.
+        """
+        descriptor = cls(object_id, size, miss_penalty)
+        descriptor._times.append(now)
+        descriptor._value = 1.0 / descriptor.aging_interval
+        descriptor._refreshed_at = now
+        return descriptor
+
+    #: Record one reference; returns the refreshed frequency.
+    record_access = SlidingWindowFrequencyEstimator.record
+
+    #: Current access-frequency estimate ``f(O)``.
+    frequency = SlidingWindowFrequencyEstimator.value
 
     def cost_rate(self, now: float) -> float:
         """``f(O) * m(O)`` -- the cost loss of removing this object."""
-        return self.frequency(now) * self.miss_penalty
+        return self.value(now) * self.miss_penalty
 
     def normalized_cost_loss(self, now: float) -> float:
         """``NCL(O) = f(O) * m(O) / s(O)`` (paper section 2.1)."""
-        return self.cost_rate(now) / self.size
+        return self.value(now) * self.miss_penalty / self.size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -6,12 +6,15 @@ where ``K' <= K`` is the number of recorded references and ``t_K'`` the
 oldest of them.  ``K = 3`` in the paper's experiments.  To bound overhead,
 the estimate is refreshed only when the object is referenced and otherwise
 at reasonably large intervals (10 minutes in the paper) to reflect aging.
+
+:class:`~repro.cache.descriptors.ObjectDescriptor` *is* an estimator (a
+subclass adding size and miss penalty), so a descriptor and its
+frequency state are one object.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
+from typing import List
 
 DEFAULT_WINDOW = 3
 DEFAULT_AGING_INTERVAL = 600.0
@@ -29,6 +32,9 @@ class SlidingWindowFrequencyEstimator:
     passed since the last refresh.  A singleton reference with zero elapsed
     time falls back to one reference per aging interval, a conservative
     prior that avoids the division by zero in the paper's formula.
+
+    The window is a plain list (oldest first) trimmed on append: for
+    ``K = 3`` that is cheaper to create and to push than a bounded deque.
     """
 
     __slots__ = ("window", "aging_interval", "_times", "_value", "_refreshed_at")
@@ -44,7 +50,7 @@ class SlidingWindowFrequencyEstimator:
             raise ValueError("aging_interval must be positive")
         self.window = window
         self.aging_interval = aging_interval
-        self._times: Deque[float] = deque(maxlen=window)
+        self._times: List[float] = []
         self._value = 0.0
         self._refreshed_at = float("-inf")
 
@@ -55,10 +61,21 @@ class SlidingWindowFrequencyEstimator:
 
     def record(self, now: float) -> float:
         """Record a reference at time ``now`` and refresh the estimate."""
-        if self._times and now < self._times[-1]:
-            raise ValueError("reference times must be non-decreasing")
-        self._times.append(now)
-        return self._refresh(now)
+        times = self._times
+        if times:
+            if now < times[-1]:
+                raise ValueError("reference times must be non-decreasing")
+            if len(times) == self.window:
+                del times[0]
+        times.append(now)
+        elapsed = now - times[0]
+        if elapsed >= _MIN_ELAPSED:
+            value = len(times) / elapsed
+        else:
+            value = 1.0 / self.aging_interval
+        self._value = value
+        self._refreshed_at = now
+        return value
 
     def value(self, now: float) -> float:
         """Current estimate; recomputed lazily at the aging interval."""
@@ -82,7 +99,7 @@ class SlidingWindowFrequencyEstimator:
         return self._value
 
     def clone(self) -> "SlidingWindowFrequencyEstimator":
-        """Deep copy (used when descriptors migrate between caches)."""
+        """Independent copy of the estimator state (window and estimate)."""
         copy = SlidingWindowFrequencyEstimator(self.window, self.aging_interval)
         copy._times.extend(self._times)
         copy._value = self._value

@@ -3,24 +3,33 @@
 Not used by any of the paper's object caches directly, but provided as a
 classic baseline and as the policy backbone of the d-cache (which manages
 descriptors by LFU, section 2.4).  Eviction order is lowest hit count
-first, ties broken least-recently-used first; bookkeeping is O(1) via
-frequency buckets.
+first, ties broken least-recently-used first.  Bookkeeping is O(1) via
+frequency buckets, and so is the single-victim pop the d-cache makes on
+every insertion into a full d-cache; only :class:`LFUCache`'s multi-victim
+walk (which may skip an excluded id) sorts the bucket counts.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.cache.base import Cache, CacheEntry
 
 
 class _FrequencyBuckets:
-    """hit-count -> insertion-ordered ids, with O(1) promote/evict."""
+    """hit-count -> insertion-ordered ids, with O(1) promote and victim pop.
+
+    Buckets are plain dicts (insertion-ordered, like ``OrderedDict``, and
+    cheaper).  ``_min_count`` is kept equal to ``min(_buckets)`` whenever
+    a bucket exists, so the victim -- the oldest id of the lowest count --
+    is the first key of ``_buckets[_min_count]`` without sorting.
+    """
+
+    __slots__ = ("_counts", "_buckets", "_min_count")
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
-        self._buckets: Dict[int, "OrderedDict[int, None]"] = {}
+        self._buckets: Dict[int, Dict[int, None]] = {}
         self._min_count = 0
 
     def __contains__(self, key: int) -> bool:
@@ -33,19 +42,30 @@ class _FrequencyBuckets:
         if key in self._counts:
             raise KeyError(f"duplicate key {key}")
         self._counts[key] = 1
-        self._buckets.setdefault(1, OrderedDict())[key] = None
+        bucket = self._buckets.get(1)
+        if bucket is None:
+            self._buckets[1] = {key: None}
+        else:
+            bucket[key] = None
         self._min_count = 1
 
     def promote(self, key: int) -> None:
-        count = self._counts[key]
-        bucket = self._buckets[count]
+        counts = self._counts
+        buckets = self._buckets
+        count = counts[key]
+        bucket = buckets[count]
         del bucket[key]
         if not bucket:
-            del self._buckets[count]
+            del buckets[count]
             if self._min_count == count:
                 self._min_count = count + 1
-        self._counts[key] = count + 1
-        self._buckets.setdefault(count + 1, OrderedDict())[key] = None
+        count += 1
+        counts[key] = count
+        bucket = buckets.get(count)
+        if bucket is None:
+            buckets[count] = {key: None}
+        else:
+            bucket[key] = None
 
     def discard(self, key: int) -> None:
         count = self._counts.pop(key, None)
@@ -58,10 +78,39 @@ class _FrequencyBuckets:
             if self._min_count == count:
                 self._min_count = min(self._buckets, default=0)
 
+    def pop_victim(self) -> int:
+        """Remove and return the first key of :meth:`eviction_order`."""
+        count = self._min_count
+        buckets = self._buckets
+        bucket = buckets[count]
+        key = next(iter(bucket))
+        del bucket[key]
+        del self._counts[key]
+        if not bucket:
+            del buckets[count]
+            self._min_count = min(buckets, default=0)
+        return key
+
     def eviction_order(self):
         """Yield keys lowest-count-first, LRU-first within a count."""
         for count in sorted(self._buckets):
             yield from self._buckets[count]
+
+    def check_invariants(self) -> None:
+        if any(not bucket for bucket in self._buckets.values()):
+            raise AssertionError("empty frequency bucket left behind")
+        if self._buckets and self._min_count != min(self._buckets):
+            raise AssertionError(
+                f"min count {self._min_count} is not the lowest bucket "
+                f"{min(self._buckets)}"
+            )
+        bucketed = {
+            key: count
+            for count, bucket in self._buckets.items()
+            for key in bucket
+        }
+        if bucketed != self._counts:
+            raise AssertionError("frequency buckets disagree with counts")
 
 
 class LFUCache(Cache):

@@ -112,17 +112,18 @@ class NCLCache(Cache):
             return None
         if object_id in self._entries:
             return 0.0
-        needed = size - self.free_bytes
+        needed = size - (self.capacity_bytes - self._used)
         if needed <= 0:
             return 0.0
         loss = 0.0
         freed = 0
+        entries = self._entries
         # The loop variable must not be named ``object_id``: it would
         # shadow the parameter, which is still meaningful after the loop.
         for _, victim_id in self._order:
-            entry = self._entries[victim_id]
-            loss += entry.descriptor.cost_rate(now)
-            freed += entry.size
+            descriptor = entries[victim_id].descriptor
+            loss += descriptor.value(now) * descriptor.miss_penalty
+            freed += descriptor.size
             if freed >= needed:
                 return loss
         # Even a full purge cannot make room for ``object_id``.

@@ -97,20 +97,22 @@ class CoordinatedScheme(DescriptorSchemeBase):
         node contributes nothing to its own candidate set); a miss
         records the reference and returns the node's ``(f_i, m_i, l_i)``
         report, or the "no descriptor" tag when the object is unknown to
-        both the main cache and the d-cache.
+        both the main cache and the d-cache.  The reported ``f_i`` is the
+        estimate the reference just refreshed.
         """
         state = self.node_state(node)
-        if object_id in state.cache:
-            state.cache.record_access(object_id, now)
+        cache = state.cache
+        if object_id in cache:
+            cache.record_access(object_id, now)
             return True, None
         descriptor = state.record_request(object_id, now)
         if descriptor is None:
             return False, node_report(node, 0.0, 0.0, None, False)
         return False, node_report(
             node,
-            descriptor.frequency(now),
+            descriptor.peek(),
             descriptor.miss_penalty,
-            state.cache.cost_loss(object_id, size, now),
+            cache.cost_loss(object_id, size, now),
             True,
         )
 
@@ -193,9 +195,8 @@ class CoordinatedScheme(DescriptorSchemeBase):
         exactly the single-link cost -- the simulator's walk.
         """
         node = path[index]
-        upstream = index + 1 if came_from is None else came_from
-        accumulator = decision["acc"] + self.cost_model.path_cost(
-            path[index : upstream + 1], size
+        accumulator = decision["acc"] + self._arrival_cost(
+            index, path, size, came_from
         )
         state = self.node_state(node)
         inserted = False
@@ -210,6 +211,26 @@ class CoordinatedScheme(DescriptorSchemeBase):
             state.ensure_dcache_descriptor(object_id, size, accumulator, now)
         decision["acc"] = accumulator
         return inserted, evictions
+
+    def _arrival_cost(
+        self,
+        index: int,
+        path: Sequence[int],
+        size: int,
+        came_from: Optional[int],
+    ) -> float:
+        """Cost of the links the response crossed to reach ``path[index]``.
+
+        One :meth:`~repro.costs.model.CostModel.link_cost` for the
+        ordinary single-hop arrival (``came_from`` unset or ``index + 1``);
+        the whole failover segment ``path[index..came_from]`` through
+        ``path_cost`` otherwise.  Both price every link with ``link_cost``,
+        so a cost model's override is honoured either way.
+        """
+        upstream = index + 1
+        if came_from is None or came_from == upstream:
+            return self.cost_model.link_cost(path[index], path[upstream], size)
+        return self.cost_model.path_cost(path[index : came_from + 1], size)
 
     def _observe_request(
         self,

@@ -76,9 +76,8 @@ class AdaptiveScheme(CoordinatedScheme):
         sample outright (there is no estimate to damp).
         """
         node = path[index]
-        upstream = index + 1 if came_from is None else came_from
-        accumulator = decision["acc"] + self.cost_model.path_cost(
-            path[index : upstream + 1], size
+        accumulator = decision["acc"] + self._arrival_cost(
+            index, path, size, came_from
         )
         state = self.node_state(node)
         existing = state.descriptor(object_id)

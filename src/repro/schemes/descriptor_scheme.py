@@ -38,20 +38,21 @@ class DescriptorSchemeBase(CachingScheme):
     def node_state(self, node: int) -> DescriptorNode:
         """The node's cache/d-cache pair, created on first use."""
         state = self._nodes.get(node)
-        if state is None:
-            state = DescriptorNode(
-                self.capacity_for(node),
-                self.dcache_entries,
-                self.dcache_policy,
-                self.ncl_structure,
-            )
-            self._nodes[node] = state
-            # Register the main cache with the base-class map so shared
-            # helpers (has_object, invalidation, invariants) see it.
-            self._caches[node] = state.cache
-            self._wire_cache(node, state.cache)
-            if self._instruments is not None:
-                state.dcache.observer = self._instruments.dcache_observer(node)
+        if state is not None:
+            return state
+        state = DescriptorNode(
+            self.capacity_for(node),
+            self.dcache_entries,
+            self.dcache_policy,
+            self.ncl_structure,
+        )
+        self._nodes[node] = state
+        # Register the main cache with the base-class map so shared
+        # helpers (has_object, invalidation, invariants) see it.
+        self._caches[node] = state.cache
+        self._wire_cache(node, state.cache)
+        if self._instruments is not None:
+            state.dcache.observer = self._instruments.dcache_observer(node)
         return state
 
     def attach_instruments(self, instruments) -> None:

@@ -64,8 +64,7 @@ class GDSScheme(CachingScheme):
         upstream_cost = self.cost_model.link_cost(
             path[index], path[index + 1], size
         )
-        descriptor = ObjectDescriptor(object_id, size, miss_penalty=upstream_cost)
-        descriptor.record_access(now)
+        descriptor = ObjectDescriptor.referenced(object_id, size, upstream_cost, now)
         try:
             return cache.insert(descriptor, now)
         except CacheTooSmallError:

@@ -65,9 +65,10 @@ class DescriptorNode:
         the node has no descriptor for the object -- the situation flagged
         upstream with the paper's "no descriptor" tag.
         """
-        if object_id in self.cache:
-            self.cache.record_access(object_id, now)
-            return self.cache.entry(object_id).descriptor
+        cache = self.cache
+        if object_id in cache:
+            cache.record_access(object_id, now)
+            return cache.entry(object_id).descriptor
         descriptor = self.dcache.get(object_id)  # LFU reference
         if descriptor is not None:
             descriptor.record_access(now)
@@ -91,11 +92,11 @@ class DescriptorNode:
         node (paper section 2.4).  A freshly created descriptor records the
         current reference.
         """
-        descriptor = self.dcache.peek(object_id)
+        dcache = self.dcache
+        descriptor = dcache.peek(object_id)
         if descriptor is None:
-            descriptor = ObjectDescriptor(object_id, size, miss_penalty=penalty)
-            descriptor.record_access(now)
-            self.dcache.insert(descriptor)
+            descriptor = ObjectDescriptor.referenced(object_id, size, penalty, now)
+            dcache.insert(descriptor)
         else:
             descriptor.miss_penalty = penalty
         return descriptor
@@ -112,8 +113,7 @@ class DescriptorNode:
         """
         descriptor = self.dcache.remove(object_id)
         if descriptor is None:
-            descriptor = ObjectDescriptor(object_id, size, miss_penalty=penalty)
-            descriptor.record_access(now)
+            descriptor = ObjectDescriptor.referenced(object_id, size, penalty, now)
         else:
             descriptor.miss_penalty = penalty
         try:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left, insort
-from collections import OrderedDict
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -535,8 +534,8 @@ class _CoordNode:
 
     ``entries`` maps object id -> flattened descriptor; ``order``/``keys``
     mirror NCLCache's bisect-sorted (key, id) list and key map.  The
-    d-cache is ``ddesc`` plus the LFU frequency buckets (plain dicts
-    standing in for the OrderedDict buckets -- same iteration order).
+    d-cache is ``ddesc`` plus the LFU frequency buckets (plain dicts,
+    like the reference ``_FrequencyBuckets``).
     """
 
     __slots__ = (
@@ -617,8 +616,8 @@ def _d_insert(st: _CoordNode, oid: int, d: list) -> None:
     ``dmin`` is maintained through exactly the reference
     ``_FrequencyBuckets._min_count`` transitions, which keep it equal to
     ``min(buckets)`` whenever any bucket exists -- so the victim pick is
-    O(1) here where the reference sorts, while still choosing the
-    identical victim.
+    the same O(1) first-key-of-the-lowest-bucket pop as
+    ``_FrequencyBuckets.pop_victim``, choosing the identical victim.
     """
     ddesc = st.ddesc
     if oid in ddesc:
@@ -846,14 +845,14 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
                 )
                 dd[3] = now
                 proto_reports += 1
-                # frequency(now) right after record() returns the cached
-                # estimate: dd[2].  NCLCache.cost_loss inline: walks the
-                # greedy victim prefix summing current ``f * m``, lazily
-                # refreshing aged victim estimators exactly like the
-                # reference (the mutation is part of the contract).
-                # Main-cache entry descriptors always hold at least one
-                # reference time, so the estimator's empty-window branch
-                # cannot trigger.
+                # The report's f is the estimate record() just set
+                # (lookup_step reads peek()): dd[2].  NCLCache.cost_loss
+                # inline: walks the greedy victim prefix summing current
+                # ``f * m``, lazily refreshing aged victim estimators
+                # exactly like the reference (the mutation is part of the
+                # contract).  Main-cache entry descriptors always hold at
+                # least one reference time, so the estimator's
+                # empty-window branch cannot trigger.
                 cap = st.cap
                 loss = 0.0
                 loss_ok = False
@@ -1056,10 +1055,9 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
 def _materialize_descriptor(oid: int, d: list) -> ObjectDescriptor:
     """Rebuild a real ObjectDescriptor from the flattened kernel layout."""
     descriptor = ObjectDescriptor(oid, d[0], miss_penalty=d[1])
-    estimator = descriptor.estimator
-    estimator._times.extend(d[4])
-    estimator._value = d[2]
-    estimator._refreshed_at = d[3]
+    descriptor._times.extend(d[4])
+    descriptor._value = d[2]
+    descriptor._refreshed_at = d[3]
     return descriptor
 
 
@@ -1093,11 +1091,10 @@ def _writeback_coordinated(scheme, paths, reach, node_states) -> None:
             dcache = state.dcache
             for oid, d in st.ddesc.items():
                 dcache._descriptors[oid] = _materialize_descriptor(oid, d)
-            buckets = dcache._buckets
+            buckets = dcache._order
             buckets._counts = dict(st.dcount)
             buckets._buckets = {
-                count: OrderedDict((k, None) for k in bucket)
-                for count, bucket in st.dbuckets.items()
+                count: dict(bucket) for count, bucket in st.dbuckets.items()
             }
             buckets._min_count = st.dmin
             scheme._nodes[node] = state

@@ -65,6 +65,8 @@ class Network:
         self._kinds: List[NodeKind] = []
         self._levels: List[int] = []
         self._adjacency: List[Dict[int, float]] = []
+        # (u, v) -> delay in both directions: link_delay's one lookup.
+        self._delays: Dict[Tuple[int, int], float] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -84,6 +86,8 @@ class Network:
             raise ValueError(f"duplicate link ({u}, {v})")
         self._adjacency[u][v] = delay
         self._adjacency[v][u] = delay
+        self._delays[u, v] = delay
+        self._delays[v, u] = delay
         return link
 
     def _check_node(self, node: int) -> None:
@@ -129,11 +133,18 @@ class Network:
         return v in self._adjacency[u]
 
     def link_delay(self, u: int, v: int) -> float:
-        """Base delay of the link between ``u`` and ``v``."""
+        """Base delay of the link between ``u`` and ``v``.
+
+        Raises ``KeyError`` -- "unknown node" when ``u`` is out of range,
+        "no link" otherwise -- only on the miss branch, so a present link
+        costs one dict lookup.
+        """
+        try:
+            return self._delays[u, v]
+        except KeyError:
+            pass
         self._check_node(u)
-        if v not in self._adjacency[u]:
-            raise KeyError(f"no link ({u}, {v})")
-        return self._adjacency[u][v]
+        raise KeyError(f"no link ({u}, {v})")
 
     def links(self) -> Iterator[Link]:
         """Yield every link exactly once (u < v)."""

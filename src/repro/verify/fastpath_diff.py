@@ -10,7 +10,8 @@ and asserts the two runs are indistinguishable:
   timing) must be equal, summary percentiles included;
 * the final cache state must match -- entry maps, used bytes, LRU
   recency order, NCL ``(key, id)`` order lists and key maps, descriptor
-  miss penalties and estimator internals;
+  miss penalties and the descriptors' frequency internals (window,
+  cached estimate, refresh time);
 * for the coordinated scheme, d-cache contents (descriptor identity and
   iteration order), LFU bucket structure with its ``_min_count``, or LRU
   recency, plus the piggyback protocol counters.
@@ -121,22 +122,20 @@ def assert_cache_state_identical(
                 _assert_descriptor_identical(
                     rdc._descriptors[oid], fdc._descriptors[oid], tag, node, oid
                 )
-            if rdc._buckets is not None:
-                assert rdc._buckets._counts == fdc._buckets._counts, (
-                    tag, node, "lfu counts",
-                )
+            assert rdc.policy == fdc.policy, (tag, node, "dcache policy")
+            if rdc.policy == "lfu":
+                ro, fo = rdc._order, fdc._order
+                assert ro._counts == fo._counts, (tag, node, "lfu counts")
                 assert {
-                    count: list(bucket)
-                    for count, bucket in rdc._buckets._buckets.items()
+                    count: list(bucket) for count, bucket in ro._buckets.items()
                 } == {
-                    count: list(bucket)
-                    for count, bucket in fdc._buckets._buckets.items()
+                    count: list(bucket) for count, bucket in fo._buckets.items()
                 }, (tag, node, "lfu buckets")
-                assert rdc._buckets._min_count == fdc._buckets._min_count, (
+                assert ro._min_count == fo._min_count, (
                     tag, node, "lfu min count",
                 )
             else:
-                assert list(rdc._recency) == list(fdc._recency), (
+                assert rdc.eviction_order() == fdc.eviction_order(), (
                     tag, node, "dcache recency",
                 )
     if hasattr(reference, "protocol_stats"):
@@ -149,13 +148,9 @@ def assert_cache_state_identical(
 def _assert_descriptor_identical(rd, fd, tag, node, oid) -> None:
     assert rd.size == fd.size, (tag, node, oid, "size")
     assert rd.miss_penalty == fd.miss_penalty, (tag, node, oid, "penalty")
-    assert list(rd.estimator._times) == list(fd.estimator._times), (
-        tag, node, oid, "window",
-    )
-    assert rd.estimator._value == fd.estimator._value, (tag, node, oid)
-    assert rd.estimator._refreshed_at == fd.estimator._refreshed_at, (
-        tag, node, oid,
-    )
+    assert rd._times == fd._times, (tag, node, oid, "window")
+    assert rd._value == fd._value, (tag, node, oid)
+    assert rd._refreshed_at == fd._refreshed_at, (tag, node, oid)
 
 
 def shadow_compare(

@@ -117,7 +117,12 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> Trace:
-    """Load a trace previously written by :func:`write_trace_csv`."""
+    """Load a trace previously written by :func:`write_trace_csv`.
+
+    A malformed row -- too few or too many fields, a non-numeric field,
+    or a value :class:`TraceRecord` rejects -- raises ``ValueError``
+    naming the file and line: ``"<path>:<line>: ..."``.
+    """
     records: List[TraceRecord] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -125,14 +130,23 @@ def read_trace_csv(path: str | Path) -> Trace:
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected trace header: {header!r}")
         for row in reader:
+            if len(row) != len(_CSV_HEADER):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected "
+                    f"{len(_CSV_HEADER)} fields, got {len(row)}"
+                )
             time, client_id, object_id, server_id, size = row
-            records.append(
-                TraceRecord(
+            try:
+                record = TraceRecord(
                     time=float(time),
                     client_id=int(client_id),
                     object_id=int(object_id),
                     server_id=int(server_id),
                     size=int(size),
                 )
-            )
+            except ValueError as error:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {error}"
+                ) from error
+            records.append(record)
     return Trace(records)

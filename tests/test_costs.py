@@ -43,6 +43,44 @@ class TestLatencyCostModel:
             model.link_cost(0, 2, 100)
 
 
+class _DoubledLatency(LatencyCostModel):
+    """A subclass overriding ``link_cost``; records every link it prices."""
+
+    def __init__(self, network, avg_size):
+        super().__init__(network, avg_size)
+        self.priced = []
+
+    def link_cost(self, u, v, size):
+        self.priced.append((u, v))
+        return 2.0 * super().link_cost(u, v, size)
+
+
+class TestLinkCostOverride:
+    """Every path-level price goes through ``link_cost``, so overrides hold."""
+
+    def test_path_cost_uses_override(self, chain):
+        model = _DoubledLatency(chain, avg_size=100.0)
+        assert model.path_cost([0, 1, 2], 100) == pytest.approx(4.0)
+        assert model.priced == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("scheme_name", ["coordinated", "adaptive"])
+    def test_deliver_accumulator_uses_override(self, chain, scheme_name):
+        from repro.sim.factory import build_scheme
+
+        model = _DoubledLatency(chain, avg_size=100.0)
+        scheme = build_scheme(scheme_name, model, 10_000, 8)
+        path = [0, 1, 2]
+        decision = {"cache_at": [], "gain": 0.0, "acc": 0.0}
+        # Ordinary single-hop arrival at path[1] from path[2] ...
+        scheme.deliver_step(1, path, decision, 7, 100, 0.0)
+        assert decision["acc"] == pytest.approx(2 * 1.5)
+        assert model.priced == [(1, 2)]
+        # ... then a failover arrival at path[0] straight from path[2].
+        scheme.deliver_step(0, path, decision, 7, 100, 0.0, came_from=2)
+        assert decision["acc"] == pytest.approx(2 * 1.5 + 2 * (0.5 + 1.5))
+        assert model.priced == [(1, 2), (0, 1), (1, 2)]
+
+
 class TestHopCostModel:
     def test_unit_cost_per_link(self, chain):
         model = HopCostModel(chain)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.dcache import DescriptorCache
 from repro.cache.descriptors import ObjectDescriptor
@@ -81,3 +83,91 @@ class TestSchemesAcceptPolicy:
         assert scheme.node_state(0).dcache.policy == "lru"
         scheme2 = build_scheme("lnc-r", chain_costs, 1000, 8)
         assert scheme2.node_state(0).dcache.policy == "lfu"
+
+
+class _VictimModel:
+    """Executable statement of each policy's victim rule, by brute force.
+
+    Every tracked id carries the stamp of the operation that last moved
+    it (insertion, or a ``get``); LFU also its reference count.  The LFU
+    victim is the lowest count, oldest stamp within it -- the first id of
+    the sorted-bucket order; the LRU victim is the oldest stamp.
+    """
+
+    def __init__(self, capacity: int, policy: str) -> None:
+        self.capacity = capacity
+        self.policy = policy
+        self.tracked = {}  # id -> (count, stamp)
+        self.clock = 0
+
+    def _stamp(self) -> int:
+        self.clock += 1
+        return self.clock
+
+    def get(self, key: int) -> None:
+        if key in self.tracked:
+            count, _ = self.tracked[key]
+            self.tracked[key] = (count + 1, self._stamp())
+
+    def remove(self, key: int) -> None:
+        self.tracked.pop(key, None)
+
+    def insert(self, key: int) -> list:
+        if key in self.tracked or self.capacity == 0:
+            return [key] if self.capacity == 0 else []
+        victims = []
+        while len(self.tracked) >= self.capacity:
+            if self.policy == "lfu":
+                victim = min(self.tracked, key=lambda k: self.tracked[k])
+            else:
+                victim = min(self.tracked, key=lambda k: self.tracked[k][1])
+            victims.append(victim)
+            del self.tracked[victim]
+        self.tracked[key] = (1, self._stamp())
+        return victims
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "get", "remove"]), st.integers(0, 7)),
+    max_size=120,
+)
+
+
+class TestVictimRule:
+    """The O(1) victim pop picks exactly the rule's victim, every time."""
+
+    @pytest.mark.parametrize("policy", ["lfu", "lru"])
+    @given(capacity=st.integers(0, 5), ops=_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_evictions_follow_the_rule(self, policy, capacity, ops):
+        dcache = DescriptorCache(capacity, policy=policy)
+        model = _VictimModel(capacity, policy)
+        for op, key in ops:
+            if op == "insert":
+                evicted = dcache.insert(desc(key))
+                assert [d.object_id for d in evicted] == model.insert(key)
+            elif op == "get":
+                found = dcache.get(key)
+                assert (found is not None) == (key in model.tracked)
+                model.get(key)
+            else:
+                removed = dcache.remove(key)
+                assert (removed is not None) == (key in model.tracked)
+                model.remove(key)
+            dcache.check_invariants()
+            assert sorted(dcache.eviction_order()) == sorted(model.tracked)
+
+    def test_invariants_catch_a_stale_min_count(self):
+        dcache = DescriptorCache(3)
+        dcache.insert(desc(1))
+        dcache.get(1)  # the only bucket is now count 2
+        dcache._order._min_count = 1
+        with pytest.raises(AssertionError, match="min count"):
+            dcache.check_invariants()
+
+    def test_invariants_catch_an_empty_bucket(self):
+        dcache = DescriptorCache(3)
+        dcache.insert(desc(1))
+        dcache._order._buckets[4] = {}
+        with pytest.raises(AssertionError, match="empty frequency bucket"):
+            dcache.check_invariants()

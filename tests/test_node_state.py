@@ -34,12 +34,12 @@ class TestRecordRequest:
     def test_records_on_main_cache_descriptor(self, node):
         node.insert_object(1, size=100, penalty=2.0, now=0.0)
         descriptor = node.record_request(1, now=10.0)
-        assert descriptor.estimator.reference_count == 2
+        assert descriptor.reference_count == 2
 
     def test_records_on_dcache_descriptor(self, node):
         node.ensure_dcache_descriptor(1, size=100, penalty=2.0, now=0.0)
         descriptor = node.record_request(1, now=10.0)
-        assert descriptor.estimator.reference_count == 2
+        assert descriptor.reference_count == 2
 
 
 class TestInsertObject:
@@ -49,7 +49,7 @@ class TestInsertObject:
         node.insert_object(1, size=100, penalty=4.0, now=10.0)
         assert 1 not in node.dcache
         entry = node.cache.entry(1)
-        assert entry.descriptor.estimator.reference_count == 2
+        assert entry.descriptor.reference_count == 2
         assert entry.descriptor.miss_penalty == 4.0
 
     def test_victims_fall_to_dcache(self, node):
@@ -78,7 +78,7 @@ class TestInsertObject:
         node.ensure_dcache_descriptor(1, size=50, penalty=6.0, now=1.0)
         assert node.dcache.peek(1).miss_penalty == 6.0
         # Reference count unchanged by the second ensure (no new record).
-        assert node.dcache.peek(1).estimator.reference_count == 1
+        assert node.dcache.peek(1).reference_count == 1
 
     def test_no_object_in_both_caches(self, node):
         for i in range(8):

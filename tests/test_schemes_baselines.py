@@ -163,7 +163,7 @@ class TestLNCR:
         scheme.process_request(path, 1, 100, now=2.0)
         descriptor = scheme.cache_at(0).entry(1).descriptor
         # Two references recorded for object 1 (t=0 and t=2).
-        assert descriptor.estimator.reference_count == 2
+        assert descriptor.reference_count == 2
 
     def test_invariants_after_churn(self, costs, tiny_trace):
         trace, _ = tiny_trace

@@ -73,7 +73,11 @@ def _capacity(catalog) -> int:
 
 
 class _ScaledLatency(LatencyCostModel):
-    """May override ``link_cost``: never eligible for a kernel."""
+    """Overrides ``link_cost`` (twice the latency): never eligible for a
+    kernel, and the generic loop must price every hop through it."""
+
+    def link_cost(self, u: int, v: int, size: int) -> float:
+        return 2.0 * super().link_cost(u, v, size)
 
 
 def _case(scheme, expected, cost=LatencyCostModel, observer=False,

@@ -37,17 +37,24 @@ class TestNetwork:
     def test_rejects_unknown_node(self):
         net = Network()
         net.add_node(NodeKind.MAN)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown node 5"):
             net.add_link(0, 5, 1.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown node 3"):
+            net.link_delay(3, 0)
+        with pytest.raises(KeyError, match="unknown node -1"):
+            net.link_delay(-1, 0)
+        # A valid source with an out-of-range target has no such link.
+        with pytest.raises(KeyError, match=r"no link \(0, 3\)"):
             net.link_delay(0, 3)
 
     def test_missing_link_raises(self):
         net = Network()
         net.add_node(NodeKind.MAN)
         net.add_node(NodeKind.MAN)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"no link \(0, 1\)"):
             net.link_delay(0, 1)
+        net.add_link(0, 1, 2.5)
+        assert net.link_delay(0, 1) == net.link_delay(1, 0) == 2.5
 
     def test_kinds_and_levels(self):
         net = Network()

@@ -79,7 +79,7 @@ class TestInvalidation:
         for node in cached:
             descriptor = scheme.node_state(node).dcache.peek(7)
             assert descriptor is not None
-            assert descriptor.estimator.reference_count > 1
+            assert descriptor.reference_count > 1
         scheme.check_invariants()
 
 

@@ -194,6 +194,28 @@ class TestTrace:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0,2,3", "expected 5 fields, got 3"),
+            ("1.0,2,3,4,5,6", "expected 5 fields, got 6"),
+            ("1.0,two,3,4,5", "invalid literal for int"),
+            ("soon,2,3,4,5", "could not convert string to float"),
+        ],
+        ids=["short", "long", "non-numeric-int", "non-numeric-float"],
+    )
+    def test_csv_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "time,client_id,object_id,server_id,size\n"
+            "0.5,1,2,3,100\n"
+            f"{row}\n"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            read_trace_csv(path)
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+        assert message in str(excinfo.value)
+
 
 class TestBoeingLikeGenerator:
     def test_trace_matches_config(self, tiny_workload):

@@ -96,6 +96,12 @@ echo "== one descriptor object gate =="
 test -z "$(grep -rn "[.]estimator" src)"
 test -z "$(grep -n "sorted(" src/repro/cache/dcache.py)"
 
+echo "== reference-walk call budget =="
+# Python calls per request of the reference loop on a fixed small
+# en-route coordinated trace: a perf gate host load cannot move.  Prints
+# the measured number beside its committed bound; exits 1 over it.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_call_budget.py
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then

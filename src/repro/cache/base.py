@@ -53,7 +53,11 @@ class Cache(abc.ABC):
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity_bytes = capacity_bytes
-        self._entries: Dict[int, CacheEntry] = {}
+        # object id -> entry.  Readable by callers that need a membership
+        # test without a call frame (the schemes' per-hop lookup); only
+        # the cache's own operations (and the fast path's state
+        # write-back) write it.
+        self.entries: Dict[int, CacheEntry] = {}
         self._used = 0
         # Instrumentation hook (see repro.obs.instruments.CacheObserver):
         # strictly observational, None in uninstrumented runs.
@@ -70,17 +74,17 @@ class Cache(abc.ABC):
         return self.capacity_bytes - self._used
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._entries
+        return object_id in self.entries
 
     def object_ids(self) -> Iterator[int]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def entry(self, object_id: int) -> Optional[CacheEntry]:
         """Entry for an object without touching recency state."""
-        return self._entries.get(object_id)
+        return self.entries.get(object_id)
 
     # -- policy hooks ------------------------------------------------------
 
@@ -107,7 +111,7 @@ class Cache(abc.ABC):
 
     def access(self, object_id: int, now: float) -> Optional[CacheEntry]:
         """Look up an object on a request; updates policy recency state."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is not None:
             self.on_access(entry, now)
         return entry
@@ -123,7 +127,7 @@ class Cache(abc.ABC):
         untouched (no partial eviction).
         """
         object_id = descriptor.object_id
-        if object_id in self._entries:
+        if object_id in self.entries:
             return []
         if descriptor.size > self.capacity_bytes:
             raise CacheTooSmallError(
@@ -154,7 +158,7 @@ class Cache(abc.ABC):
             if observer is not None and evicted:
                 observer.on_evictions(self, evicted, now)
         entry = CacheEntry(descriptor)
-        self._entries[object_id] = entry
+        self.entries[object_id] = entry
         self._used += descriptor.size
         self.on_insert(entry, now)
         if observer is not None:
@@ -163,7 +167,7 @@ class Cache(abc.ABC):
 
     def remove(self, object_id: int) -> Optional[CacheEntry]:
         """Remove an object explicitly (e.g. invalidation)."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             return None
         self._remove_entry(entry)
@@ -172,13 +176,13 @@ class Cache(abc.ABC):
         return entry
 
     def _remove_entry(self, entry: CacheEntry) -> None:
-        del self._entries[entry.object_id]
+        del self.entries[entry.object_id]
         self._used -= entry.size
         self.on_remove(entry)
 
     def check_invariants(self) -> None:
         """Assert accounting consistency (used by tests)."""
-        actual = sum(e.size for e in self._entries.values())
+        actual = sum(e.size for e in self.entries.values())
         if actual != self._used:
             raise AssertionError(f"byte accounting drift: {actual} != {self._used}")
         if self._used > self.capacity_bytes:

@@ -13,9 +13,15 @@ frequencies come from a sliding window.  Both policies are provided here
 (``policy="lfu"`` -- the default -- and ``policy="lru"``); the ablation
 bench ``benchmarks/test_ablation_dcache_policy.py`` compares them.  Each
 policy is one order object with the same four operations (``add``,
-``promote``, ``discard``, ``pop_victim``), picked once at construction,
-and every one of them is O(1): the LFU victim is the oldest id of the
-lowest-count bucket, the LRU victim the oldest id overall.
+``promote``, ``discard``, ``replace_victim``), picked once at
+construction, and every one of them is O(1): the LFU victim is the oldest
+id of the lowest-count bucket, the LRU victim the oldest id overall.
+
+Admitting a descriptor into a full d-cache is one swap: ``insert`` asks
+the order object to replace its victim with the new id in a single
+``replace_victim`` call, drops the victim's descriptor and hands it to
+the observer -- the same state and the same victim as evicting first and
+adding second.
 """
 
 from __future__ import annotations
@@ -46,8 +52,11 @@ class _RecencyOrder:
     def discard(self, key: int) -> None:
         self._order.pop(key, None)
 
-    def pop_victim(self) -> int:
-        return self._order.popitem(last=False)[0]
+    def replace_victim(self, key: int) -> int:
+        order = self._order
+        victim = order.popitem(last=False)[0]
+        order[key] = None
+        return victim
 
     def eviction_order(self):
         return iter(self._order)
@@ -69,14 +78,18 @@ class DescriptorCache:
         # Instrumentation hook (see repro.obs.instruments.DcacheObserver):
         # strictly observational, None in uninstrumented runs.
         self.observer = None
-        self._descriptors: Dict[int, ObjectDescriptor] = {}
+        # object id -> descriptor.  Readable by callers that need a lookup
+        # without a call frame (the schemes' per-hop walk); only the
+        # d-cache's own operations (and the fast path's state write-back)
+        # write it.
+        self.descriptors: Dict[int, ObjectDescriptor] = {}
         self._order = _FrequencyBuckets() if policy == "lfu" else _RecencyOrder()
 
     def __len__(self) -> int:
-        return len(self._descriptors)
+        return len(self.descriptors)
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._descriptors
+        return object_id in self.descriptors
 
     def eviction_order(self) -> List[int]:
         """Descriptor ids in the order the policy would evict them."""
@@ -86,51 +99,53 @@ class DescriptorCache:
 
     def get(self, object_id: int) -> Optional[ObjectDescriptor]:
         """Descriptor lookup; counts as a policy reference when present."""
-        descriptor = self._descriptors.get(object_id)
+        descriptor = self.descriptors.get(object_id)
         if descriptor is not None:
             self._order.promote(object_id)
         return descriptor
 
     def peek(self, object_id: int) -> Optional[ObjectDescriptor]:
         """Descriptor lookup without touching policy state."""
-        return self._descriptors.get(object_id)
+        return self.descriptors.get(object_id)
 
     def insert(self, descriptor: ObjectDescriptor) -> List[ObjectDescriptor]:
         """Insert a descriptor, evicting per policy if full.
 
         Returns evicted descriptors.  Inserting an already-present id
         replaces the stored descriptor without resetting its policy state.
+        A full d-cache swaps its policy victim for the new id in one
+        order operation.
         """
         object_id = descriptor.object_id
-        descriptors = self._descriptors
+        descriptors = self.descriptors
         if object_id in descriptors:
             descriptors[object_id] = descriptor
             return []
+        if len(descriptors) < self.capacity:
+            descriptors[object_id] = descriptor
+            self._order.add(object_id)
+            return []
         if self.capacity == 0:
             return [descriptor]
-        order = self._order
-        evicted: List[ObjectDescriptor] = []
-        while len(descriptors) >= self.capacity:
-            evicted.append(descriptors.pop(order.pop_victim()))
+        evicted = [descriptors.pop(self._order.replace_victim(object_id))]
         descriptors[object_id] = descriptor
-        order.add(object_id)
-        if evicted and self.observer is not None:
+        if self.observer is not None:
             self.observer.on_evictions(self, evicted)
         return evicted
 
     def remove(self, object_id: int) -> Optional[ObjectDescriptor]:
         """Remove a descriptor (e.g. when the object enters the main cache)."""
-        descriptor = self._descriptors.pop(object_id, None)
+        descriptor = self.descriptors.pop(object_id, None)
         if descriptor is not None:
             self._order.discard(object_id)
         return descriptor
 
     def check_invariants(self) -> None:
-        if len(self._descriptors) > self.capacity:
+        if len(self.descriptors) > self.capacity:
             raise AssertionError("d-cache over capacity")
         self._order.check_invariants()
         tracked = self.eviction_order()
-        if len(tracked) != len(self._descriptors) or set(tracked) != (
-            self._descriptors.keys()
+        if len(tracked) != len(self.descriptors) or set(tracked) != (
+            self.descriptors.keys()
         ):
             raise AssertionError("d-cache policy bookkeeping drift")

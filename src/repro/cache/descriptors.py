@@ -49,14 +49,25 @@ class ObjectDescriptor(SlidingWindowFrequencyEstimator):
     ) -> "ObjectDescriptor":
         """A new descriptor with its first reference, at ``now``, recorded.
 
-        Same state as ``record_access(now)`` on a fresh descriptor: a
+        Same state, slot for slot, as ``record_access(now)`` on a fresh
+        descriptor with the default window and aging interval: a
         one-entry window with zero elapsed time, hence the estimator's
-        one-reference-per-aging-interval prior.
+        one-reference-per-aging-interval prior.  Built in one step (no
+        ``__init__`` chain), with the same size and penalty checks.
         """
-        descriptor = cls(object_id, size, miss_penalty)
-        descriptor._times.append(now)
-        descriptor._value = 1.0 / descriptor.aging_interval
+        if size <= 0:
+            raise ValueError("object size must be positive")
+        if miss_penalty < 0:
+            raise ValueError("miss penalty must be non-negative")
+        descriptor = cls.__new__(cls)
+        descriptor.window = DEFAULT_WINDOW
+        descriptor.aging_interval = DEFAULT_AGING_INTERVAL
+        descriptor._times = [now]
+        descriptor._value = 1.0 / DEFAULT_AGING_INTERVAL
         descriptor._refreshed_at = now
+        descriptor.object_id = object_id
+        descriptor.size = size
+        descriptor.miss_penalty = miss_penalty
         return descriptor
 
     #: Record one reference; returns the refreshed frequency.

@@ -97,11 +97,3 @@ class SlidingWindowFrequencyEstimator:
             self._value = 1.0 / self.aging_interval
         self._refreshed_at = now
         return self._value
-
-    def clone(self) -> "SlidingWindowFrequencyEstimator":
-        """Independent copy of the estimator state (window and estimate)."""
-        copy = SlidingWindowFrequencyEstimator(self.window, self.aging_interval)
-        copy._times.extend(self._times)
-        copy._value = self._value
-        copy._refreshed_at = self._refreshed_at
-        return copy

@@ -64,7 +64,7 @@ class GDSCache(Cache):
         for _, object_id in self._order:
             if object_id == exclude:
                 continue
-            entry = self._entries[object_id]
+            entry = self.entries[object_id]
             victims.append(entry)
             freed += entry.size
             if freed >= needed_bytes:
@@ -95,7 +95,7 @@ class GDSCache(Cache):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        if len(self._order) != len(self._entries):
+        if len(self._order) != len(self.entries):
             raise AssertionError("GDS key bookkeeping drift")
         if any(key < self._inflation - 1e12 for key, _ in self._order):
             raise AssertionError("priority below inflation floor")

@@ -4,9 +4,11 @@ Not used by any of the paper's object caches directly, but provided as a
 classic baseline and as the policy backbone of the d-cache (which manages
 descriptors by LFU, section 2.4).  Eviction order is lowest hit count
 first, ties broken least-recently-used first.  Bookkeeping is O(1) via
-frequency buckets, and so is the single-victim pop the d-cache makes on
-every insertion into a full d-cache; only :class:`LFUCache`'s multi-victim
-walk (which may skip an excluded id) sorts the bucket counts.
+frequency buckets, and so is the swap the d-cache makes on every
+insertion into a full d-cache (:meth:`_FrequencyBuckets.replace_victim`
+drops the victim and adds the new id in one operation); only
+:class:`LFUCache`'s multi-victim walk (which may skip an excluded id)
+sorts the bucket counts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.cache.base import Cache, CacheEntry
 
 
 class _FrequencyBuckets:
-    """hit-count -> insertion-ordered ids, with O(1) promote and victim pop.
+    """hit-count -> insertion-ordered ids, with O(1) promote and victim swap.
 
     Buckets are plain dicts (insertion-ordered, like ``OrderedDict``, and
     cheaper).  ``_min_count`` is kept equal to ``min(_buckets)`` whenever
@@ -78,18 +80,31 @@ class _FrequencyBuckets:
             if self._min_count == count:
                 self._min_count = min(self._buckets, default=0)
 
-    def pop_victim(self) -> int:
-        """Remove and return the first key of :meth:`eviction_order`."""
-        count = self._min_count
+    def replace_victim(self, key: int) -> int:
+        """Swap the first key of :meth:`eviction_order` for a new ``key``.
+
+        Leaves the state that removing the victim and then calling
+        :meth:`add` would: the victim leaves the lowest-count bucket and
+        ``key`` (which must be absent) joins count 1 as its newest id.
+        Returns the victim.
+        """
+        counts = self._counts
         buckets = self._buckets
+        count = self._min_count
         bucket = buckets[count]
-        key = next(iter(bucket))
-        del bucket[key]
-        del self._counts[key]
+        for victim in bucket:
+            break
+        del bucket[victim]
+        del counts[victim]
+        counts[key] = 1
+        if count == 1:
+            bucket[key] = None
+            return victim
         if not bucket:
             del buckets[count]
-            self._min_count = min(buckets, default=0)
-        return key
+        buckets[1] = {key: None}
+        self._min_count = 1
+        return victim
 
     def eviction_order(self):
         """Yield keys lowest-count-first, LRU-first within a count."""
@@ -130,7 +145,7 @@ class LFUCache(Cache):
         for object_id in self._buckets.eviction_order():
             if object_id == exclude:
                 continue
-            entry = self._entries[object_id]
+            entry = self.entries[object_id]
             victims.append(entry)
             freed += entry.size
             if freed >= needed_bytes:

@@ -29,7 +29,7 @@ class LRUCache(Cache):
         for object_id in self._recency:
             if object_id == exclude:
                 continue
-            entry = self._entries[object_id]
+            entry = self.entries[object_id]
             victims.append(entry)
             freed += entry.size
             if freed >= needed_bytes:

@@ -51,7 +51,7 @@ class NCLCache(Cache):
 
     def refresh_key(self, object_id: int, now: float) -> None:
         """Re-sort one entry after its descriptor changed."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             return
         new_key = entry.descriptor.normalized_cost_loss(now)
@@ -63,7 +63,7 @@ class NCLCache(Cache):
 
     def record_access(self, object_id: int, now: float) -> None:
         """Record a reference on a cached object's descriptor."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             raise KeyError(f"object {object_id} not cached")
         entry.descriptor.record_access(now)
@@ -71,7 +71,7 @@ class NCLCache(Cache):
 
     def set_miss_penalty(self, object_id: int, miss_penalty: float, now: float) -> None:
         """Update a cached object's miss penalty (response-path update)."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             raise KeyError(f"object {object_id} not cached")
         entry.descriptor.miss_penalty = miss_penalty
@@ -87,7 +87,7 @@ class NCLCache(Cache):
         for _, object_id in self._order:
             if object_id == exclude:
                 continue
-            entry = self._entries[object_id]
+            entry = self.entries[object_id]
             victims.append(entry)
             freed += entry.size
             if freed >= needed_bytes:
@@ -110,14 +110,14 @@ class NCLCache(Cache):
         """
         if size > self.capacity_bytes:
             return None
-        if object_id in self._entries:
+        if object_id in self.entries:
             return 0.0
         needed = size - (self.capacity_bytes - self._used)
         if needed <= 0:
             return 0.0
         loss = 0.0
         freed = 0
-        entries = self._entries
+        entries = self.entries
         # The loop variable must not be named ``object_id``: it would
         # shadow the parameter, which is still meaningful after the loop.
         for _, victim_id in self._order:
@@ -143,14 +143,14 @@ class NCLCache(Cache):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        if len(self._order) != len(self._entries) or len(self._keys) != len(self._entries):
+        if len(self._order) != len(self.entries) or len(self._keys) != len(self.entries):
             raise AssertionError("NCL key bookkeeping drift")
         if any(
             self._order[i] > self._order[i + 1]
             for i in range(len(self._order) - 1)
         ):
             raise AssertionError("NCL order list not sorted")
-        if {oid for _, oid in self._order} != set(self._entries):
+        if {oid for _, oid in self._order} != set(self.entries):
             raise AssertionError("NCL order list does not match entries")
         if any(self._keys.get(oid) != key for key, oid in self._order):
             raise AssertionError("NCL order keys disagree with key map")

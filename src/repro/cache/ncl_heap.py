@@ -46,7 +46,7 @@ class HeapNCLCache(Cache):
     # -- internal ----------------------------------------------------------
 
     def _push(self, object_id: int, now: float) -> None:
-        entry = self._entries[object_id]
+        entry = self.entries[object_id]
         version = next(self._seq)
         self._versions[object_id] = version
         key = entry.descriptor.normalized_cost_loss(now)
@@ -57,7 +57,7 @@ class HeapNCLCache(Cache):
         return self._versions.get(object_id) == version
 
     def _compact(self) -> None:
-        if len(self._heap) > _COMPACT_FACTOR * max(len(self._entries), 1):
+        if len(self._heap) > _COMPACT_FACTOR * max(len(self.entries), 1):
             self._heap = [item for item in self._heap if self._is_live(item)]
             heapq.heapify(self._heap)
 
@@ -65,7 +65,7 @@ class HeapNCLCache(Cache):
 
     def record_access(self, object_id: int, now: float) -> None:
         """Record a reference on a cached object's descriptor."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             raise KeyError(f"object {object_id} not cached")
         entry.descriptor.record_access(now)
@@ -74,7 +74,7 @@ class HeapNCLCache(Cache):
 
     def set_miss_penalty(self, object_id: int, miss_penalty: float, now: float) -> None:
         """Update a cached object's miss penalty (response-path update)."""
-        entry = self._entries.get(object_id)
+        entry = self.entries.get(object_id)
         if entry is None:
             raise KeyError(f"object {object_id} not cached")
         entry.descriptor.miss_penalty = miss_penalty
@@ -100,7 +100,7 @@ class HeapNCLCache(Cache):
             if object_id in seen or object_id == exclude:
                 continue
             seen.add(object_id)
-            entry = self._entries[object_id]
+            entry = self.entries[object_id]
             victims.append(entry)
             freed += entry.size
         for item in popped:
@@ -120,7 +120,7 @@ class HeapNCLCache(Cache):
         """
         if size > self.capacity_bytes:
             return None
-        if object_id in self._entries:
+        if object_id in self.entries:
             return 0.0
         needed = size - self.free_bytes
         if needed <= 0:
@@ -138,7 +138,7 @@ class HeapNCLCache(Cache):
             if victim_id in seen:
                 continue
             seen.add(victim_id)
-            entry = self._entries[victim_id]
+            entry = self.entries[victim_id]
             loss += entry.descriptor.cost_rate(now)
             freed += entry.size
         for item in popped:
@@ -164,12 +164,12 @@ class HeapNCLCache(Cache):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        if set(self._versions) != set(self._entries):
+        if set(self._versions) != set(self.entries):
             raise AssertionError("heap version bookkeeping drift")
         live = {
             object_id
             for _, object_id, version in self._heap
             if self._versions.get(object_id) == version
         }
-        if live != set(self._entries):
+        if live != set(self.entries):
             raise AssertionError("heap is missing live entries")

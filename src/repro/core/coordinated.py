@@ -99,18 +99,28 @@ class CoordinatedScheme(DescriptorSchemeBase):
         report, or the "no descriptor" tag when the object is unknown to
         both the main cache and the d-cache.  The reported ``f_i`` is the
         estimate the reference just refreshed.
+
+        The mutations are :meth:`DescriptorNode.record_request`'s, made
+        without a call per membership test: the main cache is tested
+        once, then the d-cache; only a present descriptor is referenced
+        (the policy promote -- on an absent id it would be a no-op) and
+        records the request, and ``record``'s return value is the
+        reported ``f_i``.
         """
-        state = self.node_state(node)
+        state = self._nodes.get(node)
+        if state is None:
+            state = self.node_state(node)
         cache = state.cache
-        if object_id in cache:
+        if object_id in cache.entries:
             cache.record_access(object_id, now)
             return True, None
-        descriptor = state.record_request(object_id, now)
-        if descriptor is None:
+        dcache = state.dcache
+        if object_id not in dcache.descriptors:
             return False, node_report(node, 0.0, 0.0, None, False)
+        descriptor = dcache.get(object_id)
         return False, node_report(
             node,
-            descriptor.peek(),
+            descriptor.record(now),
             descriptor.miss_penalty,
             cache.cost_loss(object_id, size, now),
             True,
@@ -138,32 +148,37 @@ class CoordinatedScheme(DescriptorSchemeBase):
         charged to the protocol-overhead counters here.
         """
         described = 0
-        candidates = []
+        # The candidates' columns, server first: node, f, m, l.
+        nodes = []
+        frequencies = []
+        penalties = []
+        losses = []
         for report in reversed(reports):
             if report["d"]:
                 described += 1
-                if report["l"] is not None:
-                    candidates.append(report)
+                loss = report["l"]
+                if loss is not None:
+                    nodes.append(report["n"])
+                    frequencies.append(report["f"])
+                    penalties.append(report["m"])
+                    losses.append(loss)
         stats = self.protocol_stats
         stats.requests += 1
         stats.reports += described
         stats.no_descriptor_tags += len(reports) - described
         if hit_index > 0:
             stats.responses_with_accumulator += 1
-        if not candidates:
+        if not nodes:
             return {"cache_at": [], "gain": 0.0, "acc": 0.0}
-        frequencies = enforce_monotone_frequencies(
-            [r["f"] for r in candidates]
-        )
         problem = PlacementProblem(
-            frequencies=tuple(frequencies),
-            penalties=tuple(r["m"] for r in candidates),
-            losses=tuple(r["l"] for r in candidates),
+            frequencies=tuple(enforce_monotone_frequencies(frequencies)),
+            penalties=tuple(penalties),
+            losses=tuple(losses),
         )
         solution = self._solve(problem)
         if self.placement_observer is not None:
             self.placement_observer(problem, solution)
-        chosen = sorted(candidates[i]["n"] for i in solution.indices)
+        chosen = sorted([nodes[i] for i in solution.indices])
         stats.decisions += len(chosen)
         return {"cache_at": chosen, "gain": solution.gain, "acc": 0.0}
 
@@ -192,44 +207,43 @@ class CoordinatedScheme(DescriptorSchemeBase):
         ``path[index..came_from]`` -- the object still crossed every
         link through the dead node's router, only its cache process was
         down.  With the default ``came_from = index + 1`` this is
-        exactly the single-link cost -- the simulator's walk.
+        exactly the single-link cost -- the simulator's walk -- priced
+        with one ``link_cost`` call.
         """
         node = path[index]
-        accumulator = decision["acc"] + self._arrival_cost(
-            index, path, size, came_from
-        )
-        state = self.node_state(node)
-        inserted = False
-        evictions = 0
+        upstream = index + 1
+        if came_from is None or came_from == upstream:
+            arrival = self.cost_model.link_cost(node, path[upstream], size)
+        else:
+            arrival = self._failover_cost(index, path, size, came_from)
+        accumulator = decision["acc"] + arrival
+        state = self._nodes.get(node)
+        if state is None:
+            state = self.node_state(node)
         if node in decision["cache_at"]:
             evicted = state.insert_object(object_id, size, accumulator, now)
             if evicted is not None:
-                inserted = True
-                evictions = len(evicted)
-                accumulator = 0.0
+                decision["acc"] = 0.0
+                return True, len(evicted)
         else:
             state.ensure_dcache_descriptor(object_id, size, accumulator, now)
         decision["acc"] = accumulator
-        return inserted, evictions
+        return False, 0
 
-    def _arrival_cost(
+    def _failover_cost(
         self,
         index: int,
         path: Sequence[int],
         size: int,
-        came_from: Optional[int],
+        came_from: int,
     ) -> float:
-        """Cost of the links the response crossed to reach ``path[index]``.
+        """Cost of the failover segment ``path[index..came_from]``.
 
-        One :meth:`~repro.costs.model.CostModel.link_cost` for the
-        ordinary single-hop arrival (``came_from`` unset or ``index + 1``);
-        the whole failover segment ``path[index..came_from]`` through
-        ``path_cost`` otherwise.  Both price every link with ``link_cost``,
-        so a cost model's override is honoured either way.
+        The response bypassed dead hops and crossed every link of the
+        segment; ``path_cost`` prices each with ``link_cost``, so a cost
+        model's override is honoured here as on the ordinary single-link
+        arrival.
         """
-        upstream = index + 1
-        if came_from is None or came_from == upstream:
-            return self.cost_model.link_cost(path[index], path[upstream], size)
         return self.cost_model.path_cost(path[index : came_from + 1], size)
 
     def _observe_request(

@@ -43,6 +43,10 @@ class LatencyCostModel(CostModel):
 
     ``c(u, v, O) = delay(u, v) * s(O) / avg_size`` -- the topology's base
     delays are the delays of an object of ``avg_size`` bytes (section 3.2).
+
+    A present link is priced from the network's ``(u, v)`` delay map in
+    one lookup; a miss defers to :meth:`Network.link_delay`, which raises
+    its usual ``KeyError``.
     """
 
     def __init__(self, network: Network, avg_size: float) -> None:
@@ -52,7 +56,10 @@ class LatencyCostModel(CostModel):
         self.avg_size = float(avg_size)
 
     def link_cost(self, u: int, v: int, size: int) -> float:
-        return self.network.link_delay(u, v) * (size / self.avg_size)
+        delay = self.network.delays.get((u, v))
+        if delay is None:
+            delay = self.network.link_delay(u, v)
+        return delay * (size / self.avg_size)
 
 
 class HopCostModel(CostModel):

@@ -137,26 +137,42 @@ class MetricsCollector:
         }
 
     def record(self, outcome: RequestOutcome, latency: float) -> None:
-        """Record one request's outcome with its modelled access latency."""
+        """Record one request's outcome with its modelled access latency.
+
+        Reads the outcome's fields once and derives hops, cache service
+        and read/write bytes from them exactly as the
+        :class:`RequestOutcome` properties do.
+        """
         if latency < 0:
             raise ValueError("latency must be non-negative")
         self._requests += 1
-        if len(self._reservoir) < _RESERVOIR_SIZE:
-            self._reservoir.append(latency)
+        requests = self._requests
+        reservoir = self._reservoir
+        if len(reservoir) < _RESERVOIR_SIZE:
+            reservoir.append(latency)
         else:
-            slot = self._rng.randrange(self._requests)
+            # Inline rng.randrange(requests): the identical getrandbits
+            # stream, so the sampled reservoir (and every percentile) is
+            # unchanged, without two call frames per request.
+            getrandbits = self._rng.getrandbits
+            nbits = requests.bit_length()
+            slot = getrandbits(nbits)
+            while slot >= requests:
+                slot = getrandbits(nbits)
             if slot < _RESERVOIR_SIZE:
-                self._reservoir[slot] = latency
+                reservoir[slot] = latency
+        size = outcome.size
+        hops = outcome.hit_index
         self._latency += latency
-        self._response_ratio += latency / outcome.size
-        self._bytes_requested += outcome.size
-        if outcome.served_by_cache:
-            self._bytes_cache_served += outcome.size
+        self._response_ratio += latency / size
+        self._bytes_requested += size
+        if hops < len(outcome.path) - 1:  # served by a cache
+            self._bytes_cache_served += size
             self._cache_hits += 1
-        self._byte_hops += outcome.size * outcome.hops
-        self._hops += outcome.hops
-        self._bytes_read += outcome.bytes_read
-        self._bytes_written += outcome.bytes_written
+            self._bytes_read += size
+        self._byte_hops += size * hops
+        self._hops += hops
+        self._bytes_written += size * len(outcome.inserted_nodes)
 
     def summary(self) -> MetricsSummary:
         if self._requests == 0:

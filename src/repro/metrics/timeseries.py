@@ -66,15 +66,17 @@ class IntervalMetricsCollector:
         bucket = self._windows.setdefault(
             index, [0, 0.0, 0, 0, 0, 0, 0, 0]
         )
+        size = outcome.size
+        hops = outcome.hit_index
         bucket[0] += 1                       # requests
         bucket[1] += latency                 # latency sum
-        bucket[2] += outcome.size            # bytes requested
-        if outcome.served_by_cache:
-            bucket[3] += outcome.size        # bytes cache-served
+        bucket[2] += size                    # bytes requested
+        if hops < len(outcome.path) - 1:     # served by a cache
+            bucket[3] += size                # bytes cache-served
             bucket[5] += 1                   # cache hits
-            bucket[6] += outcome.size        # bytes read from caches
-        bucket[4] += outcome.hops            # hops sum
-        bucket[7] += outcome.size * len(outcome.inserted_nodes)  # bytes written
+            bucket[6] += size                # bytes read from caches
+        bucket[4] += hops                    # hops sum
+        bucket[7] += size * len(outcome.inserted_nodes)  # bytes written
 
     def series(self) -> List[IntervalSnapshot]:
         """Snapshots for every window from the first to the last active one."""

@@ -76,10 +76,15 @@ class AdaptiveScheme(CoordinatedScheme):
         sample outright (there is no estimate to damp).
         """
         node = path[index]
-        accumulator = decision["acc"] + self._arrival_cost(
-            index, path, size, came_from
-        )
-        state = self.node_state(node)
+        upstream = index + 1
+        if came_from is None or came_from == upstream:
+            arrival = self.cost_model.link_cost(node, path[upstream], size)
+        else:
+            arrival = self._failover_cost(index, path, size, came_from)
+        accumulator = decision["acc"] + arrival
+        state = self._nodes.get(node)
+        if state is None:
+            state = self.node_state(node)
         existing = state.descriptor(object_id)
         if existing is None:
             penalty = accumulator

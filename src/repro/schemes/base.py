@@ -23,7 +23,6 @@ likewise places ``A_0`` outside the candidate set.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.base import Cache, CacheTooSmallError
@@ -31,7 +30,6 @@ from repro.cache.descriptors import ObjectDescriptor
 from repro.costs.model import CostModel
 
 
-@dataclass(frozen=True)
 class RequestOutcome:
     """What happened to one request.
 
@@ -45,17 +43,54 @@ class RequestOutcome:
     read at the serving cache (zero on an origin hit) -- together these
     are the paper's aggregate cache read/write load per request (section
     4.1).
+
+    One is built per request, so it is a plain slotted class: a direct
+    ``__init__`` with the ``hit_index`` range check, and value equality,
+    hash and a field-by-field ``repr`` over the five fields.  Treat it
+    as immutable.
     """
 
-    path: Sequence[int]
-    hit_index: int
-    size: int
-    inserted_nodes: tuple = ()
-    evicted_objects: int = 0
+    __slots__ = ("path", "hit_index", "size", "inserted_nodes", "evicted_objects")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.hit_index < len(self.path):
+    def __init__(
+        self,
+        path: Sequence[int],
+        hit_index: int,
+        size: int,
+        inserted_nodes: tuple = (),
+        evicted_objects: int = 0,
+    ) -> None:
+        if not 0 <= hit_index < len(path):
             raise ValueError("hit_index out of path range")
+        self.path = path
+        self.hit_index = hit_index
+        self.size = size
+        self.inserted_nodes = inserted_nodes
+        self.evicted_objects = evicted_objects
+
+    def _fields(self) -> tuple:
+        return (
+            self.path,
+            self.hit_index,
+            self.size,
+            self.inserted_nodes,
+            self.evicted_objects,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"RequestOutcome(path={self.path!r}, hit_index={self.hit_index!r}, "
+            f"size={self.size!r}, inserted_nodes={self.inserted_nodes!r}, "
+            f"evicted_objects={self.evicted_objects!r})"
+        )
 
     @property
     def served_by_cache(self) -> bool:
@@ -150,11 +185,7 @@ class CachingScheme(abc.ABC):
                 path, hit_index, reports, decision, inserted, object_id, now
             )
         return RequestOutcome(
-            path=path,
-            hit_index=hit_index,
-            size=size,
-            inserted_nodes=tuple(inserted),
-            evicted_objects=evictions,
+            path, hit_index, size, tuple(inserted), evictions
         )
 
     def _observe_request(

@@ -93,7 +93,7 @@ class DescriptorNode:
         current reference.
         """
         dcache = self.dcache
-        descriptor = dcache.peek(object_id)
+        descriptor = dcache.descriptors.get(object_id)
         if descriptor is None:
             descriptor = ObjectDescriptor.referenced(object_id, size, penalty, now)
             dcache.insert(descriptor)

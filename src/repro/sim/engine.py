@@ -196,6 +196,10 @@ class SimulationEngine:
         started = time.perf_counter()
         collector = MetricsCollector()
         request_path = self.architecture.request_path
+        # (client_id, server_id) -> delivery path, resolved once per run:
+        # the routing table memoizes paths already, so every request of
+        # a pair gets the very list request_path would return.
+        routes: dict = {}
         process = self.scheme.process_request
         path_cost = self.cost_model.path_cost
         # The coherency seam: update handling is a policy the loop
@@ -217,14 +221,17 @@ class SimulationEngine:
             last_time = record.time
             if policy.next_time <= record.time:
                 policy.advance(index, record.time)
+            if timers is not None:
+                started_phase = time.perf_counter()
+            route = (record.client_id, record.server_id)
+            path = routes.get(route)
+            if path is None:
+                path = routes[route] = request_path(*route)
             if timers is None:
-                path = request_path(record.client_id, record.server_id)
                 outcome = process(
                     path, record.object_id, record.size, record.time
                 )
             else:
-                started_phase = time.perf_counter()
-                path = request_path(record.client_id, record.server_id)
                 routed = time.perf_counter()
                 outcome = process(
                     path, record.object_id, record.size, record.time

@@ -504,9 +504,9 @@ def _writeback_lru(scheme, paths, reach, node_states) -> None:
     visited prefix per path.  ``_recency`` -- the order all future
     eviction decisions read -- is reproduced exactly (the kernel dict
     evolved through the same touch/insert/remove sequence as the
-    reference OrderedDict).  ``_entries`` is written in recency order
+    reference OrderedDict).  ``entries`` is written in recency order
     rather than the reference's raw insertion order; the difference is
-    behaviorally inert (``_entries`` is a keyed map, never an order
+    behaviorally inert (``entries`` is a keyed map, never an order
     source) and buys the kernel one dict per node instead of two.
     """
     done = set()
@@ -520,7 +520,7 @@ def _writeback_lru(scheme, paths, reach, node_states) -> None:
             cache = LRUCache(scheme.capacity_for(node))
             for oid, size in entries.items():
                 entry = CacheEntry(ObjectDescriptor(oid, size))
-                cache._entries[oid] = entry
+                cache.entries[oid] = entry
                 cache._recency[oid] = None
             cache._used = used
             scheme._caches[node] = cache
@@ -616,8 +616,8 @@ def _d_insert(st: _CoordNode, oid: int, d: list) -> None:
     ``dmin`` is maintained through exactly the reference
     ``_FrequencyBuckets._min_count`` transitions, which keep it equal to
     ``min(buckets)`` whenever any bucket exists -- so the victim pick is
-    the same O(1) first-key-of-the-lowest-bucket pop as
-    ``_FrequencyBuckets.pop_victim``, choosing the identical victim.
+    the same O(1) first-key-of-the-lowest-bucket pick as
+    ``_FrequencyBuckets.replace_victim``, choosing the identical victim.
     """
     ddesc = st.ddesc
     if oid in ddesc:
@@ -1084,13 +1084,13 @@ def _writeback_coordinated(scheme, paths, reach, node_states) -> None:
             )
             cache = state.cache
             for oid, d in st.entries.items():
-                cache._entries[oid] = CacheEntry(_materialize_descriptor(oid, d))
+                cache.entries[oid] = CacheEntry(_materialize_descriptor(oid, d))
             cache._used = st.used
             cache._order = st.order
             cache._keys = st.keys
             dcache = state.dcache
             for oid, d in st.ddesc.items():
-                dcache._descriptors[oid] = _materialize_descriptor(oid, d)
+                dcache.descriptors[oid] = _materialize_descriptor(oid, d)
             buckets = dcache._order
             buckets._counts = dict(st.dcount)
             buckets._buckets = {

@@ -65,8 +65,10 @@ class Network:
         self._kinds: List[NodeKind] = []
         self._levels: List[int] = []
         self._adjacency: List[Dict[int, float]] = []
-        # (u, v) -> delay in both directions: link_delay's one lookup.
-        self._delays: Dict[Tuple[int, int], float] = {}
+        # (u, v) -> delay in both directions: link_delay's one lookup,
+        # read directly by LatencyCostModel.link_cost.  Do not mutate;
+        # add_link is the only writer.
+        self.delays: Dict[Tuple[int, int], float] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -86,8 +88,8 @@ class Network:
             raise ValueError(f"duplicate link ({u}, {v})")
         self._adjacency[u][v] = delay
         self._adjacency[v][u] = delay
-        self._delays[u, v] = delay
-        self._delays[v, u] = delay
+        self.delays[u, v] = delay
+        self.delays[v, u] = delay
         return link
 
     def _check_node(self, node: int) -> None:
@@ -140,7 +142,7 @@ class Network:
         costs one dict lookup.
         """
         try:
-            return self._delays[u, v]
+            return self.delays[u, v]
         except KeyError:
             pass
         self._check_node(u)

@@ -68,9 +68,9 @@ def assert_cache_state_identical(
 ) -> None:
     """Full post-run state comparison between two schemes.
 
-    ``_entries`` insertion order is compared only for caches without a
+    ``entries`` insertion order is compared only for caches without a
     separate recency structure: the LRU kernel stores entries in recency
-    order by design (``_entries`` is a keyed map there, never an order
+    order by design (``entries`` is a keyed map there, never an order
     source), so for LRU caches the policy-bearing ``_recency`` order is
     what must -- and does -- match exactly.
     """
@@ -92,35 +92,35 @@ def assert_cache_state_identical(
         assert type(rc) is type(fc), (tag, node, type(rc), type(fc))
         assert rc.capacity_bytes == fc.capacity_bytes, (tag, node)
         assert rc._used == fc._used, (tag, node, rc._used, fc._used)
-        ref_entries = {oid: e.size for oid, e in rc._entries.items()}
-        fast_entries = {oid: e.size for oid, e in fc._entries.items()}
+        ref_entries = {oid: e.size for oid, e in rc.entries.items()}
+        fast_entries = {oid: e.size for oid, e in fc.entries.items()}
         assert ref_entries == fast_entries, (tag, node, "entries")
         if hasattr(rc, "_recency"):
             assert list(rc._recency) == list(fc._recency), (
                 tag, node, "recency order",
             )
         else:
-            assert list(rc._entries) == list(fc._entries), (
+            assert list(rc.entries) == list(fc.entries), (
                 tag, node, "entry order",
             )
         if hasattr(rc, "_order"):
             assert rc._order == fc._order, (tag, node, "ncl order")
             assert rc._keys == fc._keys, (tag, node, "ncl keys")
-            for oid in rc._entries:
-                rd = rc._entries[oid].descriptor
-                fd = fc._entries[oid].descriptor
+            for oid in rc.entries:
+                rd = rc.entries[oid].descriptor
+                fd = fc.entries[oid].descriptor
                 _assert_descriptor_identical(rd, fd, tag, node, oid)
     if hasattr(reference, "_nodes"):
         assert set(reference._nodes) == set(fast._nodes), (tag, "node states")
         for node in reference._nodes:
             rdc = reference._nodes[node].dcache
             fdc = fast._nodes[node].dcache
-            assert list(rdc._descriptors) == list(fdc._descriptors), (
+            assert list(rdc.descriptors) == list(fdc.descriptors), (
                 tag, node, "dcache order",
             )
-            for oid in rdc._descriptors:
+            for oid in rdc.descriptors:
                 _assert_descriptor_identical(
-                    rdc._descriptors[oid], fdc._descriptors[oid], tag, node, oid
+                    rdc.descriptors[oid], fdc.descriptors[oid], tag, node, oid
                 )
             assert rdc.policy == fdc.policy, (tag, node, "dcache policy")
             if rdc.policy == "lfu":

@@ -62,14 +62,14 @@ class MirroredNCLCache(NCLCache):
         # All descriptor-driven reordering (record_access,
         # set_miss_penalty) funnels through here in the list structure.
         super().refresh_key(object_id, now)
-        if object_id in self._shadow._entries:
+        if object_id in self._shadow.entries:
             self._shadow._push(object_id, now)
             self._shadow._compact()
 
     def on_insert(self, entry: CacheEntry, now: float) -> None:
         super().on_insert(entry, now)
         shadow = self._shadow
-        shadow._entries[entry.object_id] = entry
+        shadow.entries[entry.object_id] = entry
         shadow._used += entry.size
         shadow._push(entry.object_id, now)
         shadow._compact()

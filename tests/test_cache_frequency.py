@@ -73,16 +73,6 @@ class TestEstimation:
         est.value(500.0)  # < aging interval since last refresh at t=10
         assert est.peek() == before
 
-    def test_clone_is_independent(self):
-        est = SlidingWindowFrequencyEstimator(window=3)
-        est.record(0.0)
-        est.record(5.0)
-        copy = est.clone()
-        assert copy.value(5.0) == est.value(5.0)
-        copy.record(6.0)
-        assert copy.reference_count == 3
-        assert est.reference_count == 2
-
 
 class TestProperties:
     @given(

@@ -42,6 +42,21 @@ class TestLatencyCostModel:
         with pytest.raises(KeyError):
             model.link_cost(0, 2, 100)
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [(0, 2), (2, 0), (1, 1), (7, 0), (0, 7), (-1, 0)],
+        ids=["absent", "absent-reversed", "self", "unknown-u", "unknown-v",
+             "negative-u"],
+    )
+    def test_miss_raises_link_delays_error(self, chain, u, v):
+        """A miss on the delay map raises exactly Network.link_delay's."""
+        model = LatencyCostModel(chain, avg_size=100.0)
+        with pytest.raises(KeyError) as expected:
+            chain.link_delay(u, v)
+        with pytest.raises(KeyError) as raised:
+            model.link_cost(u, v, 100)
+        assert raised.value.args == expected.value.args
+
 
 class _DoubledLatency(LatencyCostModel):
     """A subclass overriding ``link_cost``; records every link it prices."""

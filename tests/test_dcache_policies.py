@@ -127,6 +127,16 @@ class _VictimModel:
         return victims
 
 
+class _RecordingObserver:
+    """A d-cache observer that keeps every eviction batch it is handed."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def on_evictions(self, dcache, victims) -> None:
+        self.calls.append((dcache, [d.object_id for d in victims]))
+
+
 _OPS = st.lists(
     st.tuples(st.sampled_from(["insert", "get", "remove"]), st.integers(0, 7)),
     max_size=120,
@@ -156,6 +166,55 @@ class TestVictimRule:
                 model.remove(key)
             dcache.check_invariants()
             assert sorted(dcache.eviction_order()) == sorted(model.tracked)
+
+    @pytest.mark.parametrize("policy", ["lfu", "lru"])
+    @given(capacity=st.integers(0, 5), ops=_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_observer_receives_each_swapped_victim(self, policy, capacity, ops):
+        """A full d-cache swaps out exactly the rule's victim, observed."""
+        dcache = DescriptorCache(capacity, policy=policy)
+        observer = _RecordingObserver()
+        dcache.observer = observer
+        model = _VictimModel(capacity, policy)
+        for op, key in ops:
+            if op == "insert":
+                descriptor = desc(key)
+                seen = len(observer.calls)
+                evicted = dcache.insert(descriptor)
+                expected = model.insert(key)
+                calls = observer.calls[seen:]
+                if capacity == 0:
+                    # Refused outright: the new descriptor comes back
+                    # and nothing is observed.
+                    assert evicted == [descriptor]
+                    assert calls == []
+                elif expected:
+                    assert [d.object_id for d in evicted] == expected
+                    assert calls == [(dcache, expected)]
+                else:
+                    assert evicted == []
+                    assert calls == []
+            elif op == "get":
+                dcache.get(key)
+                model.get(key)
+            else:
+                dcache.remove(key)
+                model.remove(key)
+            dcache.check_invariants()
+            assert len(dcache) <= capacity
+
+    @pytest.mark.parametrize("policy", ["lfu", "lru"])
+    def test_zero_capacity_admits_nothing(self, policy):
+        dcache = DescriptorCache(0, policy=policy)
+        observer = _RecordingObserver()
+        dcache.observer = observer
+        for key in range(3):
+            descriptor = desc(key)
+            assert dcache.insert(descriptor) == [descriptor]
+            assert key not in dcache
+            dcache.check_invariants()
+        assert len(dcache) == 0
+        assert observer.calls == []
 
     def test_invariants_catch_a_stale_min_count(self):
         dcache = DescriptorCache(3)

@@ -56,6 +56,12 @@ echo "== one walk gate =="
 WALKS=$(grep -rn "def process_request" src/repro/schemes src/repro/core)
 echo "$WALKS"
 test "$(echo "$WALKS" | wc -l)" -eq 1
+# One step order: the simulator and every serving node drive the one
+# Walk machine, so each step has exactly one call site under src/.
+for step in lookup_step decide_step deliver_step; do
+    test "$(grep -rn "[.]$step(" src | wc -l)" -eq 1
+done
+test -z "$(grep -rn "class _Hop\|def _timed" src)"
 
 echo "== one served walk gate =="
 # The report record has one form (the wire dict), the node no scheme-
@@ -98,8 +104,10 @@ test -z "$(grep -n "sorted(" src/repro/cache/dcache.py)"
 
 echo "== reference-walk call budget =="
 # Python calls per request of the reference loop on a fixed small
-# en-route coordinated trace: a perf gate host load cannot move.  Prints
-# the measured number beside its committed bound; exits 1 over it.
+# en-route coordinated trace, and of a sequential in-process served
+# replay of a fixed hierarchical trace: perf gates host load cannot
+# move.  Prints each measured number beside its committed bound; exits 1
+# over either.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_call_budget.py
 
 echo "== instrumented simulation smoke =="

@@ -1,9 +1,8 @@
 """The coordinated caching scheme (paper sections 2.3-2.4).
 
 Per request, the scheme runs the three-phase protocol as the three
-node-local steps that :meth:`~repro.schemes.base.CachingScheme.
-process_request` drives in the simulator and the cache nodes of the
-serving layer drive on the wire:
+node-local steps of the one walk (:class:`~repro.schemes.base.Walk`),
+which the simulator and the cache nodes of the serving layer drive:
 
 1. **Upstream walk** (:meth:`CoordinatedScheme.lookup_step`).  The
    request travels from the requester towards the origin; every
@@ -54,6 +53,7 @@ from repro.core.placement import (
     enforce_monotone_frequencies,
     solve_placement,
 )
+from repro.schemes.base import Walk
 from repro.schemes.descriptor_scheme import DescriptorSchemeBase
 
 
@@ -246,16 +246,7 @@ class CoordinatedScheme(DescriptorSchemeBase):
         """
         return self.cost_model.path_cost(path[index : came_from + 1], size)
 
-    def _observe_request(
-        self,
-        path: Sequence[int],
-        hit_index: int,
-        reports: Sequence[dict],
-        decision: dict,
-        inserted: Sequence[int],
-        object_id: int,
-        now: float,
-    ) -> None:
+    def _observe_request(self, walk: Walk) -> None:
         """Per-node piggyback byte accounting + the placement event.
 
         Splits the exact quantities :meth:`ProtocolStats.overhead_bytes`
@@ -267,6 +258,7 @@ class CoordinatedScheme(DescriptorSchemeBase):
         DP considered, not every cache below the serving node.  Purely
         observational.
         """
+        reports, decision, hit_index = walk.reports, walk.decision, walk.hit_index
         registry = self._instruments.registry
         if registry is not None:
             add = registry.add_piggyback
@@ -276,18 +268,18 @@ class CoordinatedScheme(DescriptorSchemeBase):
                 add(node, response_bytes(instructed=True, first_carrier=False))
             if hit_index > 0:
                 add(
-                    path[hit_index - 1],
+                    walk.path[hit_index - 1],
                     response_bytes(instructed=False, first_carrier=True),
                 )
         candidates = [r["n"] for r in reports if is_candidate(r)]
         if candidates:
             self._emit_placement(
-                now,
-                object_id,
-                path,
+                walk.now,
+                walk.object_id,
+                walk.path,
                 hit_index,
                 candidates,
                 decision["cache_at"],
-                inserted,
+                walk.inserted,
                 gain=decision["gain"],
             )

@@ -7,12 +7,13 @@ delivery path ``[client_node, ..., server_node]`` (a branch of the origin
 server's distribution tree) and the scheme returns a
 :class:`RequestOutcome` from which all of the paper's metrics derive.
 
-The walk itself is written once: :meth:`CachingScheme.process_request`
-drives the three node-local steps -- ``lookup_step`` up the path,
-``decide_step`` at the serving node, ``deliver_step`` back down -- that
-the live serving layer (:mod:`repro.serve`) runs one node per server.
-Schemes implement the steps (or the small hooks the default steps call),
-never the walk.
+The walk itself is written once, as the sans-I/O machine :class:`Walk`:
+``lookup_step`` up the path, ``decide_step`` at the serving node,
+``deliver_step`` back down.  :meth:`CachingScheme.process_request`
+drives it in the simulator; the live serving layer (:mod:`repro.serve`)
+drives the same machine one node per position, awaiting only where the
+next position is a frame or a fault hold away.  Schemes implement the
+steps (or the small hooks the default steps call), never the walk.
 
 Convention: every node on the path except the last (the origin-server
 attachment) hosts a cache.  Caching at the server's own node would save
@@ -110,14 +111,149 @@ class RequestOutcome:
         return self.size * len(self.inserted_nodes)
 
 
+class Walk:
+    """One request walk: the paper's step order as a sans-I/O machine.
+
+    :meth:`~CachingScheme.lookup_step` up the path until the first hit,
+    collecting the piggybacked reports (the request message); one
+    :meth:`~CachingScheme.decide_step` at the serving node (its decision
+    dict is the response message); :meth:`~CachingScheme.deliver_step`
+    from just below the serving node down to the requester (section
+    2.3).  Each step runs on the scheme hosting its position.  The
+    machine owns the report list, the failover record (``skipped``, and
+    each position's ``came_from``: the position the response reached it
+    from) and the reply -- ``hit_index``, ``decision``, ``inserted`` in
+    response order, ``evictions``.
+
+    Two drivers run it.  :meth:`CachingScheme.process_request` gives no
+    ``observer``: every position is its scheme's, and :meth:`run` goes
+    from lookup to reply in one call.  A serving node's walk
+    (:meth:`repro.serve.node.CacheNode._walk`) has an observer that sees
+    every step -- ``looked_up(walk, hit, report)``, ``failed_over(walk,
+    index)``, ``decided(walk)``, ``delivered(walk, stored, came_from)``,
+    with ``index``/``now`` kept at the current position -- and enters
+    every next position (``enter(walk, index)``: its scheme, or ``None``
+    when the driver cannot enter it without waiting).  ``None`` stops the
+    walk there; the driver resumes it with the outcome -- :meth:`run`
+    with the scheme once reached, :meth:`fail_over` when unreachable,
+    :meth:`run` with a remote ``reply`` to unwind from.  The observer is
+    handed the walk rather than holding it, so a walk is never part of a
+    reference cycle and is freed as soon as its driver lets go.
+    """
+
+    __slots__ = (
+        "path", "object_id", "size", "now", "index", "reports", "skipped",
+        "observer", "hit_index", "decision", "inserted", "evictions", "_below",
+    )
+
+    def __init__(
+        self, path: Sequence[int], object_id: int, size: int, now: float,
+        index: int = 0, reports: Optional[list] = None,
+        skipped: Optional[List[int]] = None, observer=None,
+    ) -> None:
+        self.path = path
+        self.object_id = object_id
+        self.size = size
+        self.now = now
+        self.index = index
+        self.reports = [] if reports is None else reports
+        self.skipped = [] if skipped is None else skipped
+        self.observer = observer
+        # (index, scheme, now) of each position waiting for the response.
+        self._below: List[tuple] = []
+
+    def run(self, scheme, reply: Optional[dict] = None) -> bool:
+        """Climb from ``index``, hosted by ``scheme``, then unwind.
+
+        Given a remote ``reply`` (a ``resp`` frame from ``index``), take
+        its ``hit_index``, ``decision``, ``inserted`` and ``evictions``
+        and unwind from there instead.  Returns ``False`` when the walk
+        stopped at a position its observer could not enter, ``True``
+        once the reply is complete.
+        """
+        path = self.path
+        object_id = self.object_id
+        size = self.size
+        observer = self.observer
+        below = self._below
+        if reply is None:
+            reports = self.reports
+            last = len(path) - 1
+            index = self.index
+            now = self.now
+            # The origin attachment serves without a lookup.
+            while index < last:
+                hit, report = scheme.lookup_step(path[index], object_id, size, now)
+                if observer is not None:
+                    observer.looked_up(self, hit, report)
+                if hit:
+                    break
+                if report is not None:
+                    reports.append(report)
+                below.append((index, scheme, now))
+                index += 1
+                if observer is not None:
+                    self.index = index
+                    scheme = observer.enter(self, index)
+                    if scheme is None:
+                        return False
+                    now = self.now
+            self.hit_index = came_from = index
+            self.decision = decision = scheme.decide_step(
+                path, index, reports, object_id, size, now
+            )
+            if observer is not None:
+                observer.decided(self)
+            self.inserted = inserted = []
+            evictions = 0
+        else:
+            came_from = self.index
+            self.hit_index = reply["hit_index"]
+            self.decision = decision = reply["decision"]
+            self.inserted = inserted = reply["inserted"]
+            evictions = reply["evictions"]
+        # The response crossed every link from came_from down to each
+        # position (a bypassed node's router still forwards).
+        while below:
+            index, scheme, now = below.pop()
+            stored, victims = scheme.deliver_step(
+                index, path, decision, object_id, size, now, came_from=came_from
+            )
+            if stored:
+                inserted.append(path[index])
+            evictions += victims
+            if observer is not None:
+                self.index = index
+                self.now = now
+                observer.delivered(self, stored, came_from)
+            came_from = index
+        self.evictions = evictions
+        return True
+
+    def fail_over(self, error: BaseException) -> None:
+        """The pending position is unreachable or shedding: skip it.
+
+        The walk goes on to the next position; past the origin
+        attachment there is none, so there ``error`` ends the walk.
+        """
+        index = self.index
+        if index >= len(self.path) - 1:
+            raise error
+        self.skipped.append(index)
+        if self.observer is not None:
+            self.observer.failed_over(self, index)
+        self.index = index + 1
+
+
 class CachingScheme(abc.ABC):
     """Base class for all cache-management schemes.
 
     Subclasses provide :meth:`_new_cache` (the per-node cache construction)
     and shape the request walk through the per-node protocol steps below
-    or the hooks those steps call; :meth:`process_request` composes the
-    steps and is not overridden.  Node caches are created lazily the first
-    time a path touches the node, each with ``capacity_bytes``.
+    or the hooks those steps call; :class:`Walk` composes the steps and
+    :meth:`process_request` drives it -- neither is overridden.  Node
+    caches are created lazily the first time a path touches the node,
+    each with ``capacity_bytes``.
     """
 
     name: str = "abstract"
@@ -151,54 +287,20 @@ class CachingScheme(abc.ABC):
     ) -> RequestOutcome:
         """Serve one request along ``path`` and update cache contents.
 
-        The one spelling of the paper's walk (section 2.3):
-        :meth:`lookup_step` up the path until the first hit, collecting
-        the piggybacked reports -- the report list *is* the request
-        message; one :meth:`decide_step` at the serving node -- the
-        decision dict *is* the response message; :meth:`deliver_step`
-        from just below the serving node down to the requester.
+        The simulator's driver of the one :class:`Walk`: every position
+        is this scheme's, entered at ``now``, so the walk runs to its
+        reply in one call and is never resumed.
         """
-        last = len(path) - 1
-        lookup = self.lookup_step
-        reports: List[object] = []
-        hit_index = last
-        for i in range(last):
-            hit, report = lookup(path[i], object_id, size, now)
-            if hit:
-                hit_index = i
-                break
-            if report is not None:
-                reports.append(report)
-        decision = self.decide_step(
-            path, hit_index, reports, object_id, size, now
-        )
-        inserted: List[int] = []
-        evictions = 0
-        deliver = self.deliver_step
-        for i in range(hit_index - 1, -1, -1):
-            stored, victims = deliver(i, path, decision, object_id, size, now)
-            if stored:
-                inserted.append(path[i])
-                evictions += victims
+        walk = Walk(path, object_id, size, now)
+        walk.run(self)
         if self._instruments is not None:
-            self._observe_request(
-                path, hit_index, reports, decision, inserted, object_id, now
-            )
+            self._observe_request(walk)
         return RequestOutcome(
-            path, hit_index, size, tuple(inserted), evictions
+            path, walk.hit_index, size, tuple(walk.inserted), walk.evictions
         )
 
-    def _observe_request(
-        self,
-        path: Sequence[int],
-        hit_index: int,
-        reports: Sequence[object],
-        decision: dict,
-        inserted: Sequence[int],
-        object_id: int,
-        now: float,
-    ) -> None:
-        """Instrumented-run hook, called once per request by the driver.
+    def _observe_request(self, walk: Walk) -> None:
+        """Instrumented-run hook, called once per finished walk.
 
         Emits the ``placement`` event: the candidates are the caches
         below the serving node, ``chosen`` is the shipped decision and
@@ -206,15 +308,16 @@ class CachingScheme(abc.ABC):
         chosen-but-not-inserted, exactly like a cache too small for the
         object.  Purely observational.
         """
+        hit_index = walk.hit_index
         if hit_index > 0:
             self._emit_placement(
-                now,
-                object_id,
-                path,
+                walk.now,
+                walk.object_id,
+                walk.path,
                 hit_index,
-                path[:hit_index],
-                decision["cache_at"],
-                inserted,
+                walk.path[:hit_index],
+                walk.decision["cache_at"],
+                walk.inserted,
             )
 
     # -- shared helpers ------------------------------------------------------
@@ -300,17 +403,17 @@ class CachingScheme(abc.ABC):
     # piggyback state on the request (the coordinated scheme) override the
     # steps wholesale.
     #
-    # Contract: for one request, :meth:`process_request` runs
+    # Contract: for one request, :class:`Walk` runs
     #
     #   ``lookup_step`` on ``path[0..k]`` until the first hit ``k``,
     #   ``decide_step`` at ``path[k]`` with the reports collected so far,
     #   ``deliver_step`` on ``path[k-1], ..., path[0]`` (mutating the
     #   decision in place where the scheme carries response state),
     #
-    # and the serving layer runs the same steps one node per server, so
-    # the simulated and the served protocol cannot drift apart.  Each
-    # step touches only the state of the node it runs at; the
-    # simulator-vs-cluster differential oracle in
+    # whether :meth:`process_request` drives it or the serving layer does,
+    # one node per server, so the simulated and the served protocol cannot
+    # drift apart.  Each step touches only the state of the node it runs
+    # at; the simulator-vs-cluster differential oracle in
     # ``tests/test_serve_cluster.py`` pins the two drivers against each
     # other.
 

@@ -7,12 +7,10 @@ transports -- piggybacked upstream reports, a shipped placement
 decision, and the downstream cost accumulator, all as wire frames.
 
 The layer is built so that serving can never drift from the simulator:
-nodes call the very same per-node protocol steps
-(:meth:`~repro.schemes.base.CachingScheme.lookup_step` /
-``decide_step`` / ``deliver_step``) the simulator's
-``process_request`` is built from, and a differential oracle
-(``tests/test_serve_cluster.py``) pins an in-process replay to the
-simulator's metrics bit-for-bit.
+nodes drive the very same step machine
+(:class:`~repro.schemes.base.Walk`) the simulator's ``process_request``
+drives, and a differential oracle (``tests/test_serve_cluster.py``)
+pins an in-process replay to the simulator's metrics bit-for-bit.
 
 See ``docs/serving.md`` for the wire protocol and deployment notes.
 """

@@ -2,30 +2,26 @@
 
 Each :class:`CacheNode` owns the cache state of exactly one network node
 -- a private instance of the configured scheme in which only this node's
-caches ever materialize -- and handles the per-request protocol through
-the scheme's node-local steps (:meth:`~repro.schemes.base.CachingScheme.
-lookup_step` / ``decide_step`` / ``deliver_step``).  What a step returns
-is what goes on the wire -- the node adds transport, resilience and
-tracing, and converts nothing:
+caches ever materialize.  The request walk is the scheme layer's one
+step machine, :class:`~repro.schemes.base.Walk`; a process drives it
+over the path positions it hosts (:meth:`CacheNode._walk`), and what a
+step returns is what goes on the wire -- the node converts nothing and
+adds only what a network needs:
 
 * a ``get`` arrives from a client at its attachment node, which resolves
   the delivery path (a branch of the origin's distribution tree) and
-  starts the upstream walk;
-* a ``fwd`` walks upstream, accumulating piggybacked node reports, until
-  a cache holds the object or the origin attachment is reached; the
-  serving node runs the placement decision.  A process runs the walk as
-  one loop over the consecutive path positions it hosts
-  (:meth:`CacheNode._walk`): the node a frame enters checks each field a
-  step will read (:func:`_walk_fields`) once, refusing a malformed frame
-  before any state moves, every hosted position then runs its own steps
-  in memory, and the first position the process does not host gets one
-  ``fwd`` frame.  A one-process cluster hosts every node, so its walks
-  leave no frame behind the client's ``get``;
-* the reply unwinds downstream along the same positions -- exactly the
-  paper's response path, as a ``resp`` frame across a process boundary
-  and in memory inside one -- with every node applying the shipped
-  decision (inserting, or refreshing its d-cache descriptor) and
-  advancing the cost accumulator;
+  starts the walk; a ``fwd`` frame carries the rest of a walk into
+  another process.  Where a frame enters a process, every field a step
+  will read is checked once (:func:`_walk_fields`; a ``fwd`` path
+  against routing), refusing a malformed frame before any state moves;
+* entering a position -- the node's clock clamp, request count, inflight
+  slot and span -- and the position's accounting as the machine reports
+  each step: registry counters, piggyback bytes, channel hit/insert
+  notes (:class:`_WalkObserver`);
+* reaching the next position: in memory when the process hosts it, else
+  one ``fwd`` frame whose ``resp`` the walk unwinds from -- exactly the
+  paper's response path.  A one-process cluster hosts every node, so its
+  walks leave no frame behind the client's ``get``;
 * ``inv`` drops the node's copy of an object (push invalidation); an
   ``inv`` that lists further ``nodes`` is also relayed to them -- by
   hand-over to the nodes of the same process, as one frame to every
@@ -37,10 +33,11 @@ reads, insertion writes, piggyback bytes; evictions and occupancy arrive
 through the attached cache observers), so ``stats`` frames and the
 ``/metrics`` endpoint expose the standard per-node counters.
 
-**Resilience.**  Reaching the next position -- a frame to another
-process, or a co-hosted node's admission check, which first meets the
-fault plan's per-hop seat (:meth:`~repro.faults.injector.FaultInjector.
-hop`) when the cluster runs one -- runs through
+**Resilience.**  A hop nothing can hold is a plain call: a co-hosted
+node with no fault seat and no ``max_inflight`` bound is entered
+directly.  Any other hop -- a frame to another process, or a co-hosted
+node's admission check, which first meets the fault plan's per-hop seat
+(:meth:`~repro.faults.injector.FaultInjector.hop`) -- runs through
 :meth:`CacheNode._call_upstream`: a per-upstream circuit breaker, then a
 bounded retry loop with exponential backoff and seeded jitter around the
 retryable failures (:data:`~repro.serve.protocol.RETRYABLE_ERRORS` --
@@ -83,7 +80,7 @@ from repro.core.piggyback import (
 )
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
-from repro.schemes.base import CachingScheme
+from repro.schemes.base import CachingScheme, Walk
 from repro.serve.protocol import (
     MSG_BUSY,
     MSG_CHSYNC,
@@ -124,7 +121,8 @@ def _walk_fields(message: dict) -> tuple:
     A frame is outside input, so this runs where one enters a process,
     before any node's clock, counters, registry or caches move: a frame
     that fails here leaves no trace of itself.  The positions the walk
-    then crosses in memory read the values checked here.
+    then crosses in memory read the values checked here.  A ``fwd``
+    frame's path is checked against routing by the node it enters.
     """
     kind = message["type"]
     try:
@@ -156,93 +154,191 @@ def _walk_fields(message: dict) -> tuple:
         raise ProtocolError(f"{kind} frame skipped must be a list of path positions")
     if not isinstance(message.get("trace", {}), dict):
         raise ProtocolError(f"{kind} frame trace must be an object")
-    return path, index, object_id, size, now, reports, skipped
+    return path, object_id, size, now, index, reports, skipped
 
 
-def _fwd_frame(
-    path: list,
-    index: int,
-    object_id,
-    size,
-    now,
-    reports: list,
-    skipped: list,
-    ctx: Optional[dict],
-) -> dict:
-    """The ``fwd`` frame asking ``path[index]`` to continue a walk.
+class _WalkObserver:
+    """What a network adds to each position a walk enters in this process.
 
-    The frame keeps the FULL original path (the decision's node-id set
-    and the cost accounting both need it) plus the positions the walk
-    bypassed.  Every frame owns its ``reports`` and ``skipped`` lists:
-    the walk goes on appending to its own after a failed candidate,
-    and a transport may still hold the frame (a delayed duplicate) or
-    hand it to a receiver that appends to it.  ``ctx`` is the trace
-    context the receiver's span hangs off; an untraced walk carries none.
+    The :class:`~repro.schemes.base.Walk` machine calls it with itself:
+    :meth:`enter` crosses into a position -- clock clamp, request count,
+    inflight slot, span -- and the step hooks feed that position's
+    registry counters, piggyback bytes, channel hit/insert notes and
+    span.  ``hops`` holds the ``(node, span)`` of every position entered
+    here, bottom first; ``ctx`` is the trace context a position entered
+    next hangs off.  A span's step timings are the intervals between the
+    hooks' clock readings (``mark``); until its position is left, its
+    ``wall`` holds the position's start and its ``upstream`` the start of
+    the position's wait.
     """
-    frame = {
-        "type": MSG_FWD,
-        "path": path,
-        "index": index,
-        "object_id": object_id,
-        "size": size,
-        "time": now,
-        "reports": list(reports),
-        "skipped": list(skipped),
-    }
-    if ctx is not None:
-        frame["trace"] = ctx
-    return frame
 
+    __slots__ = ("hosted", "ctx", "hops", "mark")
 
-def _timed(span: Optional[dict], key: str, fn, *args, **kwargs):
-    """Run one scheme step, accumulating its wall time into the span.
+    def __init__(self, hosted: Mapping, ctx: Optional[dict]) -> None:
+        self.hosted = hosted
+        self.ctx = ctx
+        self.hops: list = []
+        self.mark = 0.0
 
-    With no span this is a plain call -- the untraced path pays nothing
-    beyond the ``None`` test, preserving the zero-overhead-when-off
-    contract.
-    """
-    if span is None:
-        return fn(*args, **kwargs)
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    span[key] = span.get(key, 0.0) + (time.perf_counter() - t0)
-    return result
-
-
-class _Hop:
-    """One path position a process runs, and what its unwind needs."""
-
-    __slots__ = ("node", "index", "now", "span", "begin", "t0", "came_from")
-
-    def __init__(self, node, index: int, now: float, span: Optional[dict]):
-        self.node, self.index, self.now, self.span = node, index, now, span
-        self.begin = time.perf_counter() if span is not None else 0.0
-        # While the span waits on its upstream: when the wait began.
-        self.t0: Optional[float] = None
-        self.came_from: Optional[int] = None
-
-    def resume(self) -> None:
-        """End the upstream wait: failover candidates, retries, backoff
-        and, in memory, the positions above it all count."""
-        if self.t0 is not None:
-            span = self.span
-            span["upstream"] = span.get("upstream", 0.0) + (
-                time.perf_counter() - self.t0
+    def enter(self, walk: Walk, index: int, node: Optional["CacheNode"] = None):
+        """Enter position ``index`` at ``node``, reached by the driver, or
+        at the co-hosted node there -- unless something can hold or refuse
+        that hop (a frame, a fault-plan seat, a bound on walks in flight),
+        which leaves it to the driver: ``None``."""
+        if node is None:
+            node = self.hosted.get(walk.path[index])
+            if node is None or node.injector is not None or node.max_inflight is not None:
+                return None
+        if walk.now < node._clock:
+            walk.now = node._clock
+        else:
+            node._clock = walk.now
+        node.requests_handled += 1
+        if self.hops:  # the first position's slot is CacheNode.handle's
+            node.inflight += 1
+        span = None
+        if node._tracer is not None and self.ctx is not None:
+            span = node._tracer.span(self.ctx, "walk")
+            span.update(
+                t=walk.now, object=walk.object_id, size=walk.size, index=index,
+                path=list(walk.path), skipped=[], retries=0, failovers=0,
+                piggyback=0, xshard=False, inflight=node.inflight,
+                start=time.time(),
             )
-            self.t0 = None
+            self.ctx = {"id": span["trace"], "parent": span["span"]}
+            self.mark = span["wall"] = time.perf_counter()
+        else:
+            self.ctx = None
+        self.hops.append((node, span))
+        return node.scheme
 
-    def finish(self, status: str = "ok", hit_index=None) -> None:
-        """Close the span: ``hit_index`` once served, else the error that
-        ended the walk at or above this position."""
-        span = self.span
+    def frame(self, walk: Walk) -> dict:
+        """The ``fwd`` frame asking the walk's pending position to go on.
+
+        The frame keeps the FULL original path (the decision's node-id set
+        and the cost accounting both need it) plus the positions the walk
+        bypassed.  Every frame owns its ``reports`` and ``skipped`` lists:
+        the walk goes on appending to its own after a failed candidate,
+        and a transport may still hold the frame (a delayed duplicate) or
+        hand it to a receiver that appends to it.  ``trace`` is the
+        context the receiver's span hangs off; an untraced walk carries
+        none.
+        """
+        frame = {
+            "type": MSG_FWD,
+            "path": walk.path,
+            "index": walk.index,
+            "object_id": walk.object_id,
+            "size": walk.size,
+            "time": walk.now,
+            "reports": list(walk.reports),
+            "skipped": list(walk.skipped),
+        }
+        if self.ctx is not None:
+            frame["trace"] = self.ctx
+        return frame
+
+    def looked_up(self, walk: Walk, hit: bool, report) -> None:
+        node, span = self.hops[-1]
+        t = None if span is None else self._charge(span, "lookup")
+        stats = node.registry.node(node.node_id)
+        if hit:
+            stats.hits += 1
+            stats.bytes_read += walk.size
+            if node.subscriber is not None:
+                # Channel mode: log the hit so a later event can judge
+                # retroactively whether it was served off a stale copy.
+                node.subscriber.note_hit(walk.object_id, walk.now, walk.size)
+            return
+        stats.misses += 1
         if span is not None:
-            self.resume()
-            if status == "ok":
-                span["hit_index"] = hit_index
-            else:
-                span["status"] = status
-            span["wall"] = time.perf_counter() - self.begin
-            self.node._tracer.emit(span)
+            span["upstream"] = t
+        if report is not None and node._piggyback:
+            added = report_bytes(report)
+            stats.piggyback_bytes += added
+            if span is not None:
+                span["piggyback"] += added
+
+    def failed_over(self, walk: Walk, index: int) -> None:
+        node, span = self.hops[-1]
+        stats = node.registry.node(node.node_id)
+        stats.failovers += 1
+        if node._piggyback:
+            stats.piggyback_bytes += SKIPPED_NODE_BYTES
+        if span is not None:
+            span["failovers"] += 1
+            span["skipped"].append(index)
+            if node._piggyback:
+                span["piggyback"] += SKIPPED_NODE_BYTES
+
+    def decided(self, walk: Walk) -> None:
+        node, span = self._leave()
+        if span is not None:
+            self._charge(span, "decide")
+            self._close(node, span, walk.hit_index)
+
+    def delivered(self, walk: Walk, stored: bool, came_from: int) -> None:
+        node, span = self._leave()
+        if span is not None:
+            span["upstream"] = self.mark - span["upstream"]
+            self._charge(span, "deliver")
+        stats = node.registry.node(node.node_id)
+        if stored:
+            stats.insertions += 1
+            stats.bytes_written += walk.size
+            if node.subscriber is not None:
+                node.subscriber.note_insert(walk.object_id, walk.now)
+        if node._piggyback:
+            # The accumulator is charged to its first downstream carrier:
+            # the position the response reached straight from the
+            # serving one, whatever failover bypassed in between.
+            added = response_bytes(
+                node.node_id in walk.decision["cache_at"],
+                came_from == walk.hit_index,
+            )
+            stats.piggyback_bytes += added
+            if span is not None:
+                span["piggyback"] += added
+        if span is not None:
+            self._close(node, span, walk.hit_index)
+
+    def abort(self, status: str) -> None:
+        """The walk failed at or above every position still entered."""
+        t = time.perf_counter()
+        while self.hops:
+            node, span = self._leave()
+            if span is not None:
+                if "upstream" in span:
+                    span["upstream"] = t - span["upstream"]
+                self._close(node, span, status=status)
+
+    def _leave(self) -> tuple:
+        """Pop the top position and give back its slot."""
+        node, span = hop = self.hops.pop()
+        if self.hops:
+            node.inflight -= 1
+        return hop
+
+    def _charge(self, span: dict, step: str) -> float:
+        """Charge the time since the last reading to ``span[step]``."""
+        t = time.perf_counter()
+        span[step] = t - self.mark
+        self.mark = t
+        return t
+
+    def _close(
+        self, node: "CacheNode", span: dict, hit_index=None, status: str = "ok"
+    ) -> None:
+        """Emit a left position's span: ``hit_index`` once served, else the
+        error that ended the walk at or above it."""
+        if status == "ok":
+            span["hit_index"] = hit_index
+        else:
+            span["status"] = status
+        span["wall"] = time.perf_counter() - span["wall"]
+        node._tracer.emit(span)
+        # The position below waited through this one's emit too.
+        self.mark = time.perf_counter()
 
 
 class CacheNode:
@@ -282,6 +378,7 @@ class CacheNode:
         self.node_id = node_id
         self.scheme = scheme
         self.architecture = architecture
+        self._origins = frozenset(architecture.server_nodes.values())
         self._forward = forward
         self.max_inflight = max_inflight
         self._shard_of = dict(shard_of) if shard_of is not None else None
@@ -308,7 +405,7 @@ class CacheNode:
         self.registry = registry if registry is not None else StatRegistry()
         # Cache-level events (evictions, occupancy, invalidation removals)
         # flow through the standard observer wiring; request-level counts
-        # are fed by the handler below, mirroring the engine's feeds.
+        # are fed by the walk's observer, mirroring the engine's feeds.
         scheme.attach_instruments(Instruments(registry=self.registry))
         # Piggyback byte accounting and invalidation-frame pricing apply
         # to any scheme that exposes protocol counters; the reports
@@ -413,7 +510,7 @@ class CacheNode:
                 f"client {client_id} attaches to node {path[0]}, "
                 f"not to node {self.node_id}"
             )
-        path, index, object_id, size, now, reports, skipped = _walk_fields(
+        fields = _walk_fields(
             {**message, "path": list(path), "index": 0, "reports": []}
         )
         tracer = self._tracer
@@ -425,209 +522,100 @@ class CacheNode:
                 # its trace: a context minted here rides every position
                 # of the walk, so sampled traces are always complete trees.
                 ctx = {"id": tracer.new_trace_id(), "parent": None}
-        return await self._walk(
-            path, index, object_id, size, now, reports, list(skipped), ctx
-        )
+        return await self._walk(ctx, *fields)
 
     async def _handle_walk(self, message: dict) -> dict:
-        """A ``fwd`` frame entering this process: checked once, then walked."""
-        path, index, object_id, size, now, reports, skipped = _walk_fields(
-            message
-        )
+        """A ``fwd`` frame entering this process: checked once, then walked.
+
+        Its path must be, element for element and as JSON integers, the
+        delivery path routing gives from its first node (a network node)
+        to its last (an origin attachment); a damaged one would move the
+        state of the nodes it names before failing, or be served.
+        """
+        fields = _walk_fields(message)
+        path, index = fields[0], fields[4]
+        try:
+            routed = (
+                all(map(_is_id, path))
+                and path[0] in self.architecture.network.nodes()
+                and path[-1] in self._origins
+                and path == self.architecture.routing.request_path(path[0], path[-1])
+            )
+        except ValueError:  # no route between the two ends
+            routed = False
+        if not routed:
+            raise ProtocolError("fwd frame path is not a delivery path of this network")
         if path[index] != self.node_id:
             raise ProtocolError(
                 f"misrouted frame: position {index} of {path} is not "
                 f"node {self.node_id}"
             )
         ctx = message.get("trace") if self._tracer is not None else None
-        return await self._walk(
-            path, index, object_id, size, now, reports, skipped, ctx
-        )
+        return await self._walk(ctx, *fields)
 
-    async def _walk(
-        self, path: list, index: int, object_id, size: int, now: float,
-        reports: list, skipped: list, ctx: Optional[dict],
-    ) -> dict:
-        """The walk over the consecutive path positions this process hosts.
+    async def _walk(self, ctx: Optional[dict], *fields) -> dict:
+        """Drive the :class:`~repro.schemes.base.Walk` over the positions
+        this process hosts, a :class:`_WalkObserver` entering each one.
 
-        Upward, each position runs on its own node -- clock clamp,
-        request count, span, ``lookup_step``, miss/report/piggyback
-        accounting -- and reaches the next live position through that
-        node's :meth:`_call_upstream`: in memory when it is
-        :attr:`hosted`, else as one ``fwd`` frame carrying the rest of
-        the walk.  Downward, the reply meets every position below the
-        serving one in reverse, each applying ``deliver_step``.  A
+        The machine stops only at a position nothing here can enter
+        without waiting; this loop reaches it through the waiting node's
+        :meth:`_call_upstream` -- the co-hosted node's admission, or a
+        ``fwd`` frame -- and resumes the machine with the outcome.  A
         failure leaves the loop as itself: every entered position's span
         records it, every slot taken is given back, and the caller sees
         one ``error`` frame -- not retried, not failed over.
         """
-        last = len(path) - 1
-        hops = []
-        entered = []  # co-hosted nodes whose inflight slot the walk holds
-        node = self
+        observer = _WalkObserver(self.hosted, ctx)
+        walk = Walk(*fields, observer)
+        reply = None
         try:
-            while True:
-                if now < node._clock:
-                    now = node._clock
-                else:
-                    node._clock = now
-                node.requests_handled += 1
-                span = None
-                if node._tracer is not None and ctx is not None:
-                    span = node._tracer.span(ctx, "walk")
-                    span.update(
-                        t=now, object=object_id, size=size, index=index,
-                        path=list(path), skipped=[], retries=0, failovers=0,
-                        piggyback=0, xshard=False, inflight=node.inflight,
-                        start=time.time(),
-                    )
-                    ctx = {"id": span["trace"], "parent": span["span"]}
-                else:
-                    ctx = None
-                hop = _Hop(node, index, now, span)
-                hops.append(hop)
-
-                # Served here?  At the origin attachment the origin
-                # itself serves: no lookup, and no registry entry is
-                # materialised for a node that holds no cache.  Anywhere
-                # else the lookup says.
-                served = index == last
-                if not served:
-                    served, report = _timed(
-                        span, "lookup", node.scheme.lookup_step,
-                        node.node_id, object_id, size, now,
-                    )
-                    stats = node.registry.node(node.node_id)
-                    if served:
-                        stats.hits += 1
-                        stats.bytes_read += size
-                        if node.subscriber is not None:
-                            # Channel mode: log the hit so a later event
-                            # can judge retroactively whether it was
-                            # served off a stale copy.
-                            node.subscriber.note_hit(object_id, now, size)
-                if served:
-                    # Decide from the piggybacked reports -- the request
-                    # message, as the steps below returned it -- and
-                    # start the downstream unwind.
-                    decision = _timed(
-                        span, "decide", node.scheme.decide_step,
-                        path, index, reports, object_id, size, now,
-                    )
-                    reply = {"type": MSG_RESP, "hit_index": index,
-                             "decision": decision, "inserted": [], "evictions": 0}
-                    if span is not None:
-                        reply["trace"] = {"id": span["trace"], "span": span["span"]}
-                    break
-
-                stats.misses += 1
-                if report is not None:
-                    reports.append(report)
-                    if node._piggyback:
-                        added = report_bytes(report)
-                        stats.piggyback_bytes += added
-                        if span is not None:
-                            span["piggyback"] += added
-                # Reach the next live position, failing over past dead or
-                # shedding ones.  An unreachable origin attachment has
-                # nothing left to fail over to and the error propagates
-                # downstream.
-                if span is not None:
-                    hop.t0 = time.perf_counter()
-                next_index = index + 1
-                while True:
-                    target = path[next_index]
-                    upstream = self.hosted.get(target)
-                    try:
-                        if upstream is not None:
-                            await node._call_upstream(
-                                target, span, upstream._admit, ctx, now, object_id
-                            )
-                            break
-                        # Each candidate gets its own frame (see
-                        # _fwd_frame) naming the positions bypassed so far.
-                        frame = _fwd_frame(path, next_index, object_id, size,
-                                           now, reports, skipped, ctx)
+            done = walk.run(observer.enter(walk, walk.index, self))
+            while not done:
+                node, span = observer.hops[-1]
+                target = walk.path[walk.index]
+                upstream = self.hosted.get(target)
+                try:
+                    if upstream is not None:
+                        await node._call_upstream(
+                            target, span, upstream._admit, observer.ctx,
+                            walk.now, walk.object_id,
+                        )
+                    else:
+                        frame = observer.frame(walk)
                         if node._shard_of is not None and (
                             node._shard_of.get(target) != node._home_shard
                         ):
-                            stats.cross_shard_fwds += 1
+                            node.registry.node(node.node_id).cross_shard_fwds += 1
                             if span is not None:
                                 span["xshard"] = True
                         reply = await node._call_upstream(
                             target, span, node._forward, target, frame
                         )
-                        break
-                    except RETRYABLE_ERRORS:
-                        if next_index >= last:
-                            raise
-                        stats.failovers += 1
-                        skipped.append(next_index)
-                        if span is not None:
-                            span["failovers"] += 1
-                            span["skipped"].append(next_index)
-                        if node._piggyback:
-                            stats.piggyback_bytes += SKIPPED_NODE_BYTES
-                            if span is not None:
-                                span["piggyback"] += SKIPPED_NODE_BYTES
-                        next_index += 1
-                hop.came_from = next_index
-                if upstream is None:
-                    if reply.get("type") != MSG_RESP:
-                        raise ProtocolError(
-                            "expected resp frame from upstream, got "
-                            f"{reply.get('type')!r}"
-                        )
-                    break
-                upstream.inflight += 1
-                entered.append(upstream)
-                node, index = upstream, next_index
-
-            # Downstream unwind: the object physically traversed every
-            # link from a position's came_from down (a bypassed node's
-            # cache process is dead, its router still forwards); apply
-            # the shipped decision at each position, charging that whole
-            # segment.
-            decision = reply["decision"]
-            hit_index = reply["hit_index"]
-            while hops:
-                hop = hops.pop()
-                node, span, now, came_from = hop.node, hop.span, hop.now, hop.came_from
-                if came_from is not None:
-                    hop.resume()
-                    inserted, evictions = _timed(
-                        span, "deliver", node.scheme.deliver_step, hop.index,
-                        path, decision, object_id, size, now, came_from=came_from,
+                except RETRYABLE_ERRORS as error:
+                    walk.fail_over(error)
+                    continue
+                observer.mark = time.perf_counter()
+                if upstream is not None:
+                    done = walk.run(observer.enter(walk, walk.index, upstream))
+                elif reply.get("type") != MSG_RESP:
+                    raise ProtocolError(
+                        f"expected resp frame from upstream, got {reply.get('type')!r}"
                     )
-                    stats = node.registry.node(node.node_id)
-                    if inserted:
-                        reply["inserted"].append(node.node_id)
-                        stats.insertions += 1
-                        stats.bytes_written += size
-                        if node.subscriber is not None:
-                            node.subscriber.note_insert(object_id, now)
-                    reply["evictions"] += evictions
-                    if node._piggyback:
-                        # The accumulator is charged to its first
-                        # downstream carrier -- the hop directly below
-                        # the serving node in the chain of nodes that
-                        # actually answered.
-                        added = response_bytes(
-                            node.node_id in decision["cache_at"],
-                            came_from == hit_index,
-                        )
-                        stats.piggyback_bytes += added
-                        if span is not None:
-                            span["piggyback"] += added
-                hop.finish(hit_index=hit_index)
-            return reply
+                else:
+                    done = walk.run(None, reply)
         except BaseException as error:
-            while hops:
-                hops.pop().finish(type(error).__name__)
+            observer.abort(type(error).__name__)
             raise
-        finally:
-            for node in entered:
-                node.inflight -= 1
+        if reply is not None:
+            reply["evictions"] = walk.evictions
+            return reply
+        reply = {"type": MSG_RESP, "hit_index": walk.hit_index,
+                 "decision": walk.decision, "inserted": walk.inserted,
+                 "evictions": walk.evictions}
+        if observer.ctx is not None:
+            # The serving span's context, which the observer still holds.
+            reply["trace"] = {"id": observer.ctx["id"], "span": observer.ctx["parent"]}
+        return reply
 
     async def _call_upstream(
         self, node: int, span: Optional[dict], attempt: Callable[..., Awaitable], *args

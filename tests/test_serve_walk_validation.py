@@ -10,7 +10,9 @@ The connection-level contract is unchanged: a handler error is an
 ``error`` frame, so a well-formed request afterwards is served normally.
 A ``get`` names its client and server first: both must be ids the
 architecture knows, and a refused ``get`` leaves a traced ingress's
-sampler and trace ids where they were.
+sampler and trace ids where they were.  A ``fwd`` carries its path: it
+must be, element for element and as JSON integers, the delivery path
+routing gives between its two ends.
 """
 
 from __future__ import annotations
@@ -78,9 +80,23 @@ ENDPOINT_ROWS = [
     ("server_id", True),
     ("server_id", 999),
 ]
+# Only a ``fwd`` carries a path.  The scenario's last request walks
+# [26, 8, 2, 0, 40] (see ``test_the_damaged_paths_damage_the_real_one``);
+# each row damages it.  Before the check, every one of these moved the
+# state of node 26 (and of 40 for the link-less path) or was served.
+REAL_PATH = [26, 8, 2, 0, 40]
+PATH_ROWS = [
+    ("path", [26, "x", 2, 0, 40]),
+    ("path", [26, [8], 2, 0, 40]),
+    ("path", [26, 99999, 2, 0, 40]),
+    ("path", [26, 40]),
+    ("path", [26, True, 2, 0, 40]),
+    ("path", [26, 8.0, 2, 0, 40]),
+    ("path", [26]),
+]
 # A ``get`` carries no ``reports``: the ingress node starts the list.
 KINDS = (
-    [(MSG_FWD, row) for row in ROWS]
+    [(MSG_FWD, row) for row in ROWS + PATH_ROWS]
     + [(MSG_GET, row) for row in ROWS if row[0] != "reports"]
     + [(MSG_GET, row) for row in ENDPOINT_ROWS]
 )
@@ -163,6 +179,12 @@ def test_malformed_field_is_rejected_before_any_state_moves(
     assert text.startswith("ProtocolError") and field in text, text
     assert after == before
     assert reply["type"] == MSG_RESP
+
+
+def test_the_damaged_paths_damage_the_real_one(scenario):
+    arch, trace, _ = scenario
+    _, frames = frames_for(arch, trace[len(trace) - 1])
+    assert frames[MSG_FWD]["path"] == REAL_PATH
 
 
 def test_the_check_runs_on_every_hop_not_only_at_ingress(scenario):

@@ -110,6 +110,12 @@ echo "== reference-walk call budget =="
 # over either.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_call_budget.py
 
+echo "== one request store =="
+# A Trace is a view over one ColumnarTrace: to_trace() of a 1M-row trace
+# shares the columns and builds no row.  Memory only, so host load cannot
+# move it.  Prints the tracemalloc peak beside its bound; exits 1 over it.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_trace_store.py
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then

@@ -62,7 +62,7 @@ from repro.serve.protocol import (
     NodeBusy,
     NodeUnreachable,
 )
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.trace import Row, Trace
 from repro.workload.updates import GroupUpdateEvent, UpdateEvent
 
 MODES = ("sequential", "closed", "open")
@@ -320,32 +320,34 @@ class LoadGenerator:
     # -- one request ---------------------------------------------------------
 
     async def _issue(
-        self, record: TraceRecord
+        self, now: float, client_id: int, object_id: int, server_id: int,
+        size: int,
     ) -> Tuple[RequestOutcome, float, float, float]:
-        """Send one ``get`` and rebuild the simulator-shape outcome.
+        """Send one ``get`` for one trace row and rebuild the
+        simulator-shape outcome.
 
         Returns ``(outcome, wall_seconds, started, finished)`` with the
         perf_counter stamps bounding the round trip.
         """
-        address = self.cluster.ingress_address(record.client_id)
+        address = self.cluster.ingress_address(client_id)
         started = time.perf_counter()
         reply = await self.cluster.transport.call(
             address,
             {
                 "type": MSG_GET,
-                "client_id": record.client_id,
-                "server_id": record.server_id,
-                "object_id": record.object_id,
-                "size": record.size,
-                "time": record.time,
+                "client_id": client_id,
+                "server_id": server_id,
+                "object_id": object_id,
+                "size": size,
+                "time": now,
             },
         )
         finished = time.perf_counter()
-        path = self._request_path(record.client_id, record.server_id)
+        path = self._request_path(client_id, server_id)
         outcome = RequestOutcome(
             path=path,
             hit_index=reply["hit_index"],
-            size=record.size,
+            size=size,
             inserted_nodes=tuple(reply["inserted"]),
             evicted_objects=reply["evictions"],
         )
@@ -353,7 +355,7 @@ class LoadGenerator:
 
     async def _issue_with_backoff(
         self,
-        record: TraceRecord,
+        row: Row,
         counters: _Counters,
         busy_retries: int,
         busy_backoff: float,
@@ -362,7 +364,7 @@ class LoadGenerator:
         attempt = 0
         while True:
             try:
-                return await self._issue(record)
+                return await self._issue(*row)
             except NodeBusy:
                 if attempt >= busy_retries:
                     raise
@@ -446,17 +448,17 @@ class LoadGenerator:
         update_index = 0
         applied = 0
         invalidated = 0
-        for index, record in enumerate(self.trace):
+        for index, row in enumerate(self.trace.columns.rows()):
             while (
                 update_index < len(updates)
-                and updates[update_index].time <= record.time
+                and updates[update_index].time <= row[0]
             ):
                 invalidated += await self.cluster.apply_update(
                     updates[update_index]
                 )
                 applied += 1
                 update_index += 1
-            outcome, wall, began, ended = await self._issue(record)
+            outcome, wall, began, ended = await self._issue(*row)
             completed.append(
                 _Completed(
                     index,
@@ -470,7 +472,7 @@ class LoadGenerator:
         return completed, applied, invalidated
 
     async def _fire(
-        self, index: int, record: TraceRecord,
+        self, index: int, row: Row,
         completed: List[_Completed], counters: _Counters,
     ) -> None:
         """Issue one request, folding every failure into the counters.
@@ -483,7 +485,7 @@ class LoadGenerator:
         """
         try:
             outcome, wall, began, ended = await self._issue_with_backoff(
-                record, counters, self._busy_retries, self._busy_backoff
+                row, counters, self._busy_retries, self._busy_backoff
             )
         except NodeBusy:
             counters.rejected += 1
@@ -505,20 +507,20 @@ class LoadGenerator:
     async def _run_closed(
         self, concurrency: int, counters: _Counters
     ) -> List[_Completed]:
-        """Fixed worker pool, one outstanding request per worker."""
-        records = list(enumerate(self.trace))
-        cursor = 0
+        """Fixed worker pool, one outstanding request per worker.
+
+        The workers share one row iterator; taking the next row never
+        awaits, so no two workers get the same one.
+        """
+        rows = enumerate(self.trace.columns.rows())
         completed: List[_Completed] = []
 
         async def worker() -> None:
-            nonlocal cursor
             while not counters.stop.is_set():
-                position = cursor
-                if position >= len(records):
+                taken = next(rows, None)
+                if taken is None:
                     return
-                cursor = position + 1
-                index, record = records[position]
-                await self._fire(index, record, completed, counters)
+                await self._fire(*taken, completed, counters)
 
         await asyncio.gather(*(worker() for _ in range(concurrency)))
         return completed
@@ -532,7 +534,7 @@ class LoadGenerator:
         """Fire requests at their (compressed) trace timestamps.
 
         One pacer coroutine walks the trace in order, sleeps until each
-        record's absolute fire time, and spawns a task for it -- the fire
+        request's absolute fire time, and spawns a task for it -- the fire
         schedule is identical to materializing every task up front, but
         memory stays O(in-flight) and startup does not stampede the event
         loop with O(trace) simultaneous timers.
@@ -545,7 +547,7 @@ class LoadGenerator:
         """
         loop = asyncio.get_running_loop()
         epoch = loop.time()
-        trace_start = self.trace[0].time
+        trace_start = float(self.trace.columns.times[0])
         completed: List[_Completed] = []
         inflight: Set[asyncio.Task] = set()
         applied = 0
@@ -569,10 +571,10 @@ class LoadGenerator:
         update_task = (
             loop.create_task(updater()) if self.updates else None
         )
-        for index, record in enumerate(self.trace):
+        for index, row in enumerate(self.trace.columns.rows()):
             if counters.stop.is_set():
                 break
-            offset = (record.time - trace_start) / speedup
+            offset = (row[0] - trace_start) / speedup
             delay = epoch + offset - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
@@ -585,7 +587,7 @@ class LoadGenerator:
                     counters.shed += 1
                     continue
             task = loop.create_task(
-                self._fire(index, record, completed, counters)
+                self._fire(index, row, completed, counters)
             )
             inflight.add(task)
             task.add_done_callback(inflight.discard)

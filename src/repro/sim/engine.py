@@ -22,8 +22,7 @@ from repro.obs.timers import PHASE_ROUTING, PHASE_SCHEME
 from repro.schemes.base import CachingScheme
 from repro.sim.architecture import Architecture
 from repro.verify.auditor import AuditConfig, Auditor, AuditReport
-from repro.workload.columnar import ColumnarTrace
-from repro.workload.trace import Trace
+from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
 from repro.workload.updates import UpdateEvent
 
 
@@ -167,8 +166,8 @@ class SimulationEngine:
             # Columnar fast path: bit-identical results without the
             # per-record overhead.  Audited/instrumented runs stay on the
             # reference loop below (their hooks observe every record);
-            # a ColumnarTrace iterates lazily there, so either loop
-            # accepts either trace representation.
+            # it reads either trace type's columns block by block, so
+            # either loop accepts either representation.
             from repro.sim.fastpath import run_columnar
 
             return run_columnar(
@@ -214,33 +213,33 @@ class SimulationEngine:
         )
         policy_observes = policy.wants_outcomes
         sweep_every = auditor.config.audit_every if auditor is not None else 0
-        last_time = 0.0
-        for index, record in enumerate(trace):
+        store = trace if isinstance(trace, ColumnarTrace) else trace.columns
+        for index, (now, client_id, object_id, server_id, size) in enumerate(
+            store.rows()
+        ):
             if instruments is not None:
                 instruments.request_index = index
-            last_time = record.time
-            if policy.next_time <= record.time:
-                policy.advance(index, record.time)
+            if policy.next_time <= now:
+                policy.advance(index, now)
             if timers is not None:
                 started_phase = time.perf_counter()
-            route = (record.client_id, record.server_id)
+            route = (client_id, server_id)
             path = routes.get(route)
             if path is None:
                 path = routes[route] = request_path(*route)
             if timers is None:
-                outcome = process(
-                    path, record.object_id, record.size, record.time
-                )
+                outcome = process(path, object_id, size, now)
             else:
                 routed = time.perf_counter()
-                outcome = process(
-                    path, record.object_id, record.size, record.time
-                )
+                outcome = process(path, object_id, size, now)
                 processed = time.perf_counter()
                 timers.add(PHASE_ROUTING, routed - started_phase)
                 timers.add(PHASE_SCHEME, processed - routed)
             if policy_observes:
-                policy.observe(outcome, record)
+                policy.observe(
+                    outcome,
+                    TraceRecord(now, client_id, object_id, server_id, size),
+                )
             if registry is not None:
                 registry.observe_outcome(outcome)
                 if snapshot_every and (index + 1) % snapshot_every == 0:
@@ -251,9 +250,9 @@ class SimulationEngine:
                 probe.write(
                     "request",
                     i=index,
-                    t=record.time,
-                    object=record.object_id,
-                    size=record.size,
+                    t=now,
+                    object=object_id,
+                    size=size,
                     client=path[0],
                     hit_node=(
                         path[outcome.hit_index]
@@ -267,18 +266,19 @@ class SimulationEngine:
             if auditor is not None:
                 auditor.observe_outcome(index, outcome)
             if index >= warmup_end or interval_collector is not None:
-                latency = path_cost(path[: outcome.hit_index + 1], record.size)
+                latency = path_cost(path[: outcome.hit_index + 1], size)
                 if index >= warmup_end:
                     collector.record(outcome, latency)
                     if auditor is not None:
                         auditor.observe_measured(outcome, latency)
                 if interval_collector is not None:
-                    interval_collector.record(outcome, latency, record.time)
+                    interval_collector.record(outcome, latency, now)
             if auditor is not None and (index + 1) % sweep_every == 0:
                 auditor.audit_now(self.scheme, collector, index)
             if report_progress is not None and (index + 1) % progress_every == 0:
                 report_progress(index + 1, total)
-        policy.finalize(last_time)
+        # The trace is non-empty: ``now`` is its last request's time.
+        policy.finalize(now)
         duration = time.perf_counter() - started
         if report_progress is not None and total % progress_every != 0:
             report_progress(total, total)

@@ -1,8 +1,8 @@
 """Differential oracle for the columnar fast path.
 
 Runs the same (architecture, cost model, scheme) pair twice -- once over
-a materialized :class:`~repro.workload.trace.Trace` through the
-reference per-request loop, once over the equivalent
+a :class:`~repro.workload.trace.Trace` through the reference
+per-request loop, once over the equivalent
 :class:`~repro.workload.columnar.ColumnarTrace` through the fast path --
 and asserts the two runs are indistinguishable:
 

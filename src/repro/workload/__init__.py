@@ -10,10 +10,13 @@ sizes, Poisson request arrivals and random client/server placement.
 
 from repro.workload.catalog import ObjectCatalog, SizeDistribution
 from repro.workload.zipf import ZipfSampler
-from repro.workload.trace import Trace, TraceRecord, read_trace_csv, write_trace_csv
-from repro.workload.columnar import (
+from repro.workload.trace import (
     ColumnarTrace,
+    Trace,
+    TraceRecord,
+    read_trace_csv,
     read_trace_csv_columnar,
+    write_trace_csv,
     write_trace_csv_columnar,
 )
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig

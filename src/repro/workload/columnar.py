@@ -1,284 +1,14 @@
-"""Columnar trace storage: the fast-path twin of :class:`~repro.workload.trace.Trace`.
+"""Columnar trace storage, re-exported from :mod:`repro.workload.trace`.
 
-A :class:`ColumnarTrace` keeps the five trace fields as parallel numpy
-arrays (struct-of-arrays) instead of ``num_requests`` frozen dataclasses.
-That is ~40 bytes per request instead of several hundred, builds orders of
-magnitude faster from vectorized generators, and lets the simulation
-engine's fast path gather routing and latency inputs with array ops.
-
-Design rules:
-
-* **Same data, same API surface.**  Every read accessor of ``Trace`` that
-  the engine or analysis code uses (``__len__``, ``__iter__`` yielding
-  :class:`~repro.workload.trace.TraceRecord`, ``__getitem__``,
-  ``split_warmup``, ``duration``, ``total_requested_bytes``,
-  ``unique_objects``, ``most_popular``, ``filter_objects``) exists here
-  with identical semantics, so a ``ColumnarTrace`` can be dropped into any
-  reference-path consumer and produce bit-identical results.
-* **Zero-copy views.**  ``view`` / ``iter_chunks`` return array *views*
-  onto the parent storage -- chunked streaming never duplicates the trace.
-* **Exact round-trips.**  CSV I/O uses ``repr`` for times (shortest float
-  representation) exactly like :func:`~repro.workload.trace.write_trace_csv`,
-  so files written by either writer load bit-identically through either
-  reader.
+There is one request store: :class:`ColumnarTrace` keeps the five trace
+fields as parallel numpy arrays and :class:`~repro.workload.trace.Trace`
+wraps one.  This module keeps the columnar names importable from here.
 """
 
-from __future__ import annotations
+from repro.workload.trace import (
+    ColumnarTrace,
+    read_trace_csv_columnar,
+    write_trace_csv_columnar,
+)
 
-import csv
-from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence
-
-import numpy as np
-
-from repro.workload.trace import _CSV_HEADER, Trace, TraceRecord
-
-# Batch size for the lazy record iterator: bounds transient python-object
-# memory while amortizing the numpy -> python conversion.
-_ITER_BATCH = 65_536
-
-
-class ColumnarTrace:
-    """A time-ordered request trace stored as parallel numpy arrays."""
-
-    __slots__ = ("times", "client_ids", "object_ids", "server_ids", "sizes")
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        client_ids: np.ndarray,
-        object_ids: np.ndarray,
-        server_ids: np.ndarray,
-        sizes: np.ndarray,
-        validate: bool = True,
-    ) -> None:
-        self.times = np.asarray(times, dtype=np.float64)
-        self.client_ids = np.asarray(client_ids, dtype=np.int64)
-        self.object_ids = np.asarray(object_ids, dtype=np.int64)
-        self.server_ids = np.asarray(server_ids, dtype=np.int64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        n = len(self.times)
-        for name in ("client_ids", "object_ids", "server_ids", "sizes"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("trace columns must have equal length")
-        if n == 0:
-            return
-        # Same constraints TraceRecord/Trace enforce per record, vectorized.
-        if float(self.times[0]) < 0:
-            raise ValueError("request time must be non-negative")
-        if np.any(np.diff(self.times) < 0):
-            raise ValueError("trace records must be time-ordered")
-        if int(self.sizes.min()) <= 0:
-            raise ValueError("object size must be positive")
-        if (
-            int(self.client_ids.min()) < 0
-            or int(self.object_ids.min()) < 0
-            or int(self.server_ids.min()) < 0
-        ):
-            raise ValueError("ids must be non-negative")
-
-    # -- container protocol --------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        """Yield :class:`TraceRecord` objects lazily, in batches.
-
-        Records are materialized ``_ITER_BATCH`` at a time from python
-        scalars, so iterating never holds a full list of dataclasses.
-        This is the compatibility bridge: the reference engine loop (and
-        any analysis helper) consumes a ``ColumnarTrace`` through it
-        unchanged.
-        """
-        n = len(self.times)
-        for start in range(0, n, _ITER_BATCH):
-            stop = min(start + _ITER_BATCH, n)
-            times = self.times[start:stop].tolist()
-            clients = self.client_ids[start:stop].tolist()
-            objects = self.object_ids[start:stop].tolist()
-            servers = self.server_ids[start:stop].tolist()
-            sizes = self.sizes[start:stop].tolist()
-            for i in range(stop - start):
-                yield TraceRecord(
-                    time=times[i],
-                    client_id=clients[i],
-                    object_id=objects[i],
-                    server_id=servers[i],
-                    size=sizes[i],
-                )
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return TraceRecord(
-            time=float(self.times[index]),
-            client_id=int(self.client_ids[index]),
-            object_id=int(self.object_ids[index]),
-            server_id=int(self.server_ids[index]),
-            size=int(self.sizes[index]),
-        )
-
-    # -- Trace-compatible accessors ------------------------------------------
-
-    @property
-    def duration(self) -> float:
-        if len(self.times) == 0:
-            return 0.0
-        return float(self.times[-1]) - float(self.times[0])
-
-    def split_warmup(self, warmup_fraction: float = 0.5) -> tuple[int, int]:
-        """Same split as :meth:`Trace.split_warmup`: ``(warmup_end, total)``."""
-        if not 0 <= warmup_fraction < 1:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        n = len(self.times)
-        return int(n * warmup_fraction), n
-
-    def total_requested_bytes(self, start: int = 0) -> int:
-        return int(self.sizes[start:].sum())
-
-    def unique_objects(self) -> int:
-        return len(np.unique(self.object_ids))
-
-    def most_popular(self, top: int) -> List[int]:
-        """Ids of the ``top`` most-requested objects (count desc, id asc)."""
-        ids, counts = np.unique(self.object_ids, return_counts=True)
-        # lexsort's last key is primary: order by -count, then id ascending.
-        order = np.lexsort((ids, -counts))
-        return ids[order[:top]].tolist()
-
-    def filter_objects(self, keep: Iterable[int]) -> "ColumnarTrace":
-        """Subtrace of requests for the given objects (zero-copy mask gather)."""
-        keep_ids = np.fromiter(set(keep), dtype=np.int64)
-        mask = np.isin(self.object_ids, keep_ids)
-        return ColumnarTrace(
-            self.times[mask],
-            self.client_ids[mask],
-            self.object_ids[mask],
-            self.server_ids[mask],
-            self.sizes[mask],
-            validate=False,
-        )
-
-    # -- views and chunking ---------------------------------------------------
-
-    def view(self, start: int, stop: int) -> "ColumnarTrace":
-        """Zero-copy sub-trace ``[start:stop)`` sharing the parent arrays."""
-        return ColumnarTrace(
-            self.times[start:stop],
-            self.client_ids[start:stop],
-            self.object_ids[start:stop],
-            self.server_ids[start:stop],
-            self.sizes[start:stop],
-            validate=False,
-        )
-
-    def iter_chunks(self, chunk_records: int) -> Iterator["ColumnarTrace"]:
-        """Yield consecutive zero-copy views of up to ``chunk_records`` each."""
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
-        n = len(self.times)
-        for start in range(0, n, chunk_records):
-            yield self.view(start, min(start + chunk_records, n))
-
-    # -- adapters -------------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Sequence[TraceRecord]) -> "ColumnarTrace":
-        """Build from materialized records (columns validated once)."""
-        n = len(records)
-        times = np.empty(n, dtype=np.float64)
-        clients = np.empty(n, dtype=np.int64)
-        objects = np.empty(n, dtype=np.int64)
-        servers = np.empty(n, dtype=np.int64)
-        sizes = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(records):
-            times[i] = r.time
-            clients[i] = r.client_id
-            objects[i] = r.object_id
-            servers[i] = r.server_id
-            sizes[i] = r.size
-        return cls(times, clients, objects, servers, sizes)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        return cls.from_records(trace.records)
-
-    def to_trace(self) -> Trace:
-        """Materialize the reference representation (one dataclass per row)."""
-        return Trace(list(self))
-
-    @classmethod
-    def concat(cls, chunks: Sequence["ColumnarTrace"]) -> "ColumnarTrace":
-        """Concatenate chunks (e.g. from a streaming generator) into one trace."""
-        chunks = list(chunks)
-        if not chunks:
-            return cls(
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                validate=False,
-            )
-        return cls(
-            np.concatenate([c.times for c in chunks]),
-            np.concatenate([c.client_ids for c in chunks]),
-            np.concatenate([c.object_ids for c in chunks]),
-            np.concatenate([c.server_ids for c in chunks]),
-            np.concatenate([c.sizes for c in chunks]),
-        )
-
-
-def write_trace_csv_columnar(trace: ColumnarTrace, path: str | Path) -> None:
-    """Persist a columnar trace to the standard trace CSV format.
-
-    Produces byte-identical files to
-    :func:`~repro.workload.trace.write_trace_csv` on the same data
-    (``repr`` float round-trip), without materializing records.
-    """
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_CSV_HEADER)
-        n = len(trace)
-        for start in range(0, n, _ITER_BATCH):
-            stop = min(start + _ITER_BATCH, n)
-            times = trace.times[start:stop].tolist()
-            clients = trace.client_ids[start:stop].tolist()
-            objects = trace.object_ids[start:stop].tolist()
-            servers = trace.server_ids[start:stop].tolist()
-            sizes = trace.sizes[start:stop].tolist()
-            writer.writerows(
-                [repr(times[i]), clients[i], objects[i], servers[i], sizes[i]]
-                for i in range(stop - start)
-            )
-
-
-def read_trace_csv_columnar(path: str | Path) -> ColumnarTrace:
-    """Load a trace CSV directly into columns.
-
-    Reads files written by either trace writer; values are bit-identical
-    to :func:`~repro.workload.trace.read_trace_csv` (both parsers produce
-    the correctly rounded double for each time field).
-    """
-    with open(path, newline="") as f:
-        # readline (not a csv.reader) so no read-ahead buffering steals
-        # data rows from the numpy parser below.
-        header_line = f.readline()
-        header = next(csv.reader([header_line]), None) if header_line else None
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        rows = np.loadtxt(f, delimiter=",", dtype=np.float64, ndmin=2)
-    if rows.size == 0:
-        return ColumnarTrace.concat([])
-    if rows.shape[1] != len(_CSV_HEADER):
-        raise ValueError(f"expected {len(_CSV_HEADER)} columns, got {rows.shape[1]}")
-    return ColumnarTrace(
-        rows[:, 0],
-        rows[:, 1].astype(np.int64),
-        rows[:, 2].astype(np.int64),
-        rows[:, 3].astype(np.int64),
-        rows[:, 4].astype(np.int64),
-    )
+__all__ = ["ColumnarTrace", "read_trace_csv_columnar", "write_trace_csv_columnar"]

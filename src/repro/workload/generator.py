@@ -26,8 +26,7 @@ import numpy as np
 from typing import Iterator
 
 from repro.workload.catalog import ObjectCatalog, SizeDistribution
-from repro.workload.columnar import ColumnarTrace
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.trace import ColumnarTrace, Trace
 from repro.workload.zipf import ZipfSampler
 
 # Salt mixed into the streaming generator's seed sequence, fixed forever:
@@ -116,12 +115,10 @@ class BoeingLikeTraceGenerator:
     def _draw_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw the (times, clients, object_ids) columns of one trace.
 
-        Single source of the RNG consumption order shared by
-        :meth:`generate` and :meth:`generate_columnar`, so the two are
-        bit-identical by construction.  The diurnal branch draws its
-        arrival times *instead of* the homogeneous exponential stream --
-        drawing both and discarding one (the pre-fix behavior) burned RNG
-        values in the hot trace-build path and shifted every draw after it.
+        The diurnal branch draws its arrival times *instead of* the
+        homogeneous exponential stream -- drawing both and discarding one
+        (the pre-fix behavior) burned RNG values in the hot trace-build
+        path and shifted every draw after it.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 1)
@@ -145,27 +142,13 @@ class BoeingLikeTraceGenerator:
 
     def generate(self) -> Trace:
         """Produce one trace; identical seeds produce identical traces."""
-        catalog = self.catalog
-        times, clients, object_ids = self._draw_columns()
-        records = [
-            TraceRecord(
-                time=float(times[i]),
-                client_id=int(clients[i]),
-                object_id=int(object_ids[i]),
-                server_id=catalog.server(int(object_ids[i])),
-                size=catalog.size(int(object_ids[i])),
-            )
-            for i in range(self.config.num_requests)
-        ]
-        return Trace(records)
+        return self.generate_columnar().to_trace()
 
     def generate_columnar(self) -> ColumnarTrace:
         """Produce the same trace as :meth:`generate`, as columns.
 
-        Bit-identical to ``ColumnarTrace.from_trace(self.generate())``
-        (same RNG stream, same values) but built entirely from array ops --
-        no per-record dataclasses -- so trace construction is itself part
-        of the fast path.
+        :meth:`generate` wraps these columns: one producer, built
+        entirely from array ops with no per-record dataclasses.
         """
         catalog = self.catalog
         times, clients, object_ids = self._draw_columns()

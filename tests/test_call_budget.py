@@ -7,8 +7,7 @@ under a committed bound:
 
 * the *reference* budget: :class:`SimulationEngine` replays a fixed,
   small en-route trace through the coordinated scheme on its reference
-  loop (a materialized :class:`Trace`, so the columnar fast path stays
-  out of it);
+  loop (a :class:`Trace`, so the columnar fast path stays out of it);
 * the *served* budget: a one-process :class:`~repro.serve.Cluster`
   replays a fixed hierarchical trace sequentially through the load
   generator, every hop in memory -- the node's walk driver, the frame

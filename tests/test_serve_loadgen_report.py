@@ -97,9 +97,10 @@ class _StubGenerator(LoadGenerator):
         self.peak_inflight = 0
         self._inflight_now = 0
 
-    async def _issue(self, record):
+    async def _issue(self, *row):
         import time
 
+        record = TraceRecord(*row)
         self._calls += 1
         self._inflight_now += 1
         if self._inflight_now > self.peak_inflight:

@@ -1,0 +1,246 @@
+"""The one request store: ``Trace`` is a view over one ``ColumnarTrace``.
+
+Pins the store's contract: ``to_trace`` and record slices share the
+columns instead of building records, the records view behaves as a
+read-only sequence, and the per-request readers (the engine's reference
+loop and the load generator) build no record.
+
+The memory bound is also a CI gate that host load cannot move; run::
+
+    PYTHONPATH=src python tests/test_trace_store.py
+
+to print the measured ``to_trace`` peak beside its bound.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import sys
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.coherency.policy import InbandCoherency
+from repro.costs.model import LatencyCostModel
+from repro.experiments.presets import SMALL_SCALE, build_architecture
+from repro.serve import Cluster, LoadGenerator
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
+from repro.sim.factory import build_scheme
+from repro.workload.generator import BoeingLikeTraceGenerator
+from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
+
+# ``to_trace`` of a 1M-row trace allocates a wrapper and a view, never a
+# row: its tracemalloc peak stays under this many bytes.
+TO_TRACE_PEAK_BOUND = 64 * 1024
+
+_STORE_ROWS = 1_000_000
+
+
+def _columns(rows: int) -> ColumnarTrace:
+    return ColumnarTrace(
+        times=np.arange(rows, dtype=np.float64),
+        client_ids=np.arange(rows, dtype=np.int64) % 7,
+        object_ids=np.arange(rows, dtype=np.int64) % 101,
+        server_ids=np.arange(rows, dtype=np.int64) % 3,
+        sizes=np.arange(rows, dtype=np.int64) % 997 + 1,
+    )
+
+
+def to_trace_peak_bytes() -> int:
+    """tracemalloc peak of ``to_trace`` on a 1M-row trace."""
+    columns = _columns(_STORE_ROWS)
+    tracemalloc.start()
+    try:
+        columns.to_trace()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _records(columns: ColumnarTrace) -> list:
+    return [
+        TraceRecord(float(t), int(c), int(o), int(s), int(z))
+        for t, c, o, s, z in zip(*columns.arrays)
+    ]
+
+
+@pytest.fixture
+def no_records(monkeypatch):
+    """Counts the TraceRecords constructed while the test runs."""
+    built = []
+    check = TraceRecord.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(TraceRecord, "__post_init__", counting)
+    return built
+
+
+def _small_run(num_requests: int = 1_500, arch: str = "en-route"):
+    workload = replace(
+        SMALL_SCALE.workload, num_requests=num_requests, seed=11
+    )
+    generator = BoeingLikeTraceGenerator(workload)
+    architecture = build_architecture(arch, workload, seed=5)
+    return generator, architecture
+
+
+def _engine(generator, architecture) -> SimulationEngine:
+    catalog = generator.catalog
+    cost_model = LatencyCostModel(architecture.network, catalog.mean_size)
+    config = SimulationConfig()
+    scheme = build_scheme(
+        "coordinated",
+        cost_model,
+        config.capacity_bytes(catalog.total_bytes),
+        config.dcache_entries(catalog.total_bytes, catalog.mean_size),
+    )
+    return SimulationEngine(architecture, cost_model, scheme)
+
+
+class TestSharedStorage:
+    def test_to_trace_shares_the_columns(self):
+        columns = _columns(1_000)
+        trace = columns.to_trace()
+        assert trace.columns is columns
+        for mine, source in zip(trace.columns.arrays, columns.arrays):
+            assert np.shares_memory(mine, source)
+
+    def test_to_trace_peak_memory_is_bounded(self):
+        peak = to_trace_peak_bytes()
+        assert peak < TO_TRACE_PEAK_BOUND, (
+            f"to_trace of {_STORE_ROWS} rows peaked at {peak} bytes, "
+            f"bound {TO_TRACE_PEAK_BOUND}: it builds rows again"
+        )
+
+    def test_trace_of_a_slice_shares_the_columns(self):
+        trace = _columns(100).to_trace()
+        piece = Trace(trace.records[10:20])
+        assert len(piece) == 10
+        assert np.shares_memory(piece.columns.times, trace.columns.times)
+
+    def test_trace_from_records_builds_columns_once(self):
+        columns = _columns(50)
+        trace = Trace(_records(columns))
+        assert trace.records == columns.records
+        assert trace.columns.times.dtype == np.float64
+        assert trace.columns.sizes.dtype == np.int64
+
+    def test_trace_from_records_keeps_the_order_check(self):
+        records = _records(_columns(5))
+        records[1], records[2] = records[2], records[1]
+        with pytest.raises(ValueError, match="time-ordered"):
+            Trace(records)
+
+
+class TestRecordsView:
+    def test_length_and_indexing(self):
+        columns = _columns(10)
+        records = columns.to_trace().records
+        assert len(records) == 10
+        assert records[0] == TraceRecord(0.0, 0, 0, 0, 1)
+        assert records[-1] == TraceRecord(9.0, 2, 9, 0, 10)
+        assert records[-1] == records[9]
+        assert isinstance(records[3].time, float)
+        assert isinstance(records[3].size, int)
+
+    @pytest.mark.parametrize("index", [10, -11, 1_000])
+    def test_out_of_range_index_raises(self, index):
+        with pytest.raises(IndexError):
+            _columns(10).to_trace().records[index]
+
+    def test_slices_are_views(self):
+        trace = _columns(100).to_trace()
+        piece = trace.records[20:30]
+        assert len(piece) == 10
+        assert piece[0].time == 20.0
+        assert piece[-1].time == 29.0
+        assert np.shares_memory(piece.columns.sizes, trace.columns.sizes)
+        assert trace.records[20:30:3] == list(trace.records)[20:30:3]
+        assert trace.records[::-1] == list(trace.records)[::-1]
+
+    def test_equals_any_sequence_of_equal_records(self):
+        columns = _columns(20)
+        records = columns.to_trace().records
+        plain = _records(columns)
+        assert records == plain
+        assert plain == records
+        assert records == tuple(plain)
+        assert records != plain[:-1]
+        assert records != plain[:-1] + [TraceRecord(19.0, 0, 0, 0, 1)]
+        assert records != 3
+
+    def test_trace_of_a_view_equals_trace_of_its_records(self):
+        records = BoeingLikeTraceGenerator(
+            replace(SMALL_SCALE.workload, num_requests=300, seed=2)
+        ).generate().records
+        assert (
+            Trace(records[40:160]).records
+            == Trace(list(records[40:160])).records
+        )
+
+    def test_iteration_yields_records_in_order(self):
+        columns = _columns(5)
+        assert list(columns.to_trace()) == _records(columns)
+        assert list(columns.to_trace().records) == _records(columns)
+
+
+class TestReadersBuildNoRecords:
+    @pytest.mark.parametrize("coherency", [None, InbandCoherency()])
+    def test_reference_loop(self, no_records, coherency):
+        generator, architecture = _small_run()
+        trace = generator.generate()
+        no_records.clear()
+        result = _engine(generator, architecture).run(
+            trace, coherency=coherency
+        )
+        assert result.requests_total == len(trace)
+        assert no_records == []
+
+    @pytest.mark.parametrize(
+        "mode, concurrency", [("sequential", 1), ("closed", 4)]
+    )
+    def test_load_generator(self, no_records, mode, concurrency):
+        generator, architecture = _small_run(400, arch="hierarchical")
+        trace = generator.generate()
+
+        async def replay():
+            cluster = Cluster.build(
+                architecture, generator.catalog, "coordinated"
+            )
+            await cluster.start()
+            try:
+                no_records.clear()
+                return await LoadGenerator(cluster, trace).run(
+                    mode=mode, concurrency=concurrency
+                )
+            finally:
+                await cluster.stop()
+
+        report = asyncio.run(replay())
+        assert report.cache_served + report.origin_served == len(trace)
+        assert no_records == []
+
+
+def test_reference_loop_summary_is_the_same_for_both_builds():
+    generator, architecture = _small_run()
+    from_columns = generator.generate()
+    from_records = Trace(list(from_columns))
+    assert from_records.columns is not from_columns.columns
+    a = _engine(generator, architecture).run(from_columns)
+    b = _engine(generator, architecture).run(from_records)
+    assert a.summary == b.summary
+
+
+if __name__ == "__main__":
+    peak = to_trace_peak_bytes()
+    print(
+        f"to_trace of {_STORE_ROWS} rows: tracemalloc peak {peak} bytes "
+        f"(bound {TO_TRACE_PEAK_BOUND})"
+    )
+    sys.exit(0 if peak < TO_TRACE_PEAK_BOUND else 1)

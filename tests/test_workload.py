@@ -7,7 +7,13 @@ import pytest
 
 from repro.workload.catalog import ObjectCatalog, SizeDistribution
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
-from repro.workload.trace import Trace, TraceRecord, read_trace_csv, write_trace_csv
+from repro.workload.trace import (
+    Trace,
+    TraceRecord,
+    read_trace_csv,
+    read_trace_csv_columnar,
+    write_trace_csv,
+)
 from repro.workload.zipf import ZipfSampler
 
 
@@ -201,8 +207,14 @@ class TestTrace:
             ("1.0,2,3,4,5,6", "expected 5 fields, got 6"),
             ("1.0,two,3,4,5", "invalid literal for int"),
             ("soon,2,3,4,5", "could not convert string to float"),
+            ("1.0,1.7,2,3,100", "invalid literal for int"),
+            ("1.0,1,2,3,100.9", "invalid literal for int"),
+            ("1.0,1,2,3,-100", "object size must be positive"),
         ],
-        ids=["short", "long", "non-numeric-int", "non-numeric-float"],
+        ids=[
+            "short", "long", "non-numeric-int", "non-numeric-float",
+            "fractional-id", "fractional-size", "negative-size",
+        ],
     )
     def test_csv_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "trace.csv"
@@ -211,10 +223,22 @@ class TestTrace:
             "0.5,1,2,3,100\n"
             f"{row}\n"
         )
-        with pytest.raises(ValueError) as excinfo:
-            read_trace_csv(path)
-        assert str(excinfo.value).startswith(f"{path}:3: ")
-        assert message in str(excinfo.value)
+        # Both entry points run the one strict parse.
+        for read in (read_trace_csv, read_trace_csv_columnar):
+            with pytest.raises(ValueError) as excinfo:
+                read(path)
+            assert str(excinfo.value).startswith(f"{path}:3: ")
+            assert message in str(excinfo.value)
+
+    def test_csv_integer_time_comes_back_as_a_float(self, tmp_path):
+        # The columns store times as float64, so a record built with an
+        # integer time is written, and read back, as a float.
+        path = tmp_path / "trace.csv"
+        write_trace_csv(Trace([TraceRecord(1, 2, 3, 4, 5)]), path)
+        assert path.read_text().splitlines()[1] == "1.0,2,3,4,5"
+        (loaded,) = read_trace_csv(path)
+        assert loaded == TraceRecord(1.0, 2, 3, 4, 5)
+        assert isinstance(loaded.time, float)
 
 
 class TestBoeingLikeGenerator:

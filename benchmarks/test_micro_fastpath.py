@@ -6,8 +6,8 @@ results to the reference loop; :mod:`tests.test_sim_columnar` and
 ``scripts/_diff_fastpath.py`` hold them to it).  This gate catches the
 silent failure mode the tests cannot: an edit that keeps the kernels
 correct but quietly drops them back to per-request speed, e.g. by
-breaking an eligibility check so ``run_columnar`` routes everything
-through the generic loop.
+breaking an eligibility check so ``run_columnar`` declines every run and
+the engine replays it through its reference loop.
 
 The floor is deliberately conservative (2x, against measured ~4-9x on
 the gated schemes) so shared-box timing wobble does not flake the gate;

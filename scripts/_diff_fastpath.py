@@ -2,9 +2,13 @@
 
 Thin runner over :mod:`repro.verify.fastpath_diff` covering every scheme
 on both architectures and all three exact cost models, with an update
-stream.  The tier-1 test `tests/test_sim_columnar.py` runs a smaller
-version of the same sweep; this script is the long-form local gate to
-run after touching the kernels in `repro.sim.fastpath`.
+stream.  Only latency costs on `lru`, `modulo` and `coordinated` reach a
+kernel; the hop and bandwidth cases (and the other schemes) run the
+engine's reference loop on both sides -- a `Trace` against its
+`ColumnarTrace` -- and pin that the loop reads both the same way.  The
+tier-1 test `tests/test_sim_columnar.py` runs a smaller version of the
+same sweep; this script is the long-form local gate to run after
+touching the kernels in `repro.sim.fastpath`.
 """
 
 import sys

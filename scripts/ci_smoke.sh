@@ -49,6 +49,13 @@ echo "== audited simulation smoke =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sim --audit \
     --scale small \
     --schemes lru,modulo,lnc-r,coordinated,adaptive,costaware,lfu,gds,admission-lru
+# The same audit beside writes: a grouped update stream through a polled
+# channel, so the shadow replay must see the primary run's updates and
+# coherency configuration to stay clean.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sim --audit \
+    --scale small --schemes lru,modulo,lnc-r,coordinated \
+    --update-rate 0.5 --coherency channel --channel-poll-interval 5 \
+    --group-count 10
 
 echo "== one walk gate =="
 # The request walk is written once: schemes implement the per-node steps
@@ -62,6 +69,13 @@ for step in lookup_step decide_step deliver_step; do
     test "$(grep -rn "[.]$step(" src | wc -l)" -eq 1
 done
 test -z "$(grep -rn "class _Hop\|def _timed" src)"
+# One replay loop: every simulator replay that calls the scheme per
+# request -- plain, audited, instrumented, shadow -- is the engine's
+# reference loop; only the flattened kernels skip it.
+REPLAYS=$(grep -rn "scheme[.]process_request" src)
+echo "$REPLAYS"
+test "$(echo "$REPLAYS" | wc -l)" -eq 1
+echo "$REPLAYS" | grep -q "^src/repro/sim/engine.py:"
 
 echo "== one served walk gate =="
 # The report record has one form (the wire dict), the node no scheme-
@@ -174,7 +188,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
 echo "== fast-path micro speedup gate =="
 # The columnar kernels must stay recognizably faster than the reference
 # loop (conservative 2x floor; catches eligibility-check regressions
-# that silently reroute everything through the generic loop).
+# that silently hand every columnar run to the reference loop).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     benchmarks/test_micro_fastpath.py
 

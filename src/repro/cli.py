@@ -622,9 +622,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     generator = preset.generator()
-    trace = (
-        generator.generate_columnar() if args.columnar else generator.generate()
-    )
+    # The columns themselves: the engine picks a kernel or its reference
+    # loop from the run's configuration.
+    trace = generator.generate_columnar()
     updates = _build_updates(
         coherency,
         None,
@@ -1436,13 +1436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to this JSON file (ingestable by `repro warehouse ingest`)",
     )
     _add_coherency_args(sim)
-    sim.add_argument(
-        "--columnar",
-        action="store_true",
-        help="build the trace as arrays (generate_columnar, bit-identical "
-        "to the default) and take the batched fast path where eligible; "
-        "audit and instrumentation flags fall back to the reference loop",
-    )
     sim.add_argument(
         "--audit",
         action="store_true",

@@ -29,7 +29,7 @@ This module runs such grids fast, resumably and observably:
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.coherency.policy import build_policy
 from repro.costs.model import LatencyCostModel
 from repro.experiments.points import SweepPoint
 from repro.experiments.results_io import CheckpointWriter, load_checkpoint
@@ -46,9 +47,10 @@ from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
-from repro.verify.auditor import AuditConfig, Auditor
+from repro.verify.auditor import AuditConfig
+from repro.verify.replay import audited_run
 from repro.workload.catalog import ObjectCatalog
-from repro.workload.trace import Trace
+from repro.workload.trace import ColumnarTrace, Trace
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class GridResult:
 
 def execute_point(
     architecture: Architecture,
-    trace: Trace,
+    trace: Trace | ColumnarTrace,
     catalog: ObjectCatalog,
     task: GridTask,
     audit: Union[bool, AuditConfig] = False,
@@ -207,10 +209,13 @@ def execute_point(
 
     ``audit`` enables the correctness audit layer for the point: ``True``
     uses a collecting (non-strict) :class:`~repro.verify.auditor.
-    AuditConfig`; pass a config instance for full control.  Audited
-    points run with the ``mirrored`` NCL structure (where the scheme has
-    one) so every eviction decision is differentially checked -- the
-    overlay happens *after* the checkpoint key is computed, so audited
+    AuditConfig`; pass a config instance for full control.  An audited
+    point runs through :func:`~repro.verify.replay.audited_run`, whose
+    shadow replay (when the config asks for one) sees the same updates
+    and coherency configuration as the primary run.  Audited points run
+    with the ``mirrored`` NCL structure (where the scheme has one) so
+    every eviction decision is differentially checked -- the overlay
+    happens *after* the checkpoint key is computed, so audited
     and unaudited grids share checkpoint identities (and metrics, which
     auditing never changes).
 
@@ -265,50 +270,52 @@ def execute_point(
         }
         if profile is not None:
             provision["profile"] = profile
-    auditor = None
-    if audit:
-        audit_config = (
-            audit if isinstance(audit, AuditConfig) else AuditConfig(strict=False)
-        )
-        auditor = Auditor(audit_config)
-        params.setdefault("ncl_structure", "mirrored")
     if instruments is None and node_stats:
         instruments = Instruments(registry=StatRegistry())
-    policy = None
-    if coherency is not None:
-        from repro.coherency.policy import build_policy
-
-        policy = build_policy(coherency, catalog.num_objects)
-    scheme = build_scheme(
-        task.scheme, cost_model, capacity, dcache_entries, **params
+    if audit:
+        params.setdefault("ncl_structure", "mirrored")
+    scheme_factory = functools.partial(
+        build_scheme, task.scheme, cost_model, capacity, dcache_entries, **params
     )
-    engine = SimulationEngine(
-        architecture, cost_model, scheme, warmup_fraction=config.warmup_fraction
+    new_policy = (
+        functools.partial(build_policy, coherency, catalog.num_objects)
+        if coherency is not None
+        else None
     )
-    result = engine.run(
-        trace,
-        updates=updates,
-        auditor=auditor,
-        instruments=instruments,
-        interval_collector=interval_collector,
-        coherency=policy,
-    )
-    if auditor is not None and auditor.config.shadow_replay:
-        from repro.verify.replay import shadow_replay_violations
-
-        shadow_scheme = build_scheme(
-            task.scheme, cost_model, capacity, dcache_entries, **params
+    if audit:
+        result, _ = audited_run(
+            architecture,
+            cost_model,
+            scheme_factory,
+            trace,
+            config=(
+                audit
+                if isinstance(audit, AuditConfig)
+                else AuditConfig(strict=False)
+            ),
+            warmup_fraction=config.warmup_fraction,
+            updates=updates,
+            coherency=new_policy,
+            instruments=instruments,
+            interval_collector=interval_collector,
         )
-        auditor.checks_run["shadow-replay"] = len(auditor.outcome_signatures)
-        auditor.extend(
-            shadow_replay_violations(
-                architecture, shadow_scheme, trace, auditor.outcome_signatures
-            )
+    else:
+        engine = SimulationEngine(
+            architecture,
+            cost_model,
+            scheme_factory(),
+            warmup_fraction=config.warmup_fraction,
         )
-        result = dataclasses.replace(result, audit=auditor.report())
+        result = engine.run(
+            trace,
+            updates=updates,
+            instruments=instruments,
+            interval_collector=interval_collector,
+            coherency=new_policy() if new_policy is not None else None,
+        )
     point = SweepPoint(
         architecture=architecture.name,
-        scheme=scheme.name,
+        scheme=result.scheme,
         relative_cache_size=config.relative_cache_size,
         summary=result.summary,
         coherency=result.coherency,
@@ -316,7 +323,7 @@ def execute_point(
     )
     record = RunRecord(
         key=key,
-        scheme=scheme.name,
+        scheme=result.scheme,
         relative_cache_size=config.relative_cache_size,
         duration_seconds=result.duration_seconds,
         requests=result.requests_total,
@@ -346,7 +353,7 @@ _WORKER_STATE: Optional[
 
 def _init_worker(
     architecture: Architecture,
-    trace: Trace,
+    trace: Trace | ColumnarTrace,
     catalog: ObjectCatalog,
     audit: Union[bool, AuditConfig] = False,
     node_stats: bool = False,
@@ -366,7 +373,7 @@ def _run_pooled(task: GridTask) -> Tuple[SweepPoint, RunRecord]:
 
 def run_grid(
     architecture: Architecture,
-    trace: Trace,
+    trace: Trace | ColumnarTrace,
     catalog: ObjectCatalog,
     tasks: Sequence[GridTask],
     workers: int = 1,

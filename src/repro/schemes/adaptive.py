@@ -30,8 +30,8 @@ rides the exact same wire accounting as the coordinated DP:
 
 Everything else -- the upstream report walk, the d-cache descriptor
 migration, invalidation, protocol-overhead counters -- is inherited
-unchanged, so the scheme runs in the simulator, the columnar generic
-loop, and the live cluster without engine changes.
+unchanged, so the scheme runs in the simulator's reference loop and the
+live cluster without engine changes.
 """
 
 from __future__ import annotations

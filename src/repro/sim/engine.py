@@ -108,10 +108,8 @@ class SimulationEngine:
         policy object from :mod:`repro.coherency.policy` (in-band
         broadcast vs. polled pub/sub channel).  ``None`` keeps the
         default in-band behavior with no stats surfaced -- results are
-        bit-identical to pre-seam engines, and columnar traces keep
-        their fast path.  An explicit policy routes the run through the
-        reference loop and lands its accounting in
-        ``SimulationResult.coherency``.
+        bit-identical to pre-seam engines.  An explicit policy lands its
+        accounting in ``SimulationResult.coherency``.
 
         ``interval_collector`` (an
         :class:`~repro.metrics.timeseries.IntervalMetricsCollector`)
@@ -139,6 +137,15 @@ class SimulationEngine:
         phase timers attribute routing / scheme-processing time.  Also
         observational only -- metrics are bit-identical with and without
         it, and a bundle with no live channel costs nothing.
+
+        A :class:`~repro.workload.trace.Trace` always runs the reference
+        loop below.  A :class:`~repro.workload.trace.ColumnarTrace` that
+        nothing observes (no auditor, instruments, explicit coherency
+        policy or interval collector) is offered to
+        :func:`repro.sim.fastpath.run_columnar`, whose flattened kernels
+        serve the configurations they were written for bit-identically;
+        every other run takes the reference loop, the one replay loop
+        every scheme step goes through.
         """
         if len(trace) == 0:
             raise ValueError("cannot simulate an empty trace")
@@ -158,26 +165,26 @@ class SimulationEngine:
         if instruments is not None and not instruments.active:
             instruments = None
         if (
-            auditor is None
+            isinstance(trace, ColumnarTrace)
+            and auditor is None
             and instruments is None
             and coherency is None
-            and isinstance(trace, ColumnarTrace)
+            and interval_collector is None
         ):
-            # Columnar fast path: bit-identical results without the
-            # per-record overhead.  Audited/instrumented runs stay on the
-            # reference loop below (their hooks observe every record);
-            # it reads either trace type's columns block by block, so
-            # either loop accepts either representation.
+            # Nothing observes the outcomes: a flattened kernel may
+            # serve the run, bit-identically.  When none does, the
+            # reference loop below reads the columns block by block.
             from repro.sim.fastpath import run_columnar
 
-            return run_columnar(
+            result = run_columnar(
                 self,
                 trace,
                 updates=updates,
-                interval_collector=interval_collector,
                 progress_every=progress_every,
                 progress_callback=progress_callback,
             )
+            if result is not None:
+                return result
         probe = registry = timers = None
         snapshot_every = 0
         if instruments is not None:

@@ -1,10 +1,9 @@
-"""Batched columnar fast path for the simulation engine.
+"""Batched columnar kernels for the simulation engine.
 
-The reference loop in :mod:`repro.sim.engine` pays, per request, for a
-``TraceRecord`` dataclass, a routing-table walk, several layers of method
-dispatch through the scheme/cache class hierarchy, and a ``path_cost``
-call.  This module removes all of that for the hot schemes while staying
-**bit-identical** to the reference loop:
+The reference loop in :mod:`repro.sim.engine` pays, per request, for
+several layers of method dispatch through the scheme/cache class
+hierarchy and a ``path_cost`` call.  This module removes that for the
+hot schemes while staying **bit-identical** to the reference loop:
 
 * routing is resolved once per unique (client, server) pair via a
   vectorized ``np.unique`` over pair codes, producing a per-request path
@@ -18,23 +17,22 @@ call.  This module removes all of that for the hot schemes while staying
   real scheme objects are reconstructed so post-run inspection sees
   ordinary caches.  The kernels serve the one configuration every
   shipped entry point builds -- exactly ``LatencyCostModel``, the LFU
-  d-cache, the ``list`` NCL structure -- and nothing else (the full
-  eligibility rule is in :func:`run_columnar`);
-* every other scheme or configuration, and any run with an interval
-  collector, takes a generic columnar loop that still skips record
-  materialization and routing but calls ``scheme.process_request`` and
-  ``cost_model.path_cost`` unchanged.
+  d-cache, the ``list`` NCL structure -- and nothing else (the
+  eligibility rule is in :func:`run_columnar`).
+
+Every other scheme or configuration makes :func:`run_columnar` return
+``None``, and the engine replays it through its reference loop, which
+reads a :class:`ColumnarTrace`'s row blocks directly.
 
 Bit-exactness is not aspirational: floats are accumulated in the same
 order with the same operations, the latency-percentile reservoir uses the
 same seeded ``random.Random`` stream, and dict/estimator state evolves
 through identical mutation sequences.  The gate is
-``tests/test_sim_columnar.py`` plus the shadow-replay machinery in
-:mod:`repro.verify`.
+``tests/test_sim_columnar.py`` plus :mod:`repro.verify.fastpath_diff`.
 
-Audited or instrumented runs never come here -- the engine dispatches to
-the fast path only when both are absent (observability hooks fire per
-record, so the reference loop is the only honest way to serve them).
+Audited, instrumented, coherency-accounted or interval-collected runs
+never come here -- their hooks observe every outcome, so the engine
+keeps them on the reference loop.
 """
 
 from __future__ import annotations
@@ -82,60 +80,49 @@ def run_columnar(
     engine,
     trace: ColumnarTrace,
     updates: Sequence[UpdateEvent] = (),
-    interval_collector=None,
     progress_every: int = 0,
     progress_callback=None,
 ):
-    """Run the engine's replay over a columnar trace; returns the result.
+    """Run a flattened kernel over a columnar trace, or return ``None``.
 
-    Called by :meth:`SimulationEngine.run` when the trace is columnar and
-    the run is neither audited nor instrumented.  Picks a flattened
-    kernel when the run is the configuration the kernels were written
-    for: no interval collector, no instruments, a cost model that is
-    *exactly* :class:`LatencyCostModel` (a subclass may override
-    ``link_cost``), a scheme of exactly a hot type with fresh state and
-    -- for the coordinated kernel -- no placement observer, the ``list``
-    NCL structure and the LFU d-cache.  Every other configuration is
-    served, bit-identically to the reference loop, by the generic
-    columnar loop.
+    Called by :meth:`SimulationEngine.run` for a columnar trace when
+    nothing observes the run's outcomes.  A kernel serves the run only
+    in the configuration it was written for: no instruments on the
+    scheme, a cost model that is *exactly* :class:`LatencyCostModel` (a
+    subclass may override ``link_cost``), a scheme of exactly a hot type
+    with fresh state and -- for the coordinated kernel -- no placement
+    observer, the ``list`` NCL structure and the LFU d-cache.  For every
+    other configuration this returns ``None`` and the engine runs its
+    reference loop.
     """
     scheme = engine.scheme
+    if (
+        scheme._instruments is not None
+        or type(engine.cost_model) is not LatencyCostModel
+    ):
+        return None
+    if type(scheme) in (LRUEverywhereScheme, ModuloScheme) and not scheme._caches:
+        kernel = _run_lru_family
+    elif (
+        type(scheme) is CoordinatedScheme
+        and not scheme._nodes
+        and scheme.placement_observer is None
+        and scheme.ncl_structure == "list"
+        and scheme.dcache_policy == "lfu"
+    ):
+        kernel = _run_coordinated
+    else:
+        return None
     started = time.perf_counter()
     prep = _prepare(engine, trace, updates)
-    if (
-        interval_collector is None
-        and scheme._instruments is None
-        and type(engine.cost_model) is LatencyCostModel
-    ):
-        if type(scheme) in (LRUEverywhereScheme, ModuloScheme) and not scheme._caches:
-            return _run_lru_family(
-                engine, prep, started, progress_every, progress_callback
-            )
-        if (
-            type(scheme) is CoordinatedScheme
-            and not scheme._nodes
-            and scheme.placement_observer is None
-            and scheme.ncl_structure == "list"
-            and scheme.dcache_policy == "lfu"
-        ):
-            return _run_coordinated(
-                engine, prep, started, progress_every, progress_callback
-            )
-    return _run_generic(
-        engine,
-        prep,
-        started,
-        interval_collector,
-        progress_every,
-        progress_callback,
-    )
+    return kernel(engine, prep, started, progress_every, progress_callback)
 
 
 # -- shared precompute --------------------------------------------------------
 
 
 class _Prep:
-    """Routing and update-merge state shared by all loop variants."""
+    """Routing and update-merge state shared by both kernels."""
 
     __slots__ = (
         "times",
@@ -238,75 +225,6 @@ def _finish(engine, prep, started, totals, reservoir, extra):
         summary=collector.summary(),
         updates_applied=extra["updates_applied"],
         copies_invalidated=extra["copies_invalidated"],
-        duration_seconds=duration,
-        requests_per_second=total / duration if duration > 0 else 0.0,
-    )
-
-
-# -- generic columnar loop ----------------------------------------------------
-
-
-def _run_generic(
-    engine, prep, started, interval_collector, progress_every, progress_callback
-):
-    """Reference semantics over columns: per-request scheme calls remain.
-
-    Still removes the per-record dataclass and the routing walk -- the
-    safe fallback for every scheme and configuration the kernels do not
-    serve, and for interval-collected runs.
-    """
-    from repro.sim.engine import SimulationResult
-
-    scheme = engine.scheme
-    process = scheme.process_request
-    path_cost = engine.cost_model.path_cost
-    collector = MetricsCollector()
-    record_measure = collector.record
-    times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
-    paths = prep.paths
-    warmup_end, total = prep.warmup_end, prep.total
-    ufire, uoids = prep.ufire, prep.uoids
-    num_updates = len(ufire)
-    uj = 0
-    updates_applied = 0
-    copies_invalidated = 0
-    report_progress = progress_callback if progress_every > 0 else None
-    invalidate = scheme.invalidate_object
-    # In-band inv frames fan out to every cache node per event; mirror
-    # the reference loop's ProtocolStats counting (coordinated only).
-    proto_stats = getattr(scheme, "protocol_stats", None)
-    inv_broadcast = len(engine.architecture.cache_nodes)
-
-    for index in range(total):
-        while uj < num_updates and ufire[uj] <= index:
-            copies_invalidated += invalidate(uoids[uj])
-            updates_applied += 1
-            uj += 1
-            if proto_stats is not None:
-                proto_stats.invalidations += inv_broadcast
-        path = paths[pids[index]]
-        size = sizes[index]
-        outcome = process(path, oids[index], size, times[index])
-        if index >= warmup_end or interval_collector is not None:
-            latency = path_cost(path[: outcome.hit_index + 1], size)
-            if index >= warmup_end:
-                record_measure(outcome, latency)
-            if interval_collector is not None:
-                interval_collector.record(outcome, latency, times[index])
-        if report_progress is not None and (index + 1) % progress_every == 0:
-            report_progress(index + 1, total)
-
-    duration = time.perf_counter() - started
-    if report_progress is not None and total % progress_every != 0:
-        report_progress(total, total)
-    return SimulationResult(
-        architecture=engine.architecture.name,
-        scheme=scheme.name,
-        requests_total=total,
-        requests_measured=collector.requests,
-        summary=collector.summary(),
-        updates_applied=updates_applied,
-        copies_invalidated=copies_invalidated,
         duration_seconds=duration,
         requests_per_second=total / duration if duration > 0 else 0.0,
     )

@@ -12,13 +12,14 @@ silently: runs complete, metrics just drift.  This package catches it:
   real piggybacked problems;
 * :mod:`repro.verify.auditor` -- the driver the simulation engine calls
   (``SimulationEngine.run(audit_every=N)`` / ``auditor=...``);
-* :mod:`repro.verify.replay` -- shadow-replay harness and the
-  ``audited_run`` front used by the experiment runner and the CLI;
+* :mod:`repro.verify.replay` -- ``audited_run``, the one audited-run
+  protocol (engine run + shadow replay through the engine) behind the
+  experiment runner, the CLI and the self-test;
 * :mod:`repro.verify.metamorphic` -- known-effect transformations
   (delay scaling, zero capacity);
 * :mod:`repro.verify.selftest` -- seeded mutations proving the layer
   actually detects deliberately broken schemes;
-* :mod:`repro.verify.fastpath_diff` -- the columnar fast path's shadow
+* :mod:`repro.verify.fastpath_diff` -- the columnar kernels' shadow
   gate: reference loop vs batched kernels, bit-identical results and
   final cache/d-cache/protocol state.
 

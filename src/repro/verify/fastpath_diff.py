@@ -3,8 +3,9 @@
 Runs the same (architecture, cost model, scheme) pair twice -- once over
 a :class:`~repro.workload.trace.Trace` through the reference
 per-request loop, once over the equivalent
-:class:`~repro.workload.columnar.ColumnarTrace` through the fast path --
-and asserts the two runs are indistinguishable:
+:class:`~repro.workload.columnar.ColumnarTrace`, which a flattened kernel
+serves where one exists for the configuration and the same reference
+loop otherwise -- and asserts the two runs are indistinguishable:
 
 * the full :class:`~repro.sim.engine.SimulationResult` (minus wall-clock
   timing) must be equal, summary percentiles included;

@@ -1,62 +1,56 @@
 """Shadow-replay harness: re-run the trace, expect identical outcomes.
 
 The simulator is deterministic by design: one (architecture, scheme
-configuration, trace) triple must always produce the same outcome
-sequence.  Hidden mutable state -- module globals, class-level counters,
-iteration over unordered containers -- silently breaks that and with it
-every A/B comparison the reproduction rests on.
+configuration, trace, update stream, coherency policy) tuple must always
+produce the same outcome sequence.  Hidden mutable state -- module
+globals, class-level counters, iteration over unordered containers --
+silently breaks that and with it every A/B comparison the reproduction
+rests on.
 
 During an audited primary run the :class:`~repro.verify.auditor.Auditor`
-samples outcome signatures; :func:`shadow_replay_violations` then
-replays the same trace on a *fresh* scheme instance and compares the
-sampled subsequence.  :func:`audited_run` packages the whole protocol
-(build scheme, audited engine run, optional shadow replay) for the
-experiment runner, the CLI and the self-test.
+samples outcome signatures every ``shadow_replay_sample_every``
+requests.  :func:`audited_run` then replays the same trace on a *fresh*
+scheme through :meth:`SimulationEngine.run
+<repro.sim.engine.SimulationEngine.run>` itself -- the same updates, a
+fresh coherency policy of the same configuration -- and compares the
+same request indices through the engine's ``interval_collector`` seam,
+which sees every outcome in trace order.  :func:`audited_run` is the
+one audited-run protocol: the experiment runner (and with it the CLI)
+and the self-test all go through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.verify.auditor import AuditConfig, Auditor, AuditReport, outcome_signature
 from repro.verify.violations import AuditViolation
 
 
-def shadow_replay_violations(
-    architecture,
-    scheme,
-    trace,
-    reference: Dict[int, tuple],
-    updates: Sequence = (),
-) -> List[AuditViolation]:
-    """Re-run the trace on a fresh scheme; compare sampled outcomes.
+class _ShadowSampler:
+    """Interval-collector stand-in comparing the shadow's outcomes.
 
     ``reference`` maps request indices to the primary run's sampled
-    :func:`~repro.verify.auditor.outcome_signature` fingerprints.  The
-    replay applies the same update stream the primary run saw.
+    :func:`~repro.verify.auditor.outcome_signature` fingerprints; the
+    engine calls :meth:`record` once per request, in trace order.
     """
-    violations: List[AuditViolation] = []
-    request_path = architecture.request_path
-    update_index = 0
-    for index, record in enumerate(trace):
-        while (
-            update_index < len(updates)
-            and updates[update_index].time <= record.time
-        ):
-            scheme.invalidate_object(updates[update_index].object_id)
-            update_index += 1
-        path = request_path(record.client_id, record.server_id)
-        outcome = scheme.process_request(
-            path, record.object_id, record.size, record.time
-        )
-        expected = reference.get(index)
+
+    def __init__(self, reference: Dict[int, tuple]) -> None:
+        self.reference = reference
+        self.index = 0
+        self.violations: List[AuditViolation] = []
+
+    def record(self, outcome, latency: float, now: float) -> None:
+        index = self.index
+        self.index += 1
+        expected = self.reference.get(index)
         if expected is None:
-            continue
+            return
         observed = outcome_signature(outcome)
         if observed != expected:
-            violations.append(
+            self.violations.append(
                 AuditViolation(
                     check="shadow-replay",
                     detail=(
@@ -67,7 +61,6 @@ def shadow_replay_violations(
                     request_index=index,
                 )
             )
-    return violations
 
 
 def audited_run(
@@ -78,31 +71,41 @@ def audited_run(
     config: AuditConfig | None = None,
     warmup_fraction: float = 0.5,
     updates: Sequence = (),
+    coherency: Optional[Callable[[], object]] = None,
+    instruments=None,
+    interval_collector=None,
 ) -> Tuple[SimulationResult, AuditReport]:
     """One fully audited simulation: engine run + optional shadow replay.
 
     ``scheme_factory`` must build a *fresh* scheme per call -- the shadow
-    replay depends on starting from identical empty state.  Returns the
-    simulation result (whose ``audit`` field carries the final report)
-    and the report itself.
+    replay depends on starting from identical empty state.
+    ``coherency`` likewise builds a fresh policy per call (``None`` keeps
+    the engine's implicit in-band policy), so the shadow replays the
+    primary run's updates through the same coherency configuration.
+    ``instruments`` and ``interval_collector`` observe the primary run
+    only.  Returns the simulation result (whose ``audit`` field carries
+    the final report) and the report itself.
     """
     config = config or AuditConfig()
     auditor = Auditor(config)
-    scheme = scheme_factory()
-    engine = SimulationEngine(
-        architecture, cost_model, scheme, warmup_fraction=warmup_fraction
-    )
-    result = engine.run(trace, updates=updates, auditor=auditor)
-    if config.shadow_replay:
-        auditor.checks_run["shadow-replay"] = len(auditor.outcome_signatures)
-        auditor.extend(
-            shadow_replay_violations(
-                architecture,
-                scheme_factory(),
-                trace,
-                auditor.outcome_signatures,
-                updates=updates,
-            )
+
+    def run(**hooks) -> SimulationResult:
+        engine = SimulationEngine(
+            architecture, cost_model, scheme_factory(), warmup_fraction
         )
+        policy = coherency() if coherency is not None else None
+        return engine.run(trace, updates=updates, coherency=policy, **hooks)
+
+    result = run(
+        auditor=auditor,
+        instruments=instruments,
+        interval_collector=interval_collector,
+    )
+    if config.shadow_replay:
+        reference = auditor.outcome_signatures
+        auditor.checks_run["shadow-replay"] = len(reference)
+        sampler = _ShadowSampler(reference)
+        run(interval_collector=sampler)
+        auditor.extend(sampler.violations)
         result = dataclasses.replace(result, audit=auditor.report())
     return result, result.audit

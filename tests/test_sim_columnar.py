@@ -74,7 +74,7 @@ def _capacity(catalog) -> int:
 
 class _ScaledLatency(LatencyCostModel):
     """Overrides ``link_cost`` (twice the latency): never eligible for a
-    kernel, and the generic loop must price every hop through it."""
+    kernel, and the reference loop must price every hop through it."""
 
     def link_cost(self, u: int, v: int, size: int) -> float:
         return 2.0 * super().link_cost(u, v, size)
@@ -85,27 +85,28 @@ def _case(scheme, expected, cost=LatencyCostModel, observer=False,
     return scheme, expected, cost, observer, interval, keywords
 
 
-# configuration -> the loop that must serve the columnar run.
+# configuration -> the loop that must serve the columnar run ("reference":
+# neither kernel fires and the engine's reference loop reads the columns).
 _DISPATCH = {
     "coordinated": _case("coordinated", "coordinated"),
     "lru": _case("lru", "lru"),
     "modulo": _case("modulo", "lru"),
-    "hop/coordinated": _case("coordinated", "generic", cost=HopCostModel),
-    "hop/lru": _case("lru", "generic", cost=HopCostModel),
+    "hop/coordinated": _case("coordinated", "reference", cost=HopCostModel),
+    "hop/lru": _case("lru", "reference", cost=HopCostModel),
     "bandwidth/coordinated": _case(
-        "coordinated", "generic", cost=BandwidthCostModel
+        "coordinated", "reference", cost=BandwidthCostModel
     ),
-    "bandwidth/lru": _case("lru", "generic", cost=BandwidthCostModel),
+    "bandwidth/lru": _case("lru", "reference", cost=BandwidthCostModel),
     "latency-subclass/coordinated": _case(
-        "coordinated", "generic", cost=_ScaledLatency
+        "coordinated", "reference", cost=_ScaledLatency
     ),
     "latency-subclass/modulo": _case(
-        "modulo", "generic", cost=_ScaledLatency
+        "modulo", "reference", cost=_ScaledLatency
     ),
-    "dcache-lru": _case("coordinated", "generic", dcache_policy="lru"),
-    "ncl-heap": _case("coordinated", "generic", ncl_structure="heap"),
-    "placement-observer": _case("coordinated", "generic", observer=True),
-    "interval-collector": _case("coordinated", "generic", interval=True),
+    "dcache-lru": _case("coordinated", "reference", dcache_policy="lru"),
+    "ncl-heap": _case("coordinated", "reference", ncl_structure="heap"),
+    "placement-observer": _case("coordinated", "reference", observer=True),
+    "interval-collector": _case("coordinated", "reference", interval=True),
 }
 
 
@@ -132,7 +133,7 @@ class TestBitExactness:
         )
 
     def test_hop_cost_model(self, workload, architectures):
-        """Non-latency cost models route through the generic columnar loop."""
+        """Non-latency cost models take the reference loop on columns."""
         generator, trace, columnar, updates = workload
         arch = architectures["hier"]
         cost = HopCostModel(arch.network)
@@ -154,10 +155,10 @@ class TestBitExactness:
         """The flattened coordinated kernel is gated on the *exact* type.
 
         The approximate-placement subclasses (greedy, single-copy) must
-        route through the generic columnar loop, which runs their real
-        step methods -- that is what keeps them bit-exact by
-        construction.  Pin the dispatch precondition here so a future
-        ``isinstance`` relaxation of the kernel gate is caught.
+        take the engine's reference loop, which runs their real step
+        methods -- that is what keeps them bit-exact by construction.
+        Pin the dispatch precondition here so a future ``isinstance``
+        relaxation of the kernel gate is caught.
         """
         from repro.core.coordinated import CoordinatedScheme
 
@@ -200,8 +201,8 @@ class TestBitExactness:
 
         The kernels serve exactly one configuration (``LatencyCostModel``
         itself, LFU d-cache, ``list`` NCL, nothing observing); everything
-        else must reach the generic loop, not a kernel that no longer
-        knows the variant.
+        else must reach the engine's reference loop, not a kernel that no
+        longer knows the variant.
         """
         name, expected, cost_type, observed, collected, keywords = _DISPATCH[case]
         generator, trace, columnar, updates = workload
@@ -222,7 +223,6 @@ class TestBitExactness:
         for label, loop in (
             ("coordinated", "_run_coordinated"),
             ("lru", "_run_lru_family"),
-            ("generic", "_run_generic"),
         ):
             def spy(*args, _label=label, _loop=getattr(fastpath, loop)):
                 served.append(_label)
@@ -238,7 +238,7 @@ class TestBitExactness:
             arch, cost, factory, trace, columnar,
             updates=updates, tag=case, **run_kwargs,
         )
-        assert served == [expected]
+        assert served == ([] if expected == "reference" else [expected])
 
     def test_columnar_trace_matches_materialized_twin(self, workload):
         generator, trace, columnar, _ = workload

@@ -58,7 +58,7 @@ def run_with_series(trace, updates=()):
     scheme = build_scheme("coordinated", cost, capacity, dentries)
     collector = IntervalMetricsCollector(trace.duration / WINDOWS)
     SimulationEngine(arch, cost, scheme).run(
-        trace, updates=updates, interval_collector=collector
+        trace, updates=updates, observers=[collector]
     )
     return [s for s in collector.series() if s.requests > 0]
 

@@ -76,6 +76,23 @@ REPLAYS=$(grep -rn "scheme[.]process_request" src)
 echo "$REPLAYS"
 test "$(echo "$REPLAYS" | wc -l)" -eq 1
 echo "$REPLAYS" | grep -q "^src/repro/sim/engine.py:"
+# One observer seam: whatever watches a simulator run -- auditor,
+# interval collector, instruments, shadow sampler, coherency stale-hit
+# accounting -- rides SimulationEngine.run(observers=...), so no
+# per-observer seam is left and the engine knows nothing of the audit
+# layer.
+test -z "$(grep -rn "interval_collector\|wants_outcomes" src)"
+test -z "$(grep -n "from repro[.]verify\|import repro[.]verify" \
+    src/repro/sim/engine.py)"
+
+echo "== examples smoke =="
+# The documented entry points keep working against the current API;
+# each exits non-zero on failure.
+for example in quickstart dynamics_study custom_topology offline_analysis; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python "examples/$example.py" \
+        >/dev/null
+    echo "examples/$example.py ok"
+done
 
 echo "== one served walk gate =="
 # The report record has one form (the wire dict), the node no scheme-
@@ -118,10 +135,11 @@ test -z "$(grep -n "sorted(" src/repro/cache/dcache.py)"
 
 echo "== reference-walk call budget =="
 # Python calls per request of the reference loop on a fixed small
-# en-route coordinated trace, and of a sequential in-process served
-# replay of a fixed hierarchical trace: perf gates host load cannot
-# move.  Prints each measured number beside its committed bound; exits 1
-# over either.
+# en-route coordinated trace -- bare, and with an auditor, an interval
+# collector and a stat registry observing it -- and of a sequential
+# in-process served replay of a fixed hierarchical trace: perf gates
+# host load cannot move.  Prints each measured number beside its
+# committed bound; exits 1 over any.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_call_budget.py
 
 echo "== one request store =="

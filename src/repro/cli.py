@@ -550,21 +550,19 @@ def _scheme_path(base: str, scheme: str, multi: bool) -> str:
     return f"{base}.{scheme}"
 
 
-def _build_sim_instruments(args: argparse.Namespace, scheme: str, multi: bool):
-    """The per-scheme ``Instruments`` bundle for ``repro sim`` (or None).
+def _build_sim_instruments(args: argparse.Namespace):
+    """One scheme's ``Instruments`` bundle for ``repro sim`` (or None).
 
-    Returns ``(instruments, trace_writer)``; the writer must be closed
-    by the caller after the run.
+    With ``--trace-out`` the caller gives the probe its sink, a
+    ``JsonlTraceWriter`` open for the scheme's run only.
     """
-    from repro.obs import Instruments, JsonlTraceWriter, PhaseTimers, Probe
+    from repro.obs import Instruments, PhaseTimers, Probe
     from repro.obs.registry import StatRegistry
 
-    writer = None
     probe = None
     if args.trace_out:
-        writer = JsonlTraceWriter(_scheme_path(args.trace_out, scheme, multi))
         probe = Probe(
-            writer,
+            None,
             sample_every=args.trace_sample_every,
             sample_rate=args.trace_sample_rate,
             seed=args.probe_seed,
@@ -576,15 +574,12 @@ def _build_sim_instruments(args: argparse.Namespace, scheme: str, multi: bool):
     )
     timers = PhaseTimers() if args.timers else None
     if probe is None and registry is None and timers is None:
-        return None, None
-    return (
-        Instruments(
-            probe=probe,
-            registry=registry,
-            timers=timers,
-            snapshot_every=args.snapshot_every,
-        ),
-        writer,
+        return None
+    return Instruments(
+        probe=probe,
+        registry=registry,
+        timers=timers,
+        snapshot_every=args.snapshot_every,
     )
 
 
@@ -595,7 +590,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         series_to_csv,
         series_to_json,
     )
-    from repro.obs.export import format_node_stats, prometheus_text
+    from repro.obs.export import (
+        JsonlTraceWriter,
+        format_node_stats,
+        prometheus_text,
+    )
     from repro.sim.config import SimulationConfig
     from repro.verify.auditor import AuditConfig
 
@@ -611,8 +610,29 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.timeseries_out and not args.timeseries_window:
         print("--timeseries-out requires --timeseries-window", file=sys.stderr)
         return 2
+    multi = len(args.schemes) > 1
     try:
         coherency = _build_coherency(args)
+        # Collecting mode so one bad scheme does not hide the others'
+        # violations; shadow replay on -- sim is the thorough front.
+        audit = args.audit and AuditConfig(
+            audit_every=args.audit_every, shadow_replay=True, strict=False
+        )
+        config = SimulationConfig(
+            relative_cache_size=args.size, dcache_ratio=args.dcache_ratio
+        )
+        # Every scheme's observers, built before the first scheme runs
+        # so a bad numeric flag is a usage error, not a traceback.
+        runs = [
+            (
+                name,
+                _build_sim_instruments(args),
+                IntervalMetricsCollector(args.timeseries_window)
+                if args.timeseries_window
+                else None,
+            )
+            for name in args.schemes
+        ]
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -634,18 +654,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         args.seed,
     )
     arch = build_architecture(args.arch, preset.workload, seed=args.seed)
-    audit: bool | AuditConfig = False
-    if args.audit:
-        # Collecting mode so one bad scheme does not hide the others'
-        # violations; shadow replay on -- sim is the thorough front.
-        audit = AuditConfig(
-            audit_every=args.audit_every,
-            shadow_replay=True,
-            strict=False,
-        )
-    config = SimulationConfig(
-        relative_cache_size=args.size, dcache_ratio=args.dcache_ratio
-    )
     header = f"{args.arch} ({preset.name} scale, seed {args.seed}), " \
              f"cache {args.size:.2%}"
     if args.audit:
@@ -655,17 +663,15 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         if coherency is not None:
             header += f" via {coherency.mode}"
     print(header)
-    multi = len(args.schemes) > 1
     total_violations = 0
     points = []
-    for name in args.schemes:
+    for name, instruments, interval in runs:
         task = GridTask(scheme=name, config=config, params={})
-        instruments, writer = _build_sim_instruments(args, name, multi)
-        interval = (
-            IntervalMetricsCollector(args.timeseries_window)
-            if args.timeseries_window
-            else None
-        )
+        writer = None
+        if args.trace_out:
+            writer = instruments.probe.sink = JsonlTraceWriter(
+                _scheme_path(args.trace_out, name, multi)
+            )
         try:
             point, record = execute_point(
                 arch,
@@ -673,8 +679,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
                 generator.catalog,
                 task,
                 audit=audit,
-                instruments=instruments,
-                interval_collector=interval,
+                observers=[o for o in (interval, instruments) if o is not None],
                 updates=updates,
                 coherency=coherency,
             )

@@ -2,7 +2,10 @@
 
 The engine's update handling sits behind one seam: a policy object the
 replay loop drives with ``advance(index, now)`` before each request and
-(for policies that want them) ``observe(outcome, record)`` after.
+``finalize(end_time)`` after the last.  An explicit policy is also one of
+the run's observers (see :meth:`repro.sim.engine.SimulationEngine.run`):
+its ``outcome`` hook sees every request, and its ``end`` lands the
+accounting in ``SimulationResult.coherency``.
 
 :class:`InbandCoherency` is the paper's implicit design and carries the
 exact loop body the engine used to inline: each due event invalidates
@@ -69,7 +72,31 @@ def _require_groups(
     return groups
 
 
-class InbandCoherency:
+class _Policy:
+    """What both policies share: the run counters and the observer side."""
+
+    mode = ""
+
+    def __init__(self, groups: Optional[GroupAssignment]) -> None:
+        self.groups = groups
+        self.stats = CoherencyStats(mode=self.mode)
+        self.updates_applied = 0
+        self.copies_invalidated = 0
+        self.next_time = float("inf")
+        self._scheme = None
+        self._probe = None
+
+    def begin(self, engine, collector) -> None:
+        pass
+
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
+        pass
+
+    def end(self, requests_total: int) -> dict:
+        return {"coherency": self.stats.to_dict()}
+
+
+class InbandCoherency(_Policy):
     """The engine's original inline update loop, behind the seam.
 
     Accepts per-object :class:`UpdateEvent` streams unchanged; a
@@ -79,18 +106,11 @@ class InbandCoherency:
     """
 
     mode = "inband"
-    wants_outcomes = False
 
     def __init__(self, groups: Optional[GroupAssignment] = None) -> None:
-        self.groups = groups
-        self.stats = CoherencyStats(mode="inband")
-        self.updates_applied = 0
-        self.copies_invalidated = 0
-        self.next_time = float("inf")
+        super().__init__(groups)
         self._updates: Sequence[UpdateEvent] = ()
         self._cursor = 0
-        self._scheme = None
-        self._probe = None
         self._protocol_stats = None
         self._broadcast_nodes = 0
 
@@ -141,21 +161,14 @@ class InbandCoherency:
             else float("inf")
         )
 
-    def observe(self, outcome, record) -> None:  # pragma: no cover - unused
-        pass
-
     def finalize(self, end_time: float) -> None:
         self.stats.inv_bytes = self.stats.inv_frames * INV_FRAME_BYTES
 
-    def stats_dict(self) -> dict:
-        return self.stats.to_dict()
 
-
-class ChannelCoherency:
+class ChannelCoherency(_Policy):
     """Polled pub/sub invalidation with exact staleness accounting."""
 
     mode = "channel"
-    wants_outcomes = True
 
     def __init__(
         self,
@@ -164,20 +177,14 @@ class ChannelCoherency:
     ) -> None:
         if poll_interval < 0:
             raise ValueError("poll_interval must be non-negative")
-        self.groups = groups
+        super().__init__(groups)
         self.poll_interval = poll_interval
-        self.stats = CoherencyStats(mode="channel")
-        self.updates_applied = 0
-        self.copies_invalidated = 0
-        self.next_time = float("inf")
         # Normalized channel feed: (time, group_id), time-ordered.
         self._events: List[Tuple[float, int]] = []
         self._publish_cursor = 0
         # Per-node cursor into _events: everything before it was applied.
         self._node_cursors: Dict[int, int] = {}
         self._nodes: List[int] = []
-        self._scheme = None
-        self._probe = None
         # (node, object) -> earliest update time the cached copy predates.
         self._marks: Dict[Tuple[int, int], float] = {}
         self._next_poll = float("inf")
@@ -309,18 +316,18 @@ class ChannelCoherency:
                     self.stats.stale_copies_evicted += 1
         self._node_cursors[node] = cursor
 
-    def observe(self, outcome, record) -> None:
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
         """Per-request hooks: stale-hit detection and mark clearing."""
         if outcome.served_by_cache:
-            key = (outcome.path[outcome.hit_index], record.object_id)
+            key = (outcome.path[outcome.hit_index], object_id)
             if key in self._marks:
                 self.stats.stale_hits += 1
-                self.stats.stale_bytes += record.size
+                self.stats.stale_bytes += outcome.size
         if outcome.inserted_nodes:
             for node in outcome.inserted_nodes:
                 # A fresh copy just arrived from upstream; it postdates
                 # every published update.
-                self._marks.pop((node, record.object_id), None)
+                self._marks.pop((node, object_id), None)
 
     def finalize(self, end_time: float) -> None:
         """Drain: one final poll per node so every event is delivered.
@@ -340,9 +347,6 @@ class ChannelCoherency:
                         self.stats.polls += 1
                         self.stats.channel_bytes += POLL_BYTES
                     self._apply_node(node, end_time)
-
-    def stats_dict(self) -> dict:
-        return self.stats.to_dict()
 
 
 def build_policy(

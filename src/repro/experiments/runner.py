@@ -200,8 +200,7 @@ def execute_point(
     task: GridTask,
     audit: Union[bool, AuditConfig] = False,
     node_stats: bool = False,
-    instruments: Optional[Instruments] = None,
-    interval_collector=None,
+    observers: Sequence = (),
     updates: Sequence = (),
     coherency=None,
 ) -> Tuple[SweepPoint, RunRecord]:
@@ -219,13 +218,15 @@ def execute_point(
     and unaudited grids share checkpoint identities (and metrics, which
     auditing never changes).
 
-    ``node_stats`` attaches a fresh per-node stat registry (see
-    :mod:`repro.obs`) and stores its final snapshot on the record;
-    ``instruments`` passes a fully-configured bundle instead (e.g. with
-    a probe or timers -- ``node_stats`` is then implied by whether the
-    bundle carries a registry).  ``interval_collector`` is forwarded to
-    :meth:`SimulationEngine.run` verbatim.  All three are observational
-    only -- metrics and checkpoint identities are unchanged.
+    ``observers`` ride along the point's run (see
+    :meth:`SimulationEngine.run`): e.g. an
+    :class:`~repro.obs.instruments.Instruments` bundle with a probe,
+    registry or timers, or an
+    :class:`~repro.metrics.timeseries.IntervalMetricsCollector`.
+    ``node_stats`` adds a bundle with a fresh per-node stat registry
+    (see :mod:`repro.obs`); a bundle's final registry snapshot lands on
+    the record.  Both are observational only -- metrics and checkpoint
+    identities are unchanged.
 
     ``updates`` threads a time-ordered update-event stream (per-object
     or group-targeted) through the replay, and ``coherency`` -- a
@@ -270,8 +271,8 @@ def execute_point(
         }
         if profile is not None:
             provision["profile"] = profile
-    if instruments is None and node_stats:
-        instruments = Instruments(registry=StatRegistry())
+    if node_stats:
+        observers = (*observers, Instruments(registry=StatRegistry()))
     if audit:
         params.setdefault("ncl_structure", "mirrored")
     scheme_factory = functools.partial(
@@ -296,8 +297,7 @@ def execute_point(
             warmup_fraction=config.warmup_fraction,
             updates=updates,
             coherency=new_policy,
-            instruments=instruments,
-            interval_collector=interval_collector,
+            observers=observers,
         )
     else:
         engine = SimulationEngine(
@@ -309,9 +309,8 @@ def execute_point(
         result = engine.run(
             trace,
             updates=updates,
-            instruments=instruments,
-            interval_collector=interval_collector,
             coherency=new_policy() if new_policy is not None else None,
+            observers=observers,
         )
     point = SweepPoint(
         architecture=architecture.name,

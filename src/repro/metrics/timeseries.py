@@ -1,9 +1,10 @@
 """Time-series metrics: per-window aggregates over a run.
 
 The paper reports steady-state means; for studying *dynamics* -- warm-up
-convergence, reaction to flash crowds or invalidation storms -- the
-engine can additionally bin outcomes into fixed-width time windows via
-:class:`IntervalMetricsCollector` and report a series of per-window
+convergence, reaction to flash crowds or invalidation storms -- an
+:class:`IntervalMetricsCollector` observing a run (``SimulationEngine.run(
+..., observers=[collector])``) bins every outcome, warm-up included,
+into fixed-width time windows and reports a series of per-window
 snapshots.  :func:`series_to_csv` / :func:`series_to_json` serialize a
 series for the CLI's ``--timeseries-out``.
 """
@@ -59,12 +60,22 @@ class IntervalMetricsCollector:
         self.window_seconds = window_seconds
         self._windows: dict[int, List] = {}
 
+    def begin(self, engine, collector) -> None:
+        pass
+
+    def end(self, requests_total: int) -> dict:
+        return {}
+
     def record(self, outcome: RequestOutcome, latency: float, now: float) -> None:
+        """Bin one outcome served at time ``now``."""
+        self.outcome(-1, now, None, outcome, latency, True)
+
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
         if now < 0:
             raise ValueError("time must be non-negative")
-        index = int(now // self.window_seconds)
+        window = int(now // self.window_seconds)
         bucket = self._windows.setdefault(
-            index, [0, 0.0, 0, 0, 0, 0, 0, 0]
+            window, [0, 0.0, 0, 0, 0, 0, 0, 0]
         )
         size = outcome.size
         hops = outcome.hit_index

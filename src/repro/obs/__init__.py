@@ -10,8 +10,9 @@ Four parts (see ``docs/architecture.md``, "Observing a run"):
 * :mod:`repro.obs.warehouse` -- the sqlite results warehouse.
 
 Everything hangs off an :class:`~repro.obs.instruments.Instruments`
-bundle passed to ``SimulationEngine.run(..., instruments=...)``; with no
-bundle (the default) the simulator runs the exact uninstrumented path.
+bundle, a run observer passed to ``SimulationEngine.run(...,
+instruments=...)``; with no bundle (the default) the simulator runs the
+exact uninstrumented path.
 """
 
 from repro.obs.export import (

@@ -1,16 +1,20 @@
-"""The instrumentation bundle threaded through a run.
+"""The instrumentation bundle: one observer of a simulation run.
 
 :class:`Instruments` groups the three observation channels -- a
 :class:`~repro.obs.probe.Probe` (structured events), a
 :class:`~repro.obs.registry.StatRegistry` (per-node counters) and
 :class:`~repro.obs.timers.PhaseTimers` (phase attribution) -- behind a
 single object the engine accepts as ``SimulationEngine.run(...,
-instruments=...)``.  The engine attaches it to the scheme
+instruments=...)`` (or among its ``observers``).  As a run observer it
+attaches itself to the scheme
 (:meth:`~repro.schemes.base.CachingScheme.attach_instruments`), which
 wires a per-node :class:`CacheObserver` onto every cache it creates, so
 cache-level happenings (evictions, occupancy, invalidation removals)
 reach the registry and the probe without the policies knowing anything
-about observability.
+about observability.  Per request it folds the outcome into the
+registry, writes periodic registry snapshots and emits the probe's
+``request`` event; the engine stamps its ``request_index`` and its
+timers time the engine's routing and scheme phases.
 
 Like the audit layer this is strictly one-way: nothing here may
 influence a decision, and a run's metrics are bit-identical with and
@@ -30,11 +34,10 @@ from repro.obs.timers import PHASE_VICTIM_SELECT, PhaseTimers
 class Instruments:
     """Probe + registry + timers riding along one simulation run.
 
-    ``snapshot_every`` asks the engine to record a registry snapshot
-    (and emit a ``snapshot`` event) every N requests.  A probe
-    constructed with ``enabled=False`` is normalized away here, so the
-    engine's single ``instruments.active`` check is all that separates
-    "off" from "on".
+    ``snapshot_every`` records a registry snapshot (and emits a
+    ``snapshot`` event) every N requests.  A probe constructed with
+    ``enabled=False`` is normalized away here, so the engine's single
+    ``instruments.active`` check is all that separates "off" from "on".
     """
 
     __slots__ = ("probe", "registry", "timers", "snapshot_every", "request_index")
@@ -66,6 +69,43 @@ class Instruments:
             or self.registry is not None
             or self.timers is not None
         )
+
+    def begin(self, engine, collector) -> None:
+        engine.scheme.attach_instruments(self)
+
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
+        probe = self.probe
+        registry = self.registry
+        if registry is not None:
+            registry.observe_outcome(outcome)
+            if self.snapshot_every and (index + 1) % self.snapshot_every == 0:
+                snap = registry.take_snapshot(index + 1)
+                if probe is not None and probe.sample("snapshot"):
+                    probe.write("snapshot", **snap)
+        if probe is not None and probe.sample("request"):
+            path = outcome.path
+            probe.write(
+                "request",
+                i=index,
+                t=now,
+                object=object_id,
+                size=outcome.size,
+                client=path[0],
+                hit_node=(
+                    path[outcome.hit_index] if outcome.served_by_cache else None
+                ),
+                hops=outcome.hops,
+                inserted=list(outcome.inserted_nodes),
+                evicted=outcome.evicted_objects,
+            )
+
+    def end(self, requests_total: int) -> dict:
+        registry = self.registry
+        timers = self.timers
+        return {
+            "node_stats": registry.snapshot() if registry is not None else None,
+            "phase_timings": timers.summary() if timers is not None else None,
+        }
 
     def cache_observer(self, node: int) -> "CacheObserver":
         return CacheObserver(node, self)

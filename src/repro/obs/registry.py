@@ -10,8 +10,8 @@ carries.
 
 Counters cover the **whole** replay, warm-up included (like the
 interval collector): placement dynamics during warm-up are exactly what
-the per-node lens is for.  The registry is fed by the engine (request
-outcomes), by per-cache observers (evictions, occupancy, invalidation
+the per-node lens is for.  The registry is fed by the instruments
+bundle observing the run (request outcomes), by per-cache observers (evictions, occupancy, invalidation
 removals -- see :mod:`repro.obs.instruments`) and by the coordinated
 scheme (piggyback bytes).  It never feeds anything back: an instrumented
 run's metrics are bit-identical to an uninstrumented one.

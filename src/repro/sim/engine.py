@@ -21,8 +21,7 @@ from repro.obs.instruments import Instruments
 from repro.obs.timers import PHASE_ROUTING, PHASE_SCHEME
 from repro.schemes.base import CachingScheme
 from repro.sim.architecture import Architecture
-from repro.verify.auditor import AuditConfig, Auditor, AuditReport
-from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
+from repro.workload.trace import ColumnarTrace, Trace
 from repro.workload.updates import UpdateEvent
 
 
@@ -39,16 +38,12 @@ class SimulationResult:
     warm-up included) -- the run-observability signals the experiment
     runner aggregates across a grid.
 
-    ``audit`` is ``None`` unless the run was audited (see
-    :mod:`repro.verify`); auditing never changes the metrics themselves.
-
-    ``node_stats`` / ``phase_timings`` are ``None`` unless the run was
-    instrumented (see :mod:`repro.obs`): the final per-node counter
-    snapshot of the stat registry and the phase timers' summary.  Like
-    auditing, instrumentation never changes the metrics.
-
-    ``coherency`` is ``None`` unless an explicit coherency policy drove
-    the run (see :mod:`repro.coherency`): the policy's
+    The last four fields are ``None`` unless an observer of the run
+    filled them (see :meth:`SimulationEngine.run`): ``audit`` is the
+    auditor's report (see :mod:`repro.verify`), ``node_stats`` /
+    ``phase_timings`` the stat registry's final per-node snapshot and the
+    phase timers' summary (see :mod:`repro.obs`), and ``coherency`` an
+    explicit coherency policy's
     :meth:`~repro.coherency.stats.CoherencyStats.to_dict` accounting
     (channel bytes, stale hits, staleness-window percentiles, ...).
     """
@@ -62,7 +57,7 @@ class SimulationResult:
     copies_invalidated: int = 0
     duration_seconds: float = 0.0
     requests_per_second: float = 0.0
-    audit: Optional[AuditReport] = None
+    audit: Optional[object] = None
     node_stats: Optional[dict] = None
     phase_timings: Optional[dict] = None
     coherency: Optional[dict] = None
@@ -89,63 +84,60 @@ class SimulationEngine:
         self,
         trace: Trace | ColumnarTrace,
         updates: Sequence[UpdateEvent] = (),
-        interval_collector=None,
+        coherency=None,
+        observers: Sequence = (),
+        instruments: Optional[Instruments] = None,
         progress_every: int = 0,
         progress_callback: Optional[Callable[[int, int], None]] = None,
-        auditor: Optional[Auditor] = None,
-        audit_every: int = 0,
-        instruments: Optional[Instruments] = None,
-        coherency=None,
     ) -> SimulationResult:
         """Replay the trace; returns metrics over the measurement window.
 
         When ``updates`` is given (time-ordered), each event invalidates
         all cached copies of its object the moment simulation time passes
         it -- the coherency extension stressing the paper's read-mostly
-        assumption.
-
-        ``coherency`` selects how those updates reach the caches: a
-        policy object from :mod:`repro.coherency.policy` (in-band
+        assumption.  ``coherency`` selects how those updates reach the
+        caches: a policy from :mod:`repro.coherency.policy` (in-band
         broadcast vs. polled pub/sub channel).  ``None`` keeps the
-        default in-band behavior with no stats surfaced -- results are
-        bit-identical to pre-seam engines.  An explicit policy lands its
-        accounting in ``SimulationResult.coherency``.
+        implicit in-band behavior and surfaces no stats; an explicit
+        policy also observes the run and lands its accounting in
+        ``SimulationResult.coherency``.
 
-        ``interval_collector`` (an
-        :class:`~repro.metrics.timeseries.IntervalMetricsCollector`)
-        additionally receives *every* outcome, warm-up included, so
-        convergence and transient behavior can be observed over time.
+        ``observers`` ride along the replay without steering it -- the
+        auditor (:class:`~repro.verify.auditor.Auditor`), the interval
+        collector (:class:`~repro.metrics.timeseries.
+        IntervalMetricsCollector`), the shadow replay's sampler.  Each
+        implements three methods, called in registration order:
+
+        * ``begin(engine, collector)`` once, before the first request,
+          with this engine and its :class:`MetricsCollector`;
+        * ``outcome(index, now, object_id, outcome, latency, measured)``
+          once per request, warm-up included: the request's position and
+          time, its object, the scheme's
+          :class:`~repro.schemes.base.RequestOutcome`, its priced latency
+          and whether it falls in the measurement window;
+        * ``end(requests_total)`` once after the replay, returning the
+          :class:`SimulationResult` fields it fills (``audit``,
+          ``node_stats``, ``phase_timings`` or ``coherency``) as a dict.
+
+        ``instruments`` (an :class:`~repro.obs.instruments.Instruments`
+        bundle) is one more observer when any of its channels is live (a
+        bundle may also come among ``observers``).  The engine stamps the
+        bundle's ``request_index`` before each request, since cache and
+        scheme events carry it, and lets its phase timers time the
+        request's routing and scheme phases.  Observation never changes
+        the metrics: a run's summary is bit-identical with and without
+        observers.
 
         ``progress_callback`` (with ``progress_every > 0``) is invoked as
         ``callback(requests_processed, requests_total)`` after every
-        ``progress_every`` requests and once at the end of the replay, so
-        long runs can report liveness without measurable overhead.
+        ``progress_every`` requests and once at the end of the replay.
 
-        ``auditor`` (or the shorthand ``audit_every=N``, which builds a
-        strict :class:`~repro.verify.auditor.Auditor` sweeping every N
-        requests) turns the replay into an audited run: the auditor
-        observes every outcome, sweeps invariants periodically and once
-        at the end, and its report lands in ``SimulationResult.audit``.
-        Auditing is observational only -- metrics are bit-identical with
-        and without it.
-
-        ``instruments`` (an :class:`~repro.obs.instruments.Instruments`
-        bundle) turns the replay into an instrumented run: the probe
-        receives ``request`` / ``invalidation`` events (schemes and
-        caches emit the rest through the attached bundle), the stat
-        registry folds in every outcome (warm-up included), and the
-        phase timers attribute routing / scheme-processing time.  Also
-        observational only -- metrics are bit-identical with and without
-        it, and a bundle with no live channel costs nothing.
-
-        A :class:`~repro.workload.trace.Trace` always runs the reference
-        loop below.  A :class:`~repro.workload.trace.ColumnarTrace` that
-        nothing observes (no auditor, instruments, explicit coherency
-        policy or interval collector) is offered to
-        :func:`repro.sim.fastpath.run_columnar`, whose flattened kernels
-        serve the configurations they were written for bit-identically;
-        every other run takes the reference loop, the one replay loop
-        every scheme step goes through.
+        A :class:`~repro.workload.trace.ColumnarTrace` run with no
+        observers, no live instruments and no explicit coherency policy is
+        offered to :func:`repro.sim.fastpath.run_columnar`, whose
+        flattened kernels serve the configurations they were written for
+        bit-identically; every other run takes the reference loop below,
+        the one replay loop every scheme step goes through.
         """
         if len(trace) == 0:
             raise ValueError("cannot simulate an empty trace")
@@ -156,21 +148,11 @@ class SimulationEngine:
                 "progress_callback requires progress_every > 0 "
                 "(it would otherwise never be invoked)"
             )
-        if audit_every < 0:
-            raise ValueError("audit_every must be non-negative")
-        if auditor is None and audit_every > 0:
-            auditor = Auditor(AuditConfig(audit_every=audit_every))
-        if auditor is not None:
-            auditor.attach(self.scheme)
-        if instruments is not None and not instruments.active:
-            instruments = None
-        if (
-            isinstance(trace, ColumnarTrace)
-            and auditor is None
-            and instruments is None
-            and coherency is None
-            and interval_collector is None
-        ):
+        if instruments is not None and instruments.active:
+            observers = (*observers, instruments)
+        if coherency is not None:
+            observers = (*observers, coherency)
+        if not observers and isinstance(trace, ColumnarTrace):
             # Nothing observes the outcomes: a flattened kernel may
             # serve the run, bit-identically.  When none does, the
             # reference loop below reads the columns block by block.
@@ -185,22 +167,16 @@ class SimulationEngine:
             )
             if result is not None:
                 return result
-        probe = registry = timers = None
-        snapshot_every = 0
-        if instruments is not None:
-            self.scheme.attach_instruments(instruments)
-            probe = instruments.probe
-            registry = instruments.registry
-            timers = instruments.timers
-            snapshot_every = (
-                instruments.snapshot_every if registry is not None else 0
-            )
-        report_progress = (
-            progress_callback if progress_every > 0 else None
+        bundle = next(
+            (o for o in observers if isinstance(o, Instruments)), None
         )
+        timers = bundle.timers if bundle is not None else None
         warmup_end, total = trace.split_warmup(self.warmup_fraction)
         started = time.perf_counter()
         collector = MetricsCollector()
+        for observer in observers:
+            observer.begin(self, collector)
+        hooks = [observer.outcome for observer in observers]
         request_path = self.architecture.request_path
         # (client_id, server_id) -> delivery path, resolved once per run:
         # the routing table memoizes paths already, so every request of
@@ -216,16 +192,14 @@ class SimulationEngine:
             scheme=self.scheme,
             architecture=self.architecture,
             updates=updates,
-            probe=probe,
+            probe=bundle.probe if bundle is not None else None,
         )
-        policy_observes = policy.wants_outcomes
-        sweep_every = auditor.config.audit_every if auditor is not None else 0
         store = trace if isinstance(trace, ColumnarTrace) else trace.columns
         for index, (now, client_id, object_id, server_id, size) in enumerate(
             store.rows()
         ):
-            if instruments is not None:
-                instruments.request_index = index
+            if bundle is not None:
+                bundle.request_index = index
             if policy.next_time <= now:
                 policy.advance(index, now)
             if timers is not None:
@@ -242,60 +216,27 @@ class SimulationEngine:
                 processed = time.perf_counter()
                 timers.add(PHASE_ROUTING, routed - started_phase)
                 timers.add(PHASE_SCHEME, processed - routed)
-            if policy_observes:
-                policy.observe(
-                    outcome,
-                    TraceRecord(now, client_id, object_id, server_id, size),
-                )
-            if registry is not None:
-                registry.observe_outcome(outcome)
-                if snapshot_every and (index + 1) % snapshot_every == 0:
-                    snap = registry.take_snapshot(index + 1)
-                    if probe is not None and probe.sample("snapshot"):
-                        probe.write("snapshot", **snap)
-            if probe is not None and probe.sample("request"):
-                probe.write(
-                    "request",
-                    i=index,
-                    t=now,
-                    object=object_id,
-                    size=size,
-                    client=path[0],
-                    hit_node=(
-                        path[outcome.hit_index]
-                        if outcome.served_by_cache
-                        else None
-                    ),
-                    hops=outcome.hops,
-                    inserted=list(outcome.inserted_nodes),
-                    evicted=outcome.evicted_objects,
-                )
-            if auditor is not None:
-                auditor.observe_outcome(index, outcome)
-            if index >= warmup_end or interval_collector is not None:
+            if hooks:
                 latency = path_cost(path[: outcome.hit_index + 1], size)
-                if index >= warmup_end:
+                measured = index >= warmup_end
+                if measured:
                     collector.record(outcome, latency)
-                    if auditor is not None:
-                        auditor.observe_measured(outcome, latency)
-                if interval_collector is not None:
-                    interval_collector.record(outcome, latency, now)
-            if auditor is not None and (index + 1) % sweep_every == 0:
-                auditor.audit_now(self.scheme, collector, index)
-            if report_progress is not None and (index + 1) % progress_every == 0:
-                report_progress(index + 1, total)
+                for hook in hooks:
+                    hook(index, now, object_id, outcome, latency, measured)
+            elif index >= warmup_end:
+                collector.record(
+                    outcome, path_cost(path[: outcome.hit_index + 1], size)
+                )
+            if progress_callback is not None and (index + 1) % progress_every == 0:
+                progress_callback(index + 1, total)
         # The trace is non-empty: ``now`` is its last request's time.
         policy.finalize(now)
         duration = time.perf_counter() - started
-        if report_progress is not None and total % progress_every != 0:
-            report_progress(total, total)
-        audit = (
-            auditor.finalize(self.scheme, collector, total - 1)
-            if auditor is not None
-            else None
-        )
-        node_stats = registry.snapshot() if registry is not None else None
-        phase_timings = timers.summary() if timers is not None else None
+        if progress_callback is not None and total % progress_every != 0:
+            progress_callback(total, total)
+        observed: dict = {}
+        for observer in observers:
+            observed.update(observer.end(total))
         return SimulationResult(
             architecture=self.architecture.name,
             scheme=self.scheme.name,
@@ -306,10 +247,5 @@ class SimulationEngine:
             copies_invalidated=policy.copies_invalidated,
             duration_seconds=duration,
             requests_per_second=total / duration if duration > 0 else 0.0,
-            audit=audit,
-            node_stats=node_stats,
-            phase_timings=phase_timings,
-            coherency=(
-                policy.stats_dict() if coherency is not None else None
-            ),
+            **observed,
         )

@@ -30,9 +30,9 @@ same seeded ``random.Random`` stream, and dict/estimator state evolves
 through identical mutation sequences.  The gate is
 ``tests/test_sim_columnar.py`` plus :mod:`repro.verify.fastpath_diff`.
 
-Audited, instrumented, coherency-accounted or interval-collected runs
-never come here -- their hooks observe every outcome, so the engine
-keeps them on the reference loop.
+A run with observers -- an auditor, live instruments, an explicit
+coherency policy, an interval collector -- never comes here: observers
+see every outcome, so the engine keeps the run on the reference loop.
 """
 
 from __future__ import annotations

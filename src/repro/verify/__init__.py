@@ -10,8 +10,8 @@ silently: runs complete, metrics just drift.  This package catches it:
 * :mod:`repro.verify.oracles` -- differential oracles: list-NCL vs a
   shadow heap-NCL, and the placement DP vs the exhaustive reference on
   real piggybacked problems;
-* :mod:`repro.verify.auditor` -- the driver the simulation engine calls
-  (``SimulationEngine.run(audit_every=N)`` / ``auditor=...``);
+* :mod:`repro.verify.auditor` -- the audit driver, a run observer
+  (``SimulationEngine.run(observers=[Auditor(...)])``);
 * :mod:`repro.verify.replay` -- ``audited_run``, the one audited-run
   protocol (engine run + shadow replay through the engine) behind the
   experiment runner, the CLI and the self-test;
@@ -24,8 +24,7 @@ silently: runs complete, metrics just drift.  This package catches it:
   final cache/d-cache/protocol state.
 
 ``replay``, ``metamorphic``, ``selftest`` and ``fastpath_diff`` import
-the simulation engine and are therefore *not* re-exported here (the
-engine itself imports :mod:`repro.verify.auditor`); import them as
+the simulation engine and are *not* re-exported here; import them as
 submodules.
 """
 

@@ -1,7 +1,8 @@
-"""The runtime audit driver wired into the simulation engine.
+"""The runtime audit driver: an observer of a simulation run.
 
 An :class:`Auditor` rides along a :meth:`SimulationEngine.run
-<repro.sim.engine.SimulationEngine.run>` replay:
+<repro.sim.engine.SimulationEngine.run>` replay as one of its
+``observers``:
 
 * it observes every request outcome (feeding the :class:`OutcomeLedger`
   double books and sampling outcome signatures for the shadow-replay
@@ -111,11 +112,16 @@ class Auditor:
         self._signatures: Dict[int, tuple] = {}
         self._placement_oracle: PlacementOracle | None = None
         self.notes: Dict[str, str] = {}
+        self._scheme = None
+        self._collector = None
 
-    # -- wiring -------------------------------------------------------------
+    # -- the run-observer protocol -------------------------------------------
 
-    def attach(self, scheme) -> None:
-        """Install the oracles a scheme exposes seams for."""
+    def begin(self, engine, collector) -> None:
+        """Install the oracles the scheme exposes seams for."""
+        scheme = engine.scheme
+        self._scheme = scheme
+        self._collector = collector
         if hasattr(scheme, "placement_observer"):
             self._placement_oracle = PlacementOracle(
                 report=self._flag,
@@ -124,19 +130,26 @@ class Auditor:
             )
             scheme.placement_observer = self._placement_oracle
 
-    # -- per-request observations -------------------------------------------
-
-    def observe_outcome(self, index: int, outcome) -> None:
-        """Sample outcome signatures for the shadow-replay harness."""
-        if (
-            self.config.shadow_replay
-            and index % self.config.shadow_replay_sample_every == 0
-        ):
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
+        """Sample signatures, mirror measured outcomes, sweep when due."""
+        config = self.config
+        if config.shadow_replay and index % config.shadow_replay_sample_every == 0:
             self._signatures[index] = outcome_signature(outcome)
+        if measured:
+            self._ledger.record(outcome, latency)
+        if (index + 1) % config.audit_every == 0:
+            self.audit_now(self._scheme, self._collector, index)
 
-    def observe_measured(self, outcome, latency: float) -> None:
-        """Mirror one measured outcome into the independent ledger."""
-        self._ledger.record(outcome, latency)
+    def end(self, requests_total: int) -> dict:
+        """Final sweep; the report lands in ``SimulationResult.audit``."""
+        self.audit_now(self._scheme, self._collector, requests_total - 1)
+        oracle = self._placement_oracle
+        if oracle is not None:
+            self.checks_run["placement-oracle"] = oracle.problems_checked
+            if oracle.gap_count:
+                self.checks_run["placement-gap"] = oracle.gap_count
+                self.notes["placement-gap"] = oracle.gap_summary()
+        return {"audit": self.report()}
 
     @property
     def outcome_signatures(self) -> Dict[int, tuple]:
@@ -164,19 +177,6 @@ class Auditor:
                     )
         for violation in self._ledger.violations_against(collector, request_index):
             self._flag(violation)
-
-    def finalize(self, scheme, collector, request_index: int = -1) -> AuditReport:
-        """Final sweep + report; called by the engine after the replay."""
-        self.audit_now(scheme, collector, request_index)
-        oracle = self._placement_oracle
-        if oracle is not None:
-            self.checks_run["placement-oracle"] = oracle.problems_checked
-            if oracle.gap_count:
-                self.checks_run["placement-gap"] = oracle.gap_count
-                summary = oracle.gap_summary()
-                if summary is not None:
-                    self.notes["placement-gap"] = summary
-        return self.report()
 
     def extend(self, violations) -> None:
         """Fold in violations found by an out-of-run harness (replay)."""

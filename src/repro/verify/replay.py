@@ -12,11 +12,10 @@ samples outcome signatures every ``shadow_replay_sample_every``
 requests.  :func:`audited_run` then replays the same trace on a *fresh*
 scheme through :meth:`SimulationEngine.run
 <repro.sim.engine.SimulationEngine.run>` itself -- the same updates, a
-fresh coherency policy of the same configuration -- and compares the
-same request indices through the engine's ``interval_collector`` seam,
-which sees every outcome in trace order.  :func:`audited_run` is the
-one audited-run protocol: the experiment runner (and with it the CLI)
-and the self-test all go through it.
+fresh coherency policy of the same configuration -- with a
+:class:`_ShadowSampler` observer comparing the same request indices.
+:func:`audited_run` is the one audited-run protocol: the experiment
+runner (and with it the CLI) and the self-test all go through it.
 """
 
 from __future__ import annotations
@@ -30,21 +29,20 @@ from repro.verify.violations import AuditViolation
 
 
 class _ShadowSampler:
-    """Interval-collector stand-in comparing the shadow's outcomes.
+    """Run observer comparing the shadow's outcomes with the primary's.
 
     ``reference`` maps request indices to the primary run's sampled
-    :func:`~repro.verify.auditor.outcome_signature` fingerprints; the
-    engine calls :meth:`record` once per request, in trace order.
+    :func:`~repro.verify.auditor.outcome_signature` fingerprints.
     """
 
     def __init__(self, reference: Dict[int, tuple]) -> None:
         self.reference = reference
-        self.index = 0
         self.violations: List[AuditViolation] = []
 
-    def record(self, outcome, latency: float, now: float) -> None:
-        index = self.index
-        self.index += 1
+    def begin(self, engine, collector) -> None:
+        pass
+
+    def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
         expected = self.reference.get(index)
         if expected is None:
             return
@@ -62,6 +60,9 @@ class _ShadowSampler:
                 )
             )
 
+    def end(self, requests_total: int) -> dict:
+        return {}
+
 
 def audited_run(
     architecture,
@@ -72,8 +73,7 @@ def audited_run(
     warmup_fraction: float = 0.5,
     updates: Sequence = (),
     coherency: Optional[Callable[[], object]] = None,
-    instruments=None,
-    interval_collector=None,
+    observers: Sequence = (),
 ) -> Tuple[SimulationResult, AuditReport]:
     """One fully audited simulation: engine run + optional shadow replay.
 
@@ -82,30 +82,29 @@ def audited_run(
     ``coherency`` likewise builds a fresh policy per call (``None`` keeps
     the engine's implicit in-band policy), so the shadow replays the
     primary run's updates through the same coherency configuration.
-    ``instruments`` and ``interval_collector`` observe the primary run
-    only.  Returns the simulation result (whose ``audit`` field carries
-    the final report) and the report itself.
+    ``observers`` (an :class:`~repro.obs.instruments.Instruments` bundle
+    among them, say) ride along the primary run only.  Returns the
+    simulation result (whose ``audit`` field carries the final report)
+    and the report itself.
     """
     config = config or AuditConfig()
     auditor = Auditor(config)
 
-    def run(**hooks) -> SimulationResult:
+    def run(*attached) -> SimulationResult:
         engine = SimulationEngine(
             architecture, cost_model, scheme_factory(), warmup_fraction
         )
         policy = coherency() if coherency is not None else None
-        return engine.run(trace, updates=updates, coherency=policy, **hooks)
+        return engine.run(
+            trace, updates=updates, coherency=policy, observers=attached
+        )
 
-    result = run(
-        auditor=auditor,
-        instruments=instruments,
-        interval_collector=interval_collector,
-    )
+    result = run(auditor, *observers)
     if config.shadow_replay:
         reference = auditor.outcome_signatures
         auditor.checks_run["shadow-replay"] = len(reference)
         sampler = _ShadowSampler(reference)
-        run(interval_collector=sampler)
+        run(sampler)
         auditor.extend(sampler.violations)
         result = dataclasses.replace(result, audit=auditor.report())
     return result, result.audit

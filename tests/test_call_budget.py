@@ -8,6 +8,11 @@ under a committed bound:
 * the *reference* budget: :class:`SimulationEngine` replays a fixed,
   small en-route trace through the coordinated scheme on its reference
   loop (a :class:`Trace`, so the columnar fast path stays out of it);
+* the *observed* budget: the same reference replay with an
+  :class:`~repro.verify.auditor.Auditor`, an
+  :class:`~repro.metrics.timeseries.IntervalMetricsCollector` and an
+  :class:`~repro.obs.instruments.Instruments` registry attached -- the
+  price of the observer fan-out;
 * the *served* budget: a one-process :class:`~repro.serve.Cluster`
   replays a fixed hierarchical trace sequentially through the load
   generator, every hop in memory -- the node's walk driver, the frame
@@ -19,9 +24,9 @@ To re-measure after a deliberate change, run::
 
     PYTHONPATH=src python tests/test_call_budget.py
 
-which prints both calls-per-request figures beside their bounds; set
-``CALLS_PER_REQUEST_BOUND`` / ``SERVED_CALLS_PER_REQUEST_BOUND`` to
-about 1.25x the printed values.
+which prints each calls-per-request figure beside its bound; set
+``CALLS_PER_REQUEST_BOUND`` / ``OBSERVED_CALLS_PER_REQUEST_BOUND`` /
+``SERVED_CALLS_PER_REQUEST_BOUND`` to about 1.25x the printed values.
 """
 
 from __future__ import annotations
@@ -32,15 +37,23 @@ from dataclasses import replace
 
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import SMALL_SCALE, build_architecture
+from repro.metrics.timeseries import IntervalMetricsCollector
+from repro.obs.instruments import Instruments
+from repro.obs.registry import StatRegistry
 from repro.serve import Cluster, LoadGenerator
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
+from repro.verify.auditor import Auditor
 from repro.workload.generator import BoeingLikeTraceGenerator
 
 # Measured at 66.9 calls per request (CPython 3.11); about 1.25x that.
 # The walk before the per-hop call cuts measured 152.2 here.
 CALLS_PER_REQUEST_BOUND = 84.0
+
+# Measured at 133.3 calls per request (CPython 3.11); about 1.25x that.
+# The per-seam hooks before the one observer fan-out measured 132.8 here.
+OBSERVED_CALLS_PER_REQUEST_BOUND = 167.0
 
 # Measured at 129.2 calls per request (CPython 3.11); about 1.25x that.
 # The node walk before the one step machine measured 145.9 here.
@@ -70,8 +83,12 @@ class _CallCounter:
         sys.setprofile(self._previous)
 
 
-def calls_per_request() -> float:
-    """Python calls per request of one reference-loop replay."""
+def calls_per_request(observed: bool = False) -> float:
+    """Python calls per request of one reference-loop replay.
+
+    ``observed`` attaches an auditor, an interval collector and a stat
+    registry to the replay.
+    """
     workload = replace(SMALL_SCALE.workload, num_requests=_REQUESTS, seed=7)
     generator = BoeingLikeTraceGenerator(workload)
     trace = generator.generate()
@@ -86,9 +103,17 @@ def calls_per_request() -> float:
         config.dcache_entries(catalog.total_bytes, catalog.mean_size),
     )
     engine = SimulationEngine(architecture, cost_model, scheme)
+    observers, instruments = (), None
+    if observed:
+        observers = (Auditor(), IntervalMetricsCollector(60.0))
+        instruments = Instruments(registry=StatRegistry())
     with _CallCounter() as counter:
-        engine.run(trace)
+        engine.run(trace, observers=observers, instruments=instruments)
     return counter.calls / _REQUESTS
+
+
+def observed_calls_per_request() -> float:
+    return calls_per_request(observed=True)
 
 
 def served_calls_per_request() -> float:
@@ -120,6 +145,15 @@ def test_reference_walk_stays_within_its_call_budget():
     )
 
 
+def test_observed_reference_walk_stays_within_its_call_budget():
+    measured = observed_calls_per_request()
+    assert measured <= OBSERVED_CALLS_PER_REQUEST_BOUND, (
+        f"{measured:.1f} Python calls per request, budget "
+        f"{OBSERVED_CALLS_PER_REQUEST_BOUND}: the observer fan-out gained "
+        f"calls"
+    )
+
+
 def test_served_walk_stays_within_its_call_budget():
     measured = served_calls_per_request()
     assert measured <= SERVED_CALLS_PER_REQUEST_BOUND, (
@@ -132,6 +166,11 @@ if __name__ == "__main__":
     within = True
     for name, measure, bound in (
         ("reference walk", calls_per_request, CALLS_PER_REQUEST_BOUND),
+        (
+            "observed reference walk",
+            observed_calls_per_request,
+            OBSERVED_CALLS_PER_REQUEST_BOUND,
+        ),
         ("served walk", served_calls_per_request, SERVED_CALLS_PER_REQUEST_BOUND),
     ):
         value = measure()

@@ -234,3 +234,26 @@ class TestServeParsers:
         )
         assert code == 2
         assert "not published" in capsys.readouterr().err
+
+
+class TestSimNumericFlags:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--audit", "--audit-every", "0"], "audit_every must be >= 1"),
+            (["--timeseries-window", "-5"], "window_seconds must be positive"),
+            (
+                ["--trace-out", "{tmp}/F", "--trace-sample-rate", "2"],
+                "sample_rate must be in [0, 1]",
+            ),
+            (["--size", "0"], "relative_cache_size must be positive"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path, flags, message):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        code = main(["sim", "--schemes", "lru", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -29,6 +29,7 @@ from repro.sim.architecture import (
 from repro.sim import fastpath
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import SCHEME_NAMES, build_scheme
+from repro.verify.auditor import AuditConfig, Auditor
 from repro.verify.fastpath_diff import result_fingerprint, shadow_compare
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
@@ -230,7 +231,7 @@ class TestBitExactness:
 
             monkeypatch.setattr(fastpath, loop, spy)
         run_kwargs = (
-            {"interval_collector": IntervalMetricsCollector(60.0)}
+            {"observers": [IntervalMetricsCollector(60.0)]}
             if collected
             else {}
         )
@@ -268,7 +269,12 @@ class TestFallbackPaths:
         self, workload, architectures
     ):
         plain = self._run(workload, architectures, workload[1])
-        audited = self._run(workload, architectures, workload[2], audit_every=250)
+        audited = self._run(
+            workload,
+            architectures,
+            workload[2],
+            observers=[Auditor(AuditConfig(audit_every=250))],
+        )
         plain_data = result_fingerprint(plain)
         audited_data = result_fingerprint(audited)
         # The audited run carries its (clean) audit report; everything

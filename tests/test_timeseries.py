@@ -140,7 +140,7 @@ class TestSerialization:
         scheme = LRUEverywhereScheme(cost, capacity_bytes=200_000)
         collector = IntervalMetricsCollector(trace.duration / 10)
         SimulationEngine(arch, cost, scheme).run(
-            trace, interval_collector=collector
+            trace, observers=[collector]
         )
         series = [s for s in collector.series() if s.requests > 0]
         assert len(series) >= 8

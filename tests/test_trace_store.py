@@ -22,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.coherency.policy import InbandCoherency
+from repro.coherency import CoherencyConfig
+from repro.coherency.policy import InbandCoherency, build_policy
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import SMALL_SCALE, build_architecture
 from repro.serve import Cluster, LoadGenerator
@@ -31,6 +32,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
 from repro.workload.generator import BoeingLikeTraceGenerator
 from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
+from repro.workload.updates import generate_update_events
 
 # ``to_trace`` of a 1M-row trace allocates a wrapper and a view, never a
 # row: its tracemalloc peak stays under this many bytes.
@@ -200,6 +202,24 @@ class TestReadersBuildNoRecords:
             trace, coherency=coherency
         )
         assert result.requests_total == len(trace)
+        assert no_records == []
+
+    def test_channel_coherency_run(self, no_records):
+        generator, architecture = _small_run()
+        trace = generator.generate()
+        num_objects = generator.catalog.num_objects
+        updates = generate_update_events(
+            num_objects, trace.duration, update_rate=2.0, seed=3
+        )
+        policy = build_policy(
+            CoherencyConfig(mode="channel", poll_interval=5.0), num_objects
+        )
+        no_records.clear()
+        result = _engine(generator, architecture).run(
+            trace, updates=updates, coherency=policy
+        )
+        assert result.requests_total == len(trace)
+        assert result.coherency["events_published"] > 0
         assert no_records == []
 
     @pytest.mark.parametrize(

@@ -101,7 +101,9 @@ class TestAuditedRuns:
             cost_model, max(1, int(0.03 * catalog.total_bytes))
         )
         engine = SimulationEngine(architecture, cost_model, scheme)
-        result = engine.run(trace, audit_every=500)
+        result = engine.run(
+            trace, observers=[Auditor(AuditConfig(audit_every=500))]
+        )
         assert result.audit is not None
         assert result.audit.ok
         assert result.audit.checks_run["invariant-sweep"] >= len(trace) // 500

@@ -144,8 +144,11 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_call_budget.py
 
 echo "== one request store =="
 # A Trace is a view over one ColumnarTrace: to_trace() of a 1M-row trace
-# shares the columns and builds no row.  Memory only, so host load cannot
-# move it.  Prints the tracemalloc peak beside its bound; exits 1 over it.
+# shares the columns and builds no row, and the columnar kernels read the
+# trace in row blocks, so a kernel run over 8x the rows peaks at most one
+# block's lists higher.  Memory only, so host load cannot move it.  Prints
+# the to_trace peak and each kernel's peak growth beside their bounds;
+# exits 1 over either.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_trace_store.py
 
 echo "== instrumented simulation smoke =="

@@ -5,9 +5,10 @@ several layers of method dispatch through the scheme/cache class
 hierarchy and a ``path_cost`` call.  This module removes that for the
 hot schemes while staying **bit-identical** to the reference loop:
 
-* routing is resolved once per unique (client, server) pair via a
-  vectorized ``np.unique`` over pair codes, producing a per-request path
-  index column;
+* the trace is read in row blocks, as :meth:`ColumnarTrace.rows` does:
+  a set-up pass checks every id and routes each unique (client, server)
+  pair once, and the loop gathers each block's path indices as it
+  converts that block -- no per-request list as long as the trace;
 * warmup/measurement split and update-event merge points are computed
   with array ops (``np.searchsorted``) before the loop starts;
 * the three hot schemes -- ``lru``, ``modulo`` and ``coordinated`` -- run
@@ -40,6 +41,7 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left, insort
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +60,7 @@ from repro.metrics.collector import _RESERVOIR_SIZE, MetricsCollector
 from repro.schemes.lru_everywhere import LRUEverywhereScheme
 from repro.schemes.modulo import ModuloScheme
 from repro.schemes.node_state import DescriptorNode
-from repro.workload.columnar import ColumnarTrace
+from repro.workload.trace import _BLOCK, ColumnarTrace
 from repro.workload.updates import UpdateEvent
 
 # Estimator constants (see repro.cache.frequency).  The kernels inline the
@@ -125,10 +127,11 @@ class _Prep:
     """Routing and update-merge state shared by both kernels."""
 
     __slots__ = (
-        "times",
-        "oids",
-        "sizes",
-        "pids",
+        "trace",
+        "clients",
+        "servers",
+        "stride",
+        "codes",
         "paths",
         "lasts",
         "warmup_end",
@@ -138,45 +141,53 @@ class _Prep:
     )
 
 
-def _attachment_array(mapping: dict, ids: np.ndarray, kind: str) -> np.ndarray:
-    """Dense id -> node lookup; unknown ids raise KeyError like a dict."""
-    max_id = int(ids.max()) if len(ids) else 0
-    lookup = np.full(max_id + 1, -1, dtype=np.int64)
+def _node_table(mapping: dict, ids: np.ndarray) -> np.ndarray:
+    """Dense id -> node lookup; an unknown id raises KeyError like a dict,
+    checked in every block before the first request (never mid-run)."""
+    lookup = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
     for ext_id, node in mapping.items():
-        if 0 <= ext_id <= max_id:
+        if 0 <= ext_id < len(lookup):
             lookup[ext_id] = node
-    nodes = lookup[ids]
-    missing = nodes < 0
-    if missing.any():
-        raise KeyError(int(ids[int(np.argmax(missing))]))
-    return nodes
+    for start in range(0, len(ids), _BLOCK):
+        missing = lookup[ids[start:start + _BLOCK]] < 0
+        if missing.any():
+            raise KeyError(int(ids[start + int(np.argmax(missing))]))
+    return lookup
+
+
+def _pair_codes(prep: _Prep, block: ColumnarTrace) -> np.ndarray:
+    """``client node * stride + server node`` of every request of a block."""
+    return (
+        prep.clients[block.client_ids] * prep.stride
+        + prep.servers[block.server_ids]
+    )
+
+
+def _path_ids(prep: _Prep, block: ColumnarTrace) -> List[int]:
+    """The index into ``prep.paths`` of every request of a block."""
+    return np.searchsorted(prep.codes, _pair_codes(prep, block)).tolist()
 
 
 def _prepare(engine, trace: ColumnarTrace, updates: Sequence[UpdateEvent]) -> _Prep:
     prep = _Prep()
+    prep.trace = trace
     architecture = engine.architecture
-
-    client_nodes = _attachment_array(
-        architecture.client_nodes, trace.client_ids, "client"
-    )
-    server_nodes = _attachment_array(
-        architecture.server_nodes, trace.server_ids, "server"
-    )
-    stride = int(server_nodes.max()) + 1 if len(server_nodes) else 1
-    codes = client_nodes * stride + server_nodes
-    unique_codes, inverse = np.unique(codes, return_inverse=True)
+    prep.clients = _node_table(architecture.client_nodes, trace.client_ids)
+    prep.servers = _node_table(architecture.server_nodes, trace.server_ids)
+    prep.stride = stride = int(prep.servers.max()) + 1
+    # Sorted unique pair codes: paths are numbered in (client node,
+    # server node) order, the order the write-back builds caches in.
+    prep.codes = np.unique(np.concatenate([
+        np.unique(_pair_codes(prep, block))
+        for block in trace.iter_chunks(_BLOCK)
+    ]))
     request_path = architecture.routing.request_path
     paths: List[List[int]] = []
-    for code in unique_codes.tolist():
+    for code in prep.codes.tolist():
         cnode, snode = divmod(code, stride)
         paths.append(request_path(cnode, snode))
     prep.paths = paths
     prep.lasts = [len(p) - 1 for p in paths]
-    prep.pids = inverse.tolist()
-
-    prep.times = trace.times.tolist()
-    prep.oids = trace.object_ids.tolist()
-    prep.sizes = trace.sizes.tolist()
     prep.warmup_end, prep.total = trace.split_warmup(engine.warmup_fraction)
 
     if updates:
@@ -244,7 +255,6 @@ def _run_lru_family(engine, prep, started, progress_every, progress_callback):
     scheme = engine.scheme
     radius = scheme.radius if type(scheme) is ModuloScheme else 1
     paths, lasts = prep.paths, prep.lasts
-    times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
     delays = _link_delays(engine, paths)
     avg_size = engine.cost_model.avg_size
     warmup_end, total = prep.warmup_end, prep.total
@@ -296,7 +306,11 @@ def _run_lru_family(engine, prep, started, progress_every, progress_callback):
     report_progress = progress_callback if progress_every > 0 else None
     lru_everywhere = radius == 1
 
-    for index, pid in enumerate(pids):
+    requests = chain.from_iterable(
+        zip(block.object_ids.tolist(), block.sizes.tolist(), _path_ids(prep, block))
+        for block in prep.trace.iter_chunks(_BLOCK)
+    )
+    for index, (oid, size, pid) in enumerate(requests):
         while uj < num_updates and ufire[uj] <= index:
             inv_oid = uoids[uj]
             for state in all_states:
@@ -308,8 +322,6 @@ def _run_lru_family(engine, prep, started, progress_every, progress_callback):
             updates_applied += 1
             uj += 1
 
-        oid = oids[index]
-        size = sizes[index]
         last = lasts[pid]
         states = path_states[pid]
 
@@ -619,7 +631,6 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
     """Flattened kernel for the coordinated scheme's 3-phase protocol."""
     scheme = engine.scheme
     paths, lasts = prep.paths, prep.lasts
-    times, oids, sizes, pids = prep.times, prep.oids, prep.sizes, prep.pids
     delays = _link_delays(engine, paths)
     avg_size = engine.cost_model.avg_size
     warmup_end, total = prep.warmup_end, prep.total
@@ -684,7 +695,16 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
     # mutation sequence as the class-based method it names; the helpers
     # above serve the cold paths (insertion, invalidation).
 
-    for index, pid in enumerate(pids):
+    requests = chain.from_iterable(
+        zip(
+            block.times.tolist(),
+            block.object_ids.tolist(),
+            block.sizes.tolist(),
+            _path_ids(prep, block),
+        )
+        for block in prep.trace.iter_chunks(_BLOCK)
+    )
+    for index, (now, oid, size, pid) in enumerate(requests):
         while uj < num_updates and ufire[uj] <= index:
             inv_oid = uoids[uj]
             for st in all_states:
@@ -699,9 +719,6 @@ def _run_coordinated(engine, prep, started, progress_every, progress_callback):
             updates_applied += 1
             uj += 1
 
-        oid = oids[index]
-        size = sizes[index]
-        now = times[index]
         last = lasts[pid]
         walk = path_walks[pid]
         # Same operands as every reference size/avg_size division this

@@ -25,15 +25,19 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.workload.catalog import ObjectCatalog
-from repro.workload.trace import Trace, TraceRecord
+from repro.workload.trace import ColumnarTrace, Trace
 from repro.workload.updates import GroupUpdateEvent
 
 
-def _merge(base: Trace, extra: List[TraceRecord]) -> Trace:
-    merged = sorted(
-        list(base.records) + extra, key=lambda r: r.time
-    )
-    return Trace(merged)
+def _merge(base: Trace, *extra: np.ndarray) -> Trace:
+    """``base`` plus the ``extra`` columns, time-sorted column by column.
+
+    The sort is stable, so at equal time base rows stay before injected
+    ones, and no record is built.
+    """
+    columns = [np.concatenate(pair) for pair in zip(base.columns.arrays, extra)]
+    order = np.argsort(columns[0], kind="stable")
+    return ColumnarTrace(*(column[order] for column in columns)).to_trace()
 
 
 def inject_flash_crowd(
@@ -55,19 +59,14 @@ def inject_flash_crowd(
     count = int(rng.poisson(extra_rate * duration))
     times = np.sort(rng.random(count) * duration) + start
     clients = rng.integers(num_clients, size=count)
-    size = catalog.size(object_id)
-    server = catalog.server(object_id)
-    extra = [
-        TraceRecord(
-            time=float(t),
-            client_id=int(c),
-            object_id=object_id,
-            server_id=server,
-            size=size,
-        )
-        for t, c in zip(times, clients)
-    ]
-    return _merge(trace, extra)
+    return _merge(
+        trace,
+        times,
+        clients,
+        np.full(count, object_id),
+        np.full(count, catalog.server(object_id)),
+        np.full(count, catalog.size(object_id)),
+    )
 
 
 def inject_scan(
@@ -81,18 +80,18 @@ def inject_scan(
     """Add a one-pass sequential scan over objects starting at ``start``."""
     if inter_arrival <= 0:
         raise ValueError("inter_arrival must be positive")
-    ids = object_ids if object_ids is not None else list(range(catalog.num_objects))
-    extra = [
-        TraceRecord(
-            time=start + i * inter_arrival,
-            client_id=client_id,
-            object_id=oid,
-            server_id=catalog.server(oid),
-            size=catalog.size(oid),
-        )
-        for i, oid in enumerate(ids)
-    ]
-    return _merge(trace, extra)
+    ids = np.asarray(
+        object_ids if object_ids is not None else range(catalog.num_objects),
+        dtype=np.int64,
+    )
+    return _merge(
+        trace,
+        start + np.arange(len(ids)) * inter_arrival,
+        np.full(len(ids), client_id),
+        ids,
+        catalog.servers[ids],
+        catalog.sizes[ids],
+    )
 
 
 def inject_invalidation_storm(

@@ -130,9 +130,9 @@ class ColumnarTrace:
     def rows(self) -> Iterator[Row]:
         """Every row's five scalars, in :class:`TraceRecord` field order.
 
-        The one way a per-request loop reads a trace: the columns are
-        converted to python lists one block of at most ``_BLOCK`` rows at
-        a time, and no record is built.
+        The one way a per-request loop, the columnar kernels included,
+        reads a trace: the columns are converted to python lists one
+        block of at most ``_BLOCK`` rows at a time; no record is built.
         """
         arrays = self.arrays
         return chain.from_iterable(

@@ -15,6 +15,7 @@ sweep (all three cost models, larger trace).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.costs.model import BandwidthCostModel, HopCostModel, LatencyCostModel
@@ -300,6 +301,38 @@ class TestFallbackPaths:
         assert instrumented.summary == plain.summary
         assert instrumented.node_stats is not None
         assert events
+
+
+class TestUnknownIds:
+    """An id the architecture lacks fails before the first request."""
+
+    @pytest.mark.parametrize("scheme_name", ["lru", "coordinated"])
+    @pytest.mark.parametrize("column", ["client_ids", "server_ids"])
+    def test_unknown_id_in_the_last_block(
+        self, workload, architectures, scheme_name, column
+    ):
+        catalog = workload[0].catalog
+        arch = architectures["hier"]
+        # Past two full blocks, so the bad id sits in the last block.
+        rows = 2 * fastpath._BLOCK + 100
+        index = np.arange(rows, dtype=np.int64)
+        objects = index % _NUM_OBJECTS
+        columns = {
+            "times": index * 0.25,
+            "client_ids": index % _NUM_CLIENTS,
+            "object_ids": objects,
+            "server_ids": catalog.servers[objects],
+            "sizes": catalog.sizes[objects],
+        }
+        columns[column][-1] = 10_000
+        cost = LatencyCostModel(arch.network, catalog.mean_size)
+        scheme = build_scheme(scheme_name, cost, _capacity(catalog), 64)
+        engine = SimulationEngine(arch, cost, scheme)
+        with pytest.raises(KeyError) as raised:
+            engine.run(ColumnarTrace(**columns))
+        assert raised.value.args == (10_000,)
+        assert scheme._caches == {}
+        assert getattr(scheme, "_nodes", {}) == {}
 
 
 class TestStreamingMemory:

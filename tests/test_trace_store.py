@@ -2,14 +2,16 @@
 
 Pins the store's contract: ``to_trace`` and record slices share the
 columns instead of building records, the records view behaves as a
-read-only sequence, and the per-request readers (the engine's reference
-loop and the load generator) build no record.
+read-only sequence, the per-request readers (the engine's reference
+loop, the columnar kernels and the load generator) build no record, and
+the kernels' working memory does not grow with the trace.
 
-The memory bound is also a CI gate that host load cannot move; run::
+The memory bounds are also a CI gate that host load cannot move; run::
 
     PYTHONPATH=src python tests/test_trace_store.py
 
-to print the measured ``to_trace`` peak beside its bound.
+to print the measured ``to_trace`` peak and the kernels' peak growth
+beside their bounds.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ from repro.coherency.policy import InbandCoherency, build_policy
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import SMALL_SCALE, build_architecture
 from repro.serve import Cluster, LoadGenerator
+from repro.sim import fastpath
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
+from repro.workload.catalog import ObjectCatalog
 from repro.workload.generator import BoeingLikeTraceGenerator
+from repro.workload.scenarios import inject_flash_crowd, inject_scan
 from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
 from repro.workload.updates import generate_update_events
 
@@ -39,6 +44,13 @@ from repro.workload.updates import generate_update_events
 TO_TRACE_PEAK_BOUND = 64 * 1024
 
 _STORE_ROWS = 1_000_000
+
+# The columnar kernels read the trace one block at a time, so a run 8x
+# longer may peak at most one block's python lists (four lists of slots
+# and scalars, under 128 bytes a row) above the shorter run.  tracemalloc
+# slows the kernels some 50x, so the check runs them with a small block.
+KERNEL_BLOCK = 256
+KERNEL_GROWTH_BOUND = KERNEL_BLOCK * 128
 
 
 def _columns(rows: int) -> ColumnarTrace:
@@ -60,6 +72,49 @@ def to_trace_peak_bytes() -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def kernel_peak_growth(scheme_name: str) -> int:
+    """tracemalloc peak of a kernel run over 16 blocks minus over 2."""
+    catalog = ObjectCatalog.generate(50, 2, seed=1)
+    workload = replace(
+        SMALL_SCALE.workload, num_objects=50, num_clients=4, num_servers=2
+    )
+    architecture = build_architecture("hierarchical", workload, seed=5)
+    cost_model = LatencyCostModel(architecture.network, catalog.mean_size)
+    config = SimulationConfig()
+
+    def peak(rows: int) -> int:
+        scheme = build_scheme(
+            scheme_name,
+            cost_model,
+            config.capacity_bytes(catalog.total_bytes),
+            config.dcache_entries(catalog.total_bytes, catalog.mean_size),
+        )
+        # Only the last 1 % is measured: the latency reservoir grows
+        # with the measured requests up to its fixed cap of samples.
+        engine = SimulationEngine(
+            architecture, cost_model, scheme, warmup_fraction=0.99
+        )
+        index = np.arange(rows, dtype=np.int64)
+        objects = index * 7919 % catalog.num_objects
+        trace = ColumnarTrace(
+            index * 0.5, index % 4, objects, catalog.servers[objects],
+            catalog.sizes[objects],
+        )
+        tracemalloc.start()
+        try:
+            engine.run(trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    saved, fastpath._BLOCK = fastpath._BLOCK, KERNEL_BLOCK
+    try:
+        peak(2 * KERNEL_BLOCK)  # warms the routing memo and lazy imports
+        return peak(16 * KERNEL_BLOCK) - peak(2 * KERNEL_BLOCK)
+    finally:
+        fastpath._BLOCK = saved
 
 
 def _records(columns: ColumnarTrace) -> list:
@@ -140,6 +195,30 @@ class TestSharedStorage:
             Trace(records)
 
 
+class TestKernelMemory:
+    @pytest.mark.parametrize(
+        "scheme_name, kernel",
+        [("lru", "_run_lru_family"), ("coordinated", "_run_coordinated")],
+    )
+    def test_peak_does_not_grow_with_the_trace(
+        self, monkeypatch, scheme_name, kernel
+    ):
+        served = []
+        loop = getattr(fastpath, kernel)
+
+        def spy(*args):
+            served.append(kernel)
+            return loop(*args)
+
+        monkeypatch.setattr(fastpath, kernel, spy)
+        growth = kernel_peak_growth(scheme_name)
+        assert served == [kernel] * 3
+        assert growth <= KERNEL_GROWTH_BOUND, (
+            f"{kernel} peaked {growth} bytes higher over 8x the rows, "
+            f"bound {KERNEL_GROWTH_BOUND}: it holds per-request lists"
+        )
+
+
 class TestRecordsView:
     def test_length_and_indexing(self):
         columns = _columns(10)
@@ -204,6 +283,32 @@ class TestReadersBuildNoRecords:
         assert result.requests_total == len(trace)
         assert no_records == []
 
+    @pytest.mark.parametrize("scheme_name", ["lru", "coordinated"])
+    def test_kernels(self, no_records, scheme_name):
+        generator, architecture = _small_run()
+        columns = generator.generate_columnar()
+        catalog = generator.catalog
+        cost_model = LatencyCostModel(architecture.network, catalog.mean_size)
+        scheme = build_scheme(
+            scheme_name, cost_model, catalog.total_bytes // 20, 64
+        )
+        result = SimulationEngine(architecture, cost_model, scheme).run(columns)
+        assert result.requests_total == len(columns)
+        assert no_records == []
+
+    def test_scenario_injectors(self, no_records):
+        generator, _ = _small_run()
+        trace = generator.generate()
+        catalog = generator.catalog
+        no_records.clear()
+        crowded = inject_flash_crowd(
+            trace, catalog, 3, trace.duration / 2, 10.0, 5.0, 8, seed=1
+        )
+        scanned = inject_scan(trace, catalog, 1.0, 0.5, object_ids=[4, 5, 6])
+        assert len(crowded) > len(trace)
+        assert len(scanned) == len(trace) + 3
+        assert no_records == []
+
     def test_channel_coherency_run(self, no_records):
         generator, architecture = _small_run()
         trace = generator.generate()
@@ -263,4 +368,13 @@ if __name__ == "__main__":
         f"to_trace of {_STORE_ROWS} rows: tracemalloc peak {peak} bytes "
         f"(bound {TO_TRACE_PEAK_BOUND})"
     )
-    sys.exit(0 if peak < TO_TRACE_PEAK_BOUND else 1)
+    ok = peak < TO_TRACE_PEAK_BOUND
+    for name in ("lru", "coordinated"):
+        growth = kernel_peak_growth(name)
+        print(
+            f"{name} kernel, {16 * KERNEL_BLOCK} vs {2 * KERNEL_BLOCK} rows "
+            f"in blocks of {KERNEL_BLOCK}: tracemalloc peak growth {growth} "
+            f"bytes (bound {KERNEL_GROWTH_BOUND})"
+        )
+        ok = ok and growth <= KERNEL_GROWTH_BOUND
+    sys.exit(0 if ok else 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments.presets import build_architecture
@@ -10,7 +11,7 @@ from repro.experiments.sweeps import run_cache_size_sweep
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
 from repro.workload.scenarios import inject_flash_crowd, inject_scan
 from repro.workload.stats import fit_zipf, summarize_trace
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, TraceRecord
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,15 @@ class TestSummarizeTrace:
             summarize_trace(Trace([]))
 
 
+def _sorted_merge(base: Trace, extra: list) -> Trace:
+    """The record-by-record merge the injectors must reproduce."""
+    return Trace(sorted(list(base.records) + extra, key=lambda r: r.time))
+
+
+def _has_equal_times(trace: Trace) -> bool:
+    return bool(np.any(np.diff(trace.columns.times) == 0))
+
+
 class TestScenarios:
     def test_flash_crowd_adds_requests_in_window(self, generated):
         trace, catalog = generated
@@ -97,6 +107,30 @@ class TestScenarios:
         # Original untouched.
         assert len(trace) == 20_000
 
+    def test_flash_crowd_equals_a_sorted_record_merge(self, generated):
+        trace, catalog = generated
+        # The injector's draws, replayed to build its records by hand.
+        rng = np.random.default_rng(4)
+        count = int(rng.poisson(20.0 * 50.0))
+        times = np.sort(rng.random(count) * 50.0) + 10.0
+        clients = rng.integers(30, size=count)
+        extra = [
+            TraceRecord(float(t), int(c), 5, catalog.server(5), catalog.size(5))
+            for t, c in zip(times, clients)
+        ]
+        # Base rows at three of the burst's own times force equal-time ties.
+        base = _sorted_merge(trace, [
+            TraceRecord(float(t), 0, 7, catalog.server(7), catalog.size(7))
+            for t in times[[0, count // 2, count - 1]]
+        ])
+        crowded = inject_flash_crowd(
+            base, catalog, object_id=5, start=10.0, duration=50.0,
+            extra_rate=20.0, num_clients=30, seed=4,
+        )
+        expected = _sorted_merge(base, extra)
+        assert _has_equal_times(expected)
+        assert crowded.records == expected.records
+
     def test_flash_crowd_validation(self, generated):
         trace, catalog = generated
         with pytest.raises(ValueError):
@@ -110,6 +144,20 @@ class TestScenarios:
         assert len(scanned) == len(trace) + catalog.num_objects
         scan_records = [r for r in scanned if r.client_id == 0 and r.time >= 5.0]
         assert len({r.object_id for r in scan_records}) >= catalog.num_objects * 0.9
+
+    def test_scan_equals_a_sorted_record_merge(self, generated):
+        trace, catalog = generated
+        # Starting at a base row's time forces an equal-time tie.
+        start = trace.records[100].time
+        scanned = inject_scan(trace, catalog, start=start, inter_arrival=0.01)
+        expected = _sorted_merge(trace, [
+            TraceRecord(
+                start + i * 0.01, 0, oid, catalog.server(oid), catalog.size(oid)
+            )
+            for i, oid in enumerate(range(catalog.num_objects))
+        ])
+        assert _has_equal_times(expected)
+        assert scanned.records == expected.records
 
     def test_scan_validation(self, generated):
         trace, catalog = generated

@@ -151,6 +151,34 @@ echo "== one request store =="
 # exits 1 over either.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_trace_store.py
 
+echo "== worker footprint =="
+# A shard worker loads only the serving plane: a fresh import of the
+# module holding its entrypoint must not load numpy (package __init__s
+# export lazily; see docs/architecture.md).  Prints the import seconds,
+# the module count and the peak resident set; exits 1 if numpy loaded.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python - <<'EOF'
+import sys
+import time
+
+started = time.perf_counter()
+import repro.serve.shard  # noqa: E402,F401
+
+seconds = time.perf_counter() - started
+hwm = "n/a"
+try:
+    with open("/proc/self/status") as status:
+        hwm = next(
+            line.split(":")[1].strip()
+            for line in status
+            if line.startswith("VmHWM:")
+        )
+except OSError:
+    pass
+print(f"import repro.serve.shard: {seconds:.3f} s, "
+      f"{len(sys.modules)} modules, VmHWM {hwm}")
+assert "numpy" not in sys.modules, "a shard worker's import loads numpy"
+EOF
+
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then
@@ -356,6 +384,43 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} $BOUND python -m repro loadgen \
     --coherency inband --update-rate 5 \
     --requests 600 --wait 60 --json "$SERVE_DIR/sharded_updates_report.json"
 scrape_handled "$SERVE_DIR/sharded.json" 2100
+# The workers of `python -m repro serve --shards 2` -- the spawned
+# processes below $SERVE_PID -- load only the serving plane: none of
+# them maps a numpy file.
+if [ -r /proc/self/maps ]; then
+    python - "$SERVE_PID" <<'EOF'
+import os
+import sys
+
+children = {}
+for entry in os.listdir("/proc"):
+    if entry.isdigit():
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        children.setdefault(ppid, []).append(int(entry))
+below, todo = [], [int(sys.argv[1])]
+while todo:
+    kids = children.get(todo.pop(), [])
+    below += kids
+    todo += kids
+workers = []
+for pid in below:
+    with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+        if b"spawn_main" in cmdline.read():
+            workers.append(pid)
+assert len(workers) == 2, f"expected 2 shard workers, found {workers}"
+for pid in workers:
+    with open(f"/proc/{pid}/maps") as maps:
+        numpy = [line for line in maps if "numpy" in line]
+    assert not numpy, f"shard worker {pid} maps numpy: {numpy[0]}"
+print(f"shard workers {workers} map no numpy")
+EOF
+else
+    echo "no /proc: skipping the workers' numpy-mapping check"
+fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 SERVE_PID=""

@@ -23,134 +23,53 @@ Quickstart::
     print(point.summary.mean_latency)
 """
 
-from repro.analysis.che import expected_byte_hit_ratio, lru_hit_ratios
-from repro.analysis.static_plan import greedy_static_plan
-from repro.analysis.tree_placement import (
-    TreePlacementProblem,
-    optimal_tree_placement,
-)
-from repro.core.coordinated import CoordinatedScheme
-from repro.core.placement import (
-    PlacementProblem,
-    PlacementSolution,
-    brute_force_placement,
-    enforce_monotone_frequencies,
-    solve_placement,
-)
-from repro.costs.model import LatencyCostModel
-from repro.experiments.presets import (
-    DEFAULT_CACHE_SIZES,
-    PAPER_SCALE,
-    SMALL_SCALE,
-    STANDARD_SCALE,
-    ExperimentPreset,
-    build_architecture,
-)
-from repro.experiments.sweeps import (
-    SweepPoint,
-    run_cache_size_sweep,
-    run_modulo_radius_sweep,
-    run_single,
-)
-from repro.experiments.charts import render_ascii_chart, render_figure
-from repro.experiments.tables import (
-    figure_series,
-    format_sweep_table,
-    format_table1,
-    topology_characteristics,
-)
-from repro.experiments.compare import compare_points
-from repro.experiments.results_io import (
-    load_checkpoint,
-    load_points_json,
-    load_run_records,
-    save_points_json,
-    save_run_records,
-)
-from repro.experiments.robustness import RobustnessResult, run_robustness
-from repro.experiments.runner import (
-    GridResult,
-    GridTask,
-    ProgressEvent,
-    RunRecord,
-    run_grid,
-)
-from repro.metrics.collector import MetricsSummary
-from repro.metrics.replication import (
-    copies_per_object,
-    density_by_popularity,
-    occupancy_by_level,
-)
-from repro.schemes import LNCRScheme, LRUEverywhereScheme, ModuloScheme
-from repro.sim.architecture import (
-    Architecture,
-    build_enroute_architecture,
-    build_hierarchical_architecture,
-)
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine, SimulationResult
-from repro.sim.factory import SCHEME_NAMES, build_scheme
-from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Architecture",
-    "BoeingLikeTraceGenerator",
-    "CoordinatedScheme",
-    "DEFAULT_CACHE_SIZES",
-    "ExperimentPreset",
-    "GridResult",
-    "GridTask",
-    "LNCRScheme",
-    "LRUEverywhereScheme",
-    "LatencyCostModel",
-    "MetricsSummary",
-    "ModuloScheme",
-    "PAPER_SCALE",
-    "PlacementProblem",
-    "PlacementSolution",
-    "ProgressEvent",
-    "RunRecord",
-    "SCHEME_NAMES",
-    "SMALL_SCALE",
-    "STANDARD_SCALE",
-    "SimulationConfig",
-    "SimulationEngine",
-    "RobustnessResult",
-    "SimulationResult",
-    "SweepPoint",
-    "TreePlacementProblem",
-    "WorkloadConfig",
-    "brute_force_placement",
-    "build_architecture",
-    "compare_points",
-    "copies_per_object",
-    "density_by_popularity",
-    "expected_byte_hit_ratio",
-    "greedy_static_plan",
-    "load_checkpoint",
-    "load_points_json",
-    "load_run_records",
-    "lru_hit_ratios",
-    "occupancy_by_level",
-    "optimal_tree_placement",
-    "run_grid",
-    "run_robustness",
-    "save_points_json",
-    "save_run_records",
-    "build_enroute_architecture",
-    "build_hierarchical_architecture",
-    "build_scheme",
-    "enforce_monotone_frequencies",
-    "figure_series",
-    "format_sweep_table",
-    "format_table1",
-    "render_ascii_chart",
-    "render_figure",
-    "run_cache_size_sweep",
-    "run_modulo_radius_sweep",
-    "run_single",
-    "solve_placement",
-    "topology_characteristics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis.che": ("expected_byte_hit_ratio", "lru_hit_ratios"),
+    "analysis.static_plan": ("greedy_static_plan",),
+    "analysis.tree_placement": ("TreePlacementProblem", "optimal_tree_placement"),
+    "core.coordinated": ("CoordinatedScheme",),
+    "core.placement": (
+        "PlacementProblem", "PlacementSolution", "brute_force_placement",
+        "enforce_monotone_frequencies", "solve_placement",
+    ),
+    "costs.model": ("LatencyCostModel",),
+    "experiments.presets": (
+        "DEFAULT_CACHE_SIZES", "PAPER_SCALE", "SMALL_SCALE", "STANDARD_SCALE",
+        "ExperimentPreset", "build_architecture",
+    ),
+    "experiments.sweeps": (
+        "SweepPoint", "run_cache_size_sweep", "run_modulo_radius_sweep", "run_single",
+    ),
+    "experiments.charts": ("render_ascii_chart", "render_figure"),
+    "experiments.tables": (
+        "figure_series", "format_sweep_table", "format_table1",
+        "topology_characteristics",
+    ),
+    "experiments.compare": ("compare_points",),
+    "experiments.results_io": (
+        "load_checkpoint", "load_points_json", "load_run_records", "save_points_json",
+        "save_run_records",
+    ),
+    "experiments.robustness": ("RobustnessResult", "run_robustness"),
+    "experiments.runner": (
+        "GridResult", "GridTask", "ProgressEvent", "RunRecord", "run_grid",
+    ),
+    "metrics.collector": ("MetricsSummary",),
+    "metrics.replication": (
+        "copies_per_object", "density_by_popularity", "occupancy_by_level",
+    ),
+    "schemes.lncr": ("LNCRScheme",),
+    "schemes.lru_everywhere": ("LRUEverywhereScheme",),
+    "schemes.modulo": ("ModuloScheme",),
+    "sim.architecture": (
+        "Architecture", "build_enroute_architecture", "build_hierarchical_architecture",
+    ),
+    "sim.config": ("SimulationConfig",),
+    "sim.engine": ("SimulationEngine", "SimulationResult"),
+    "sim.factory": ("SCHEME_NAMES", "build_scheme"),
+    "workload.generator": ("BoeingLikeTraceGenerator", "WorkloadConfig"),
+})

@@ -10,34 +10,17 @@
   the simulator's LRU substrate against theory.
 """
 
-from repro.analysis.che import (
-    cascade_byte_hit_ratio,
-    cascade_lru_hit_ratios,
-    characteristic_time,
-    expected_byte_hit_ratio,
-    lru_hit_ratios,
-)
-from repro.analysis.static_plan import (
-    greedy_static_plan,
-    greedy_static_plan_multi_tree,
-    node_demand_rates,
-)
-from repro.analysis.tree_placement import (
-    TreePlacementProblem,
-    brute_force_tree_placement,
-    optimal_tree_placement,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TreePlacementProblem",
-    "brute_force_tree_placement",
-    "cascade_byte_hit_ratio",
-    "cascade_lru_hit_ratios",
-    "characteristic_time",
-    "expected_byte_hit_ratio",
-    "greedy_static_plan",
-    "greedy_static_plan_multi_tree",
-    "lru_hit_ratios",
-    "node_demand_rates",
-    "optimal_tree_placement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "che": (
+        "cascade_byte_hit_ratio", "cascade_lru_hit_ratios", "characteristic_time",
+        "expected_byte_hit_ratio", "lru_hit_ratios",
+    ),
+    "static_plan": (
+        "greedy_static_plan", "greedy_static_plan_multi_tree", "node_demand_rates",
+    ),
+    "tree_placement": (
+        "TreePlacementProblem", "brute_force_tree_placement", "optimal_tree_placement",
+    ),
+})

@@ -6,20 +6,13 @@ in descriptor count.  Frequency estimation follows the paper's sliding
 window of the K most recent reference times (section 3.2).
 """
 
-from repro.cache.base import Cache, CacheEntry, CacheTooSmallError
-from repro.cache.lru import LRUCache
-from repro.cache.lfu import LFUCache
-from repro.cache.ncl import NCLCache
-from repro.cache.dcache import DescriptorCache
-from repro.cache.frequency import SlidingWindowFrequencyEstimator
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheEntry",
-    "CacheTooSmallError",
-    "DescriptorCache",
-    "LFUCache",
-    "LRUCache",
-    "NCLCache",
-    "SlidingWindowFrequencyEstimator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Cache", "CacheEntry", "CacheTooSmallError"),
+    "lru": ("LRUCache",),
+    "lfu": ("LFUCache",),
+    "ncl": ("NCLCache",),
+    "dcache": ("DescriptorCache",),
+    "frequency": ("SlidingWindowFrequencyEstimator",),
+})

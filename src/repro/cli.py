@@ -202,7 +202,7 @@ def _build_coherency(args: argparse.Namespace):
     CoherencyConfig itself rejects) so callers print the message and
     exit 2.
     """
-    from repro.coherency import CoherencyConfig
+    from repro.coherency.config import CoherencyConfig
 
     if args.coherency is None:
         if args.channel_poll_interval or args.group_count:
@@ -556,8 +556,10 @@ def _build_sim_instruments(args: argparse.Namespace):
     With ``--trace-out`` the caller gives the probe its sink, a
     ``JsonlTraceWriter`` open for the scheme's run only.
     """
-    from repro.obs import Instruments, PhaseTimers, Probe
+    from repro.obs.instruments import Instruments
+    from repro.obs.probe import Probe
     from repro.obs.registry import StatRegistry
+    from repro.obs.timers import PhaseTimers
 
     probe = None
     if args.trace_out:
@@ -833,7 +835,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.serve import Cluster, RetryPolicy, TCPTransport
+    from repro.serve.cluster import Cluster
+    from repro.serve.transport import RetryPolicy, TCPTransport
     from repro.sim.config import SimulationConfig
 
     if args.scheme not in SCHEME_NAMES:
@@ -876,7 +879,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     fault_plan = None
     if args.fault_plan:
-        from repro.faults import FaultPlan
+        from repro.faults.plan import FaultPlan
 
         try:
             fault_plan = FaultPlan.from_json_file(args.fault_plan)
@@ -889,7 +892,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     retry = RetryPolicy(attempts=args.retry_attempts)
     tracing = None
     if args.trace_out:
-        from repro.serve import TracingConfig
+        from repro.serve.tracing import TracingConfig
 
         tracing = TracingConfig(
             path=args.trace_out, sample_every=args.trace_sample_every
@@ -910,7 +913,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         transport = TCPTransport(host=args.host, call_timeout=args.rpc_timeout)
         if fault_plan is not None:
-            from repro.faults import FaultInjector, FaultyTransport
+            from repro.faults.injector import FaultInjector, FaultyTransport
 
             transport = FaultyTransport(transport, FaultInjector(fault_plan))
             print(fault_plan.describe(), flush=True)
@@ -1064,9 +1067,10 @@ def _load_manifest(path: str, wait: float) -> dict:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.coherency import CoherencyConfig
+    from repro.coherency.config import CoherencyConfig
     from repro.costs.model import LatencyCostModel
-    from repro.serve import ClusterClient, LoadGenerator, TCPTransport
+    from repro.serve.loadgen import ClusterClient, LoadGenerator
+    from repro.serve.transport import TCPTransport
     from repro.workload.groups import GroupAssignment
     from repro.workload.trace import Trace
 

@@ -19,31 +19,13 @@ prices either mode in the same schema so the warehouse
 :mod:`repro.serve.channel`.  See ``docs/coherency.md``.
 """
 
-from repro.coherency.config import MODES, CoherencyConfig
-from repro.coherency.policy import (
-    ChannelCoherency,
-    InbandCoherency,
-    build_policy,
-)
-from repro.coherency.stats import (
-    CATCHUP_BYTES,
-    EVENT_BYTES,
-    POLL_BYTES,
-    SUB_BYTES,
-    CoherencyStats,
-    staleness_percentile,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CATCHUP_BYTES",
-    "ChannelCoherency",
-    "CoherencyConfig",
-    "CoherencyStats",
-    "EVENT_BYTES",
-    "InbandCoherency",
-    "MODES",
-    "POLL_BYTES",
-    "SUB_BYTES",
-    "build_policy",
-    "staleness_percentile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("MODES", "CoherencyConfig"),
+    "policy": ("ChannelCoherency", "InbandCoherency", "build_policy"),
+    "stats": (
+        "CATCHUP_BYTES", "EVENT_BYTES", "POLL_BYTES", "SUB_BYTES", "CoherencyStats",
+        "staleness_percentile",
+    ),
+})

@@ -10,24 +10,14 @@
 * :mod:`repro.core.coordinated` -- the coordinated caching scheme itself.
 """
 
-from repro.core.descriptors import ObjectDescriptor
-from repro.core.placement import (
-    PlacementProblem,
-    PlacementSolution,
-    brute_force_placement,
-    enforce_monotone_frequencies,
-    solve_placement,
-)
-from repro.core.piggyback import node_report
-from repro.core.coordinated import CoordinatedScheme
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CoordinatedScheme",
-    "ObjectDescriptor",
-    "PlacementProblem",
-    "PlacementSolution",
-    "brute_force_placement",
-    "enforce_monotone_frequencies",
-    "node_report",
-    "solve_placement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "descriptors": ("ObjectDescriptor",),
+    "placement": (
+        "PlacementProblem", "PlacementSolution", "brute_force_placement",
+        "enforce_monotone_frequencies", "solve_placement",
+    ),
+    "piggyback": ("node_report",),
+    "coordinated": ("CoordinatedScheme",),
+})

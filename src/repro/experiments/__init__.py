@@ -1,67 +1,24 @@
 """Experiment harness: the paper's tables and figures as runnable sweeps."""
 
-from repro.experiments.presets import (
-    DEFAULT_CACHE_SIZES,
-    ExperimentPreset,
-    PAPER_SCALE,
-    SMALL_SCALE,
-    STANDARD_SCALE,
-)
-from repro.experiments.charts import render_ascii_chart, render_figure
-from repro.experiments.results_io import (
-    load_checkpoint,
-    load_points_json,
-    load_run_records,
-    save_points_json,
-    save_run_records,
-)
-from repro.experiments.robustness import RobustnessResult, run_robustness
-from repro.experiments.runner import (
-    GridResult,
-    GridTask,
-    ProgressEvent,
-    RunRecord,
-    run_grid,
-)
-from repro.experiments.sweeps import (
-    SweepPoint,
-    run_cache_size_sweep,
-    run_single,
-    run_modulo_radius_sweep,
-)
-from repro.experiments.tables import (
-    figure_series,
-    format_sweep_table,
-    format_table1,
-    topology_characteristics,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_CACHE_SIZES",
-    "ExperimentPreset",
-    "GridResult",
-    "GridTask",
-    "PAPER_SCALE",
-    "ProgressEvent",
-    "RobustnessResult",
-    "RunRecord",
-    "SMALL_SCALE",
-    "STANDARD_SCALE",
-    "SweepPoint",
-    "figure_series",
-    "format_sweep_table",
-    "format_table1",
-    "load_checkpoint",
-    "load_points_json",
-    "load_run_records",
-    "render_ascii_chart",
-    "render_figure",
-    "run_cache_size_sweep",
-    "run_grid",
-    "run_modulo_radius_sweep",
-    "run_robustness",
-    "save_run_records",
-    "run_single",
-    "save_points_json",
-    "topology_characteristics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "presets": (
+        "DEFAULT_CACHE_SIZES", "ExperimentPreset", "PAPER_SCALE", "SMALL_SCALE",
+        "STANDARD_SCALE",
+    ),
+    "charts": ("render_ascii_chart", "render_figure"),
+    "results_io": (
+        "load_checkpoint", "load_points_json", "load_run_records", "save_points_json",
+        "save_run_records",
+    ),
+    "robustness": ("RobustnessResult", "run_robustness"),
+    "runner": ("GridResult", "GridTask", "ProgressEvent", "RunRecord", "run_grid"),
+    "sweeps": (
+        "SweepPoint", "run_cache_size_sweep", "run_single", "run_modulo_radius_sweep",
+    ),
+    "tables": (
+        "figure_series", "format_sweep_table", "format_table1",
+        "topology_characteristics",
+    ),
+})

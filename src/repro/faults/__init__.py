@@ -16,21 +16,11 @@ piggyback walk) lives in :mod:`repro.serve`; the chaos gate tying the
 two together is ``tests/test_faults_chaos.py``.
 """
 
-from repro.faults.injector import (
-    DROP_HOLD_SECONDS,
-    FaultInjector,
-    FaultyTransport,
-    LinkDecision,
-)
-from repro.faults.plan import NODE_FAULT_KINDS, FaultPlan, LinkRule, NodeFault
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DROP_HOLD_SECONDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultyTransport",
-    "LinkDecision",
-    "LinkRule",
-    "NODE_FAULT_KINDS",
-    "NodeFault",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "injector": (
+        "DROP_HOLD_SECONDS", "FaultInjector", "FaultyTransport", "LinkDecision",
+    ),
+    "plan": ("NODE_FAULT_KINDS", "FaultPlan", "LinkRule", "NodeFault"),
+})

@@ -15,40 +15,18 @@ instruments=...)``; with no bundle (the default) the simulator runs the
 exact uninstrumented path.
 """
 
-from repro.obs.export import (
-    JsonlTraceWriter,
-    escape_label_value,
-    format_node_stats,
-    parse_prometheus_text,
-    prometheus_text,
-    read_trace_events,
-    summarize_trace_events,
-)
-from repro.obs.instruments import CacheObserver, DcacheObserver, Instruments
-from repro.obs.probe import EVENT_KINDS, Probe
-from repro.obs.registry import NodeStats, StatRegistry
-from repro.obs.spans import Span, SpanTree, reconstruct_traces
-from repro.obs.timers import PhaseTimers
-from repro.obs.warehouse import Warehouse
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CacheObserver",
-    "DcacheObserver",
-    "EVENT_KINDS",
-    "Instruments",
-    "JsonlTraceWriter",
-    "NodeStats",
-    "PhaseTimers",
-    "Probe",
-    "Span",
-    "SpanTree",
-    "StatRegistry",
-    "Warehouse",
-    "escape_label_value",
-    "format_node_stats",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "read_trace_events",
-    "reconstruct_traces",
-    "summarize_trace_events",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "export": (
+        "JsonlTraceWriter", "escape_label_value", "format_node_stats",
+        "parse_prometheus_text", "prometheus_text", "read_trace_events",
+        "summarize_trace_events",
+    ),
+    "instruments": ("CacheObserver", "DcacheObserver", "Instruments"),
+    "probe": ("EVENT_KINDS", "Probe"),
+    "registry": ("NodeStats", "StatRegistry"),
+    "spans": ("Span", "SpanTree", "reconstruct_traces"),
+    "timers": ("PhaseTimers",),
+    "warehouse": ("Warehouse",),
+})

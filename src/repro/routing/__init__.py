@@ -5,7 +5,9 @@ server form a tree rooted at that server (section 2); for the en-route
 architecture these are shortest-path trees over the network (section 3.2).
 """
 
-from repro.routing.shortest_path import dijkstra
-from repro.routing.distribution_tree import DistributionTree, RoutingTable
+from repro._exports import lazy_exports
 
-__all__ = ["DistributionTree", "RoutingTable", "dijkstra"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "shortest_path": ("dijkstra",),
+    "distribution_tree": ("DistributionTree", "RoutingTable"),
+})

@@ -11,25 +11,13 @@ baselines of paper section 3.3 live here:
   loss [Scheuermann et al. 1997].
 """
 
-from repro.schemes.base import CachingScheme, RequestOutcome
-from repro.schemes.descriptor_scheme import DescriptorSchemeBase
-from repro.schemes.extra_baselines import (
-    AdmissionLRUScheme,
-    GDSScheme,
-    LFUEverywhereScheme,
-)
-from repro.schemes.lru_everywhere import LRUEverywhereScheme
-from repro.schemes.modulo import ModuloScheme
-from repro.schemes.lncr import LNCRScheme
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AdmissionLRUScheme",
-    "CachingScheme",
-    "DescriptorSchemeBase",
-    "GDSScheme",
-    "LFUEverywhereScheme",
-    "LNCRScheme",
-    "LRUEverywhereScheme",
-    "ModuloScheme",
-    "RequestOutcome",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("CachingScheme", "RequestOutcome"),
+    "descriptor_scheme": ("DescriptorSchemeBase",),
+    "extra_baselines": ("AdmissionLRUScheme", "GDSScheme", "LFUEverywhereScheme"),
+    "lru_everywhere": ("LRUEverywhereScheme",),
+    "modulo": ("ModuloScheme",),
+    "lncr": ("LNCRScheme",),
+})

@@ -15,78 +15,25 @@ pins an in-process replay to the simulator's metrics bit-for-bit.
 See ``docs/serving.md`` for the wire protocol and deployment notes.
 """
 
-from repro.serve.channel import (
-    BROKER_NODE_ID,
-    ChannelBroker,
-    ChannelSubscriber,
-    merge_channel_stats,
-)
-from repro.serve.cluster import Cluster
-from repro.serve.loadgen import ClusterClient, LoadGenerator, LoadReport
-from repro.serve.metrics_http import MetricsServer
-from repro.serve.node import CacheNode
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    RETRYABLE_ERRORS,
-    CallTimeout,
-    FrameCorruption,
-    FrameDecoder,
-    NodeBusy,
-    NodeUnreachable,
-    ProtocolError,
-    RemoteProtocolError,
-    decode_payload,
-    encode_frame,
-    is_retryable,
-)
-from repro.serve.shard import (
-    ShardedCluster,
-    ShardPlan,
-    ShardSpec,
-    fetch_stats,
-)
-from repro.serve.tracing import NodeTracer, TracingConfig, shard_trace_path
-from repro.serve.transport import (
-    CircuitBreaker,
-    InProcessTransport,
-    RetryPolicy,
-    TCPTransport,
-    Transport,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BROKER_NODE_ID",
-    "CacheNode",
-    "CallTimeout",
-    "ChannelBroker",
-    "ChannelSubscriber",
-    "CircuitBreaker",
-    "Cluster",
-    "ClusterClient",
-    "FrameCorruption",
-    "FrameDecoder",
-    "InProcessTransport",
-    "LoadGenerator",
-    "LoadReport",
-    "MAX_FRAME_BYTES",
-    "MetricsServer",
-    "NodeBusy",
-    "NodeTracer",
-    "NodeUnreachable",
-    "ProtocolError",
-    "RETRYABLE_ERRORS",
-    "RemoteProtocolError",
-    "RetryPolicy",
-    "ShardPlan",
-    "ShardSpec",
-    "ShardedCluster",
-    "TCPTransport",
-    "TracingConfig",
-    "Transport",
-    "decode_payload",
-    "encode_frame",
-    "fetch_stats",
-    "is_retryable",
-    "merge_channel_stats",
-    "shard_trace_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "channel": (
+        "BROKER_NODE_ID", "ChannelBroker", "ChannelSubscriber", "merge_channel_stats",
+    ),
+    "cluster": ("Cluster",),
+    "loadgen": ("ClusterClient", "LoadGenerator", "LoadReport"),
+    "metrics_http": ("MetricsServer",),
+    "node": ("CacheNode",),
+    "protocol": (
+        "MAX_FRAME_BYTES", "RETRYABLE_ERRORS", "CallTimeout", "FrameCorruption",
+        "FrameDecoder", "NodeBusy", "NodeUnreachable", "ProtocolError",
+        "RemoteProtocolError", "decode_payload", "encode_frame", "is_retryable",
+    ),
+    "shard": ("ShardedCluster", "ShardPlan", "ShardSpec", "fetch_stats"),
+    "tracing": ("NodeTracer", "TracingConfig", "shard_trace_path"),
+    "transport": (
+        "CircuitBreaker", "InProcessTransport", "RetryPolicy", "TCPTransport",
+        "Transport",
+    ),
+})

@@ -57,11 +57,13 @@ import random
 import signal as signal_module
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -94,9 +96,24 @@ from repro.serve.transport import InProcessTransport, RetryPolicy, Transport
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
 from repro.sim.factory import build_scheme
-from repro.workload.catalog import ObjectCatalog
 from repro.workload.groups import GroupAssignment
 from repro.workload.updates import GroupUpdateEvent, expand_group_events
+
+if TYPE_CHECKING:
+    from repro.workload.catalog import ObjectCatalog
+
+
+class CatalogTotals(NamedTuple):
+    """The three catalog quantities :meth:`Cluster.build` reads.
+
+    Plain numbers in place of an :class:`~repro.workload.catalog.
+    ObjectCatalog`, whose numpy arrays a shard worker has no use for.
+    """
+
+    num_objects: int
+    total_bytes: int
+    mean_size: float
+
 
 SchemeFactory = Callable[[], CachingScheme]
 
@@ -304,7 +321,7 @@ class Cluster(ControlPlane):
     def build(
         cls,
         architecture: Architecture,
-        catalog: ObjectCatalog,
+        catalog: ObjectCatalog | CatalogTotals,
         scheme_name: str,
         config: Optional[SimulationConfig] = None,
         transport: Optional[Transport] = None,
@@ -325,6 +342,11 @@ class Cluster(ControlPlane):
         split, never a configuration change.  ``coherency`` selects the
         invalidation mode; its group assignment is derived from the
         catalog, so cluster and simulator group objects identically.
+
+        ``catalog`` is an :class:`~repro.workload.catalog.ObjectCatalog`
+        or its :class:`CatalogTotals`: only ``num_objects``,
+        ``total_bytes`` and ``mean_size`` are read, so a shard worker
+        builds the same schemes from three shipped numbers.
         """
         config = config if config is not None else SimulationConfig()
         cost_model = LatencyCostModel(architecture.network, catalog.mean_size)

@@ -64,15 +64,18 @@ import multiprocessing
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.serve.cluster import Cluster
+from repro.serve.cluster import CatalogTotals, Cluster
 from repro.serve.protocol import MSG_STATS
 from repro.serve.tracing import TracingConfig, shard_trace_path
 from repro.serve.transport import RetryPolicy, TCPTransport
 from repro.sim.architecture import Architecture
 from repro.sim.config import SimulationConfig
-from repro.workload.catalog import ObjectCatalog
+
+if TYPE_CHECKING:
+    from repro.workload.catalog import ObjectCatalog
+
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -145,7 +148,10 @@ class ShardSpec:
     """Everything one worker process needs to host its shard.
 
     Shipped through ``multiprocessing`` pickling at spawn; every field
-    is plain data.  ``assignment`` is the *full* plan: the worker hosts
+    is plain data, so unpickling a spec loads no numpy.  ``catalog`` is
+    the :class:`~repro.serve.cluster.CatalogTotals` of the parent's
+    catalog -- the three numbers ``Cluster.build`` reads -- not the
+    catalog itself.  ``assignment`` is the *full* plan: the worker hosts
     the nodes it maps to ``shard_id`` and needs the rest to stamp
     ``cross_shard_fwds``.
     """
@@ -153,7 +159,7 @@ class ShardSpec:
     shard_id: int
     assignment: Dict[int, int]
     architecture: Architecture
-    catalog: ObjectCatalog
+    catalog: CatalogTotals
     scheme_name: str
     config: SimulationConfig
     params: dict = field(default_factory=dict)
@@ -309,39 +315,46 @@ class ShardedCluster:
             for shard in range(self.plan.num_shards)
         ]
 
+    def spec(self, shard_id: int) -> ShardSpec:
+        """The work order :meth:`start` ships to worker ``shard_id``."""
+        return ShardSpec(
+            shard_id=shard_id,
+            assignment=self.plan.assignment,
+            architecture=self.architecture,
+            catalog=CatalogTotals(
+                self.catalog.num_objects,
+                self.catalog.total_bytes,
+                self.catalog.mean_size,
+            ),
+            scheme_name=self.scheme_name,
+            config=self.config,
+            params=self.params,
+            retry=self.retry,
+            seed=self.seed,
+            host=self.host,
+            max_inflight=self.max_inflight,
+            rpc_timeout=self.rpc_timeout,
+            metrics=self.metrics,
+            tracing=(
+                TracingConfig(
+                    shard_trace_path(self.trace_path, shard_id),
+                    sample_every=self.trace_sample_every,
+                )
+                if self.trace_path is not None
+                else None
+            ),
+        )
+
     def start(self, timeout: float = 60.0) -> Dict[int, Tuple[str, int]]:
         """Spawn every shard; returns the merged node address map."""
         if self._started:
             raise RuntimeError("sharded cluster already started")
         ctx = multiprocessing.get_context("spawn")
         for shard_id in range(self.plan.num_shards):
-            spec = ShardSpec(
-                shard_id=shard_id,
-                assignment=self.plan.assignment,
-                architecture=self.architecture,
-                catalog=self.catalog,
-                scheme_name=self.scheme_name,
-                config=self.config,
-                params=self.params,
-                retry=self.retry,
-                seed=self.seed,
-                host=self.host,
-                max_inflight=self.max_inflight,
-                rpc_timeout=self.rpc_timeout,
-                metrics=self.metrics,
-                tracing=(
-                    TracingConfig(
-                        shard_trace_path(self.trace_path, shard_id),
-                        sample_every=self.trace_sample_every,
-                    )
-                    if self.trace_path is not None
-                    else None
-                ),
-            )
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_shard_worker_main,
-                args=(spec, child_conn),
+                args=(self.spec(shard_id), child_conn),
                 daemon=True,
                 name=f"repro-shard-{shard_id}",
             )

@@ -1,21 +1,12 @@
 """Trace-driven simulation of cascaded caching architectures."""
 
-from repro.sim.architecture import (
-    Architecture,
-    build_enroute_architecture,
-    build_hierarchical_architecture,
-)
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine, SimulationResult
-from repro.sim.factory import SCHEME_NAMES, build_scheme
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Architecture",
-    "SCHEME_NAMES",
-    "SimulationConfig",
-    "SimulationEngine",
-    "SimulationResult",
-    "build_enroute_architecture",
-    "build_hierarchical_architecture",
-    "build_scheme",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "architecture": (
+        "Architecture", "build_enroute_architecture", "build_hierarchical_architecture",
+    ),
+    "config": ("SimulationConfig",),
+    "engine": ("SimulationEngine", "SimulationResult"),
+    "factory": ("SCHEME_NAMES", "build_scheme"),
+})

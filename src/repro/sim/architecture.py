@@ -15,14 +15,14 @@ clients and origin servers to network nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.routing.distribution_tree import RoutingTable
 from repro.topology.graph import Network, NodeKind
-from repro.topology.tiers import TiersConfig, TiersTopologyGenerator
-from repro.topology.tree import TreeConfig, build_tree_topology
+
+if TYPE_CHECKING:
+    from repro.topology.tiers import TiersConfig
+    from repro.topology.tree import TreeConfig
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,10 @@ def build_enroute_architecture(
     """En-route architecture: random MAN attachment over a Tiers topology."""
     if num_clients < 1 or num_servers < 1:
         raise ValueError("need at least one client and one server")
+    import numpy as np
+
+    from repro.topology.tiers import TiersConfig, TiersTopologyGenerator
+
     cfg = tiers_config or TiersConfig(seed=seed)
     network = TiersTopologyGenerator(cfg).generate()
     man_nodes = network.nodes_of_kind(NodeKind.MAN)
@@ -130,6 +134,10 @@ def build_hierarchical_architecture(
     """Hierarchical architecture: clients at random leaves, servers above the root."""
     if num_clients < 1 or num_servers < 1:
         raise ValueError("need at least one client and one server")
+    import numpy as np
+
+    from repro.topology.tree import TreeConfig, build_tree_topology
+
     cfg = tree_config or TreeConfig()
     if not cfg.include_server_node:
         raise ValueError("hierarchical architecture needs the server node")

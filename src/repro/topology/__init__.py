@@ -12,19 +12,11 @@ This package provides the network substrate the paper's evaluation runs on:
   topologies (chains, stars) used in tests and examples.
 """
 
-from repro.topology.graph import Link, Network, NodeKind
-from repro.topology.builder import build_chain, build_star
-from repro.topology.tiers import TiersConfig, TiersTopologyGenerator
-from repro.topology.tree import TreeConfig, build_tree_topology
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Link",
-    "Network",
-    "NodeKind",
-    "TiersConfig",
-    "TiersTopologyGenerator",
-    "TreeConfig",
-    "build_chain",
-    "build_star",
-    "build_tree_topology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "graph": ("Link", "Network", "NodeKind"),
+    "builder": ("build_chain", "build_star"),
+    "tiers": ("TiersConfig", "TiersTopologyGenerator"),
+    "tree": ("TreeConfig", "build_tree_topology"),
+})

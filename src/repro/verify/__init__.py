@@ -28,18 +28,11 @@ the simulation engine and are *not* re-exported here; import them as
 submodules.
 """
 
-from repro.verify.auditor import AuditConfig, AuditReport, Auditor
-from repro.verify.invariants import OutcomeLedger
-from repro.verify.oracles import MirroredNCLCache, PlacementOracle
-from repro.verify.violations import AuditFailure, AuditViolation
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AuditConfig",
-    "AuditFailure",
-    "AuditReport",
-    "AuditViolation",
-    "Auditor",
-    "MirroredNCLCache",
-    "OutcomeLedger",
-    "PlacementOracle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "auditor": ("AuditConfig", "AuditReport", "Auditor"),
+    "invariants": ("OutcomeLedger",),
+    "oracles": ("MirroredNCLCache", "PlacementOracle"),
+    "violations": ("AuditFailure", "AuditViolation"),
+})

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy imports its random package on first use: load it with the module
+# that draws, so a run's first draw imports nothing mid-run.
+import numpy.random  # noqa: F401
 from typing import Iterator
 
 from repro.workload.catalog import ObjectCatalog, SizeDistribution

@@ -26,10 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.workload.zipf import ZipfSampler
-
 
 @dataclass(frozen=True)
 class GroupAssignment:
@@ -106,6 +102,10 @@ class GroupAssignment:
                 f"group_count ({group_count}) cannot exceed "
                 f"num_objects ({num_objects})"
             )
+        import numpy as np
+
+        from repro.workload.zipf import ZipfSampler
+
         rng = np.random.default_rng(seed)
         sampler = ZipfSampler(group_count, skew)
         groups = sampler.sample(num_objects, rng)

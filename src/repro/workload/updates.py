@@ -16,10 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.workload.groups import GroupAssignment
-from repro.workload.zipf import ZipfSampler
 
 
 @dataclass(frozen=True)
@@ -56,6 +53,10 @@ def generate_update_events(
         raise ValueError("update_rate must be non-negative")
     if update_rate == 0 or duration == 0:
         return []
+    import numpy as np
+
+    from repro.workload.zipf import ZipfSampler
+
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(update_rate * duration))
     if count == 0:
@@ -107,6 +108,10 @@ def generate_group_update_events(
         raise ValueError("update_rate must be non-negative")
     if update_rate == 0 or duration == 0:
         return []
+    import numpy as np
+
+    from repro.workload.zipf import ZipfSampler
+
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(update_rate * duration))
     if count == 0:

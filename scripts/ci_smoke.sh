@@ -178,6 +178,75 @@ print(f"import repro.serve.shard: {seconds:.3f} s, "
       f"{len(sys.modules)} modules, VmHWM {hwm}")
 assert "numpy" not in sys.modules, "a shard worker's import loads numpy"
 EOF
+# The shard workers spawned below a serve process (pid $1) load only the
+# serving plane: none maps a numpy file.  Prints their peak resident sets.
+shard_workers_map_no_numpy() {
+    python - "$1" <<'EOF'
+import os
+import sys
+
+children = {}
+for entry in os.listdir("/proc"):
+    if entry.isdigit():
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        children.setdefault(ppid, []).append(int(entry))
+below, todo = [], [int(sys.argv[1])]
+while todo:
+    kids = children.get(todo.pop(), [])
+    below += kids
+    todo += kids
+workers, peaks = [], []
+for pid in below:
+    with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+        if b"spawn_main" in cmdline.read():
+            workers.append(pid)
+assert len(workers) == 2, f"expected 2 shard workers, found {workers}"
+for pid in workers:
+    with open(f"/proc/{pid}/maps") as maps:
+        numpy = [line for line in maps if "numpy" in line]
+    assert not numpy, f"shard worker {pid} maps numpy: {numpy[0]}"
+    with open(f"/proc/{pid}/status") as status:
+        peaks += [line.split(":")[1].strip() for line in status
+                  if line.startswith("VmHWM:")]
+print(f"shard workers {workers} map no numpy; VmHWM {', '.join(peaks)}")
+EOF
+}
+# The same holds under the installed `cascade-repro` console script,
+# which multiprocessing re-runs as each worker's __mp_main__: the
+# workers of `serve --shards 2` started through a launcher shaped like
+# that script (it imports repro.cli) map no numpy either.
+if [ -r /proc/self/maps ]; then
+    FOOT_DIR=$(mktemp -d)
+    FOOT_PID=""
+    trap '[ -z "$FOOT_PID" ] || kill -TERM "$FOOT_PID" 2>/dev/null; rm -rf "$FOOT_DIR"' EXIT
+    printf '%s\n' 'import sys' '' 'from repro.cli import main' '' \
+        'if __name__ == "__main__":' '    sys.exit(main())' \
+        > "$FOOT_DIR/cascade-repro"
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python "$FOOT_DIR/cascade-repro" \
+        serve --scheme coordinated --arch hierarchical --scale small \
+        --shards 2 --no-metrics --manifest "$FOOT_DIR/cluster.json" \
+        > "$FOOT_DIR/serve.log" 2>&1 &
+    FOOT_PID=$!
+    waited=0
+    while [ ! -s "$FOOT_DIR/cluster.json" ]; do
+        kill -0 "$FOOT_PID" && [ "$waited" -lt 300 ] || {
+            cat "$FOOT_DIR/serve.log"; exit 1; }
+        sleep 0.2
+        waited=$((waited + 1))
+    done
+    shard_workers_map_no_numpy "$FOOT_PID"
+    kill -TERM "$FOOT_PID"
+    wait "$FOOT_PID" || true
+    FOOT_PID=""
+    rm -rf "$FOOT_DIR"
+    trap - EXIT
+else
+    echo "no /proc: skipping the console-script workers' numpy-mapping check"
+fi
 
 echo "== instrumented simulation smoke =="
 # One coordinated run with the full observability layer on: JSONL event
@@ -388,36 +457,7 @@ scrape_handled "$SERVE_DIR/sharded.json" 2100
 # processes below $SERVE_PID -- load only the serving plane: none of
 # them maps a numpy file.
 if [ -r /proc/self/maps ]; then
-    python - "$SERVE_PID" <<'EOF'
-import os
-import sys
-
-children = {}
-for entry in os.listdir("/proc"):
-    if entry.isdigit():
-        try:
-            with open(f"/proc/{entry}/stat") as stat:
-                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
-        except (OSError, IndexError, ValueError):
-            continue
-        children.setdefault(ppid, []).append(int(entry))
-below, todo = [], [int(sys.argv[1])]
-while todo:
-    kids = children.get(todo.pop(), [])
-    below += kids
-    todo += kids
-workers = []
-for pid in below:
-    with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
-        if b"spawn_main" in cmdline.read():
-            workers.append(pid)
-assert len(workers) == 2, f"expected 2 shard workers, found {workers}"
-for pid in workers:
-    with open(f"/proc/{pid}/maps") as maps:
-        numpy = [line for line in maps if "numpy" in line]
-    assert not numpy, f"shard worker {pid} maps numpy: {numpy[0]}"
-print(f"shard workers {workers} map no numpy")
-EOF
+    shard_workers_map_no_numpy "$SERVE_PID"
 else
     echo "no /proc: skipping the workers' numpy-mapping check"
 fi

@@ -48,29 +48,20 @@ import os
 import sys
 from typing import List, Sequence
 
-from repro.experiments.charts import render_figure
-from repro.experiments.presets import (
-    DEFAULT_CACHE_SIZES,
-    SMALL_SCALE,
-    STANDARD_SCALE,
-    build_architecture,
-)
-from repro.experiments.results_io import save_points_json, save_run_records
-from repro.experiments.sweeps import (
-    PROVISION_PROFILES,
-    run_cache_size_sweep,
-    run_modulo_radius_sweep,
-    run_provisioning_sweep,
-)
-from repro.experiments.tables import (
-    format_sweep_table,
-    format_table1,
-    topology_characteristics,
-)
 from repro.sim.factory import SCHEME_NAMES
-from repro.verify.violations import AuditViolation
 
-_SCALES = {"small": SMALL_SCALE, "standard": STANDARD_SCALE}
+# The experiment layer (presets, sweeps, tables) is imported by the
+# commands that use it: a shard worker re-runs the console script that
+# imports this module, and must not load numpy with it.
+
+
+def _scales() -> dict:
+    """``--scale`` name -> workload preset."""
+    from repro.experiments.presets import SMALL_SCALE, STANDARD_SCALE
+
+    return {"small": SMALL_SCALE, "standard": STANDARD_SCALE}
+
+
 _DEFAULT_METRICS = (
     "latency",
     "response_ratio",
@@ -102,7 +93,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(_scales()),
         default="small",
         help="workload preset scale",
     )
@@ -150,7 +141,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _preset(args: argparse.Namespace):
-    preset = _SCALES[args.scale].with_seed(args.seed)
+    preset = _scales()[args.scale].with_seed(args.seed)
     if args.theta is not None:
         preset = preset.with_theta(args.theta)
     return preset
@@ -272,6 +263,9 @@ def _format_coherency(stats: dict, indent: str = "    ") -> str:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.presets import build_architecture
+    from repro.experiments.tables import format_table1, topology_characteristics
+
     preset = _preset(args)
     arch = build_architecture("en-route", preset.workload, seed=args.seed)
     print("Table 1: System Parameters for En-Route Architecture")
@@ -303,6 +297,9 @@ def _report_grid(records, save: str | None, audited: bool = False) -> int:
     Returns the number of audit violations across the grid (always 0
     for unaudited runs), so commands can fail loudly on a dirty audit.
     """
+    from repro.experiments.results_io import save_run_records
+    from repro.verify.violations import AuditViolation
+
     executed = [r for r in records if not r.reused]
     reused = len(records) - len(executed)
     busy = sum(r.duration_seconds for r in executed)
@@ -337,6 +334,16 @@ def _check_resume(args: argparse.Namespace) -> bool:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.charts import render_figure
+    from repro.experiments.presets import build_architecture
+    from repro.experiments.results_io import save_points_json
+    from repro.experiments.sweeps import (
+        PROVISION_PROFILES,
+        run_cache_size_sweep,
+        run_provisioning_sweep,
+    )
+    from repro.experiments.tables import format_sweep_table
+
     preset = _preset(args)
     unknown = set(args.schemes) - set(SCHEME_NAMES)
     if unknown:
@@ -405,6 +412,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
+    from repro.experiments.presets import build_architecture
+    from repro.experiments.sweeps import run_modulo_radius_sweep
+    from repro.experiments.tables import format_sweep_table
+
     if not _check_resume(args):
         return 2
     preset = _preset(args)
@@ -480,6 +491,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.costs.model import LatencyCostModel
+    from repro.experiments.presets import build_architecture
     from repro.sim.config import SimulationConfig
     from repro.sim.engine import SimulationEngine
     from repro.workload.trace import read_trace_csv
@@ -586,6 +598,8 @@ def _build_sim_instruments(args: argparse.Namespace):
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
+    from repro.experiments.presets import build_architecture
+    from repro.experiments.results_io import save_points_json
     from repro.experiments.runner import GridTask, execute_point
     from repro.metrics.timeseries import (
         IntervalMetricsCollector,
@@ -599,6 +613,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     )
     from repro.sim.config import SimulationConfig
     from repro.verify.auditor import AuditConfig
+    from repro.verify.violations import AuditViolation
 
     preset = _preset(args)
     unknown = set(args.schemes) - set(SCHEME_NAMES)
@@ -835,6 +850,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
+    from repro.experiments.presets import build_architecture
     from repro.serve.cluster import Cluster
     from repro.serve.transport import RetryPolicy, TCPTransport
     from repro.sim.config import SimulationConfig
@@ -1069,6 +1085,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro.coherency.config import CoherencyConfig
     from repro.costs.model import LatencyCostModel
+    from repro.experiments.presets import build_architecture
     from repro.serve.loadgen import ClusterClient, LoadGenerator
     from repro.serve.transport import TCPTransport
     from repro.workload.groups import GroupAssignment
@@ -1110,7 +1127,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    scale = _SCALES[manifest["scale"]].with_seed(manifest["seed"])
+    scale = _scales()[manifest["scale"]].with_seed(manifest["seed"])
     if manifest.get("theta") is not None:
         scale = scale.with_theta(manifest["theta"])
     generator = scale.generator()
@@ -1294,6 +1311,8 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.experiments.presets import DEFAULT_CACHE_SIZES
+    from repro.experiments.sweeps import PROVISION_PROFILES
 
     parser = argparse.ArgumentParser(
         prog="cascade-repro",

@@ -39,13 +39,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.core.piggyback import (
-    ProtocolStats,
-    is_candidate,
-    node_report,
-    report_bytes,
-    response_bytes,
-)
+from repro.core.piggyback import ProtocolStats, node_report
 from repro.obs.timers import PHASE_DP_SOLVE
 from repro.core.placement import (
     PlacementProblem,
@@ -53,7 +47,6 @@ from repro.core.placement import (
     enforce_monotone_frequencies,
     solve_placement,
 )
-from repro.schemes.base import Walk
 from repro.schemes.descriptor_scheme import DescriptorSchemeBase
 
 
@@ -245,41 +238,3 @@ class CoordinatedScheme(DescriptorSchemeBase):
         arrival.
         """
         return self.cost_model.path_cost(path[index : came_from + 1], size)
-
-    def _observe_request(self, walk: Walk) -> None:
-        """Per-node piggyback byte accounting + the placement event.
-
-        Splits the exact quantities :meth:`ProtocolStats.overhead_bytes`
-        totals globally across the nodes that carried them: each report
-        (or "no descriptor" tag) is charged to the node that appended
-        it, each decision entry to the node it instructs, and the
-        response's cost accumulator to the first downstream carrier (see
-        ``docs/protocol.md``).  The event's candidates are the nodes the
-        DP considered, not every cache below the serving node.  Purely
-        observational.
-        """
-        reports, decision, hit_index = walk.reports, walk.decision, walk.hit_index
-        registry = self._instruments.registry
-        if registry is not None:
-            add = registry.add_piggyback
-            for report in reports:
-                add(report["n"], report_bytes(report))
-            for node in decision["cache_at"]:
-                add(node, response_bytes(instructed=True, first_carrier=False))
-            if hit_index > 0:
-                add(
-                    walk.path[hit_index - 1],
-                    response_bytes(instructed=False, first_carrier=True),
-                )
-        candidates = [r["n"] for r in reports if is_candidate(r)]
-        if candidates:
-            self._emit_placement(
-                walk.now,
-                walk.object_id,
-                walk.path,
-                hit_index,
-                candidates,
-                decision["cache_at"],
-                walk.inserted,
-                gain=decision["gain"],
-            )

@@ -11,10 +11,13 @@ attaches itself to the scheme
 wires a per-node :class:`CacheObserver` onto every cache it creates, so
 cache-level happenings (evictions, occupancy, invalidation removals)
 reach the registry and the probe without the policies knowing anything
-about observability.  Per request it folds the outcome into the
-registry, writes periodic registry snapshots and emits the probe's
-``request`` event; the engine stamps its ``request_index`` and its
-timers time the engine's routing and scheme phases.
+about observability.  With its registry or probe on, it also observes
+the scheme's walks (:meth:`Instruments.steps_at`): each position gets
+its node's :class:`NodeCounters` (as on a serving node) and, with a
+probe, the bundle's own ``placement`` events.  Per request it writes
+periodic registry snapshots and emits the probe's ``request`` event;
+the engine stamps its ``request_index`` and its timers time the
+engine's routing and scheme phases.
 
 Like the audit layer this is strictly one-way: nothing here may
 influence a decision, and a run's metrics are bit-identical with and
@@ -26,12 +29,74 @@ from __future__ import annotations
 from time import perf_counter
 from typing import List, Optional
 
+from repro.core.piggyback import (
+    SKIPPED_NODE_BYTES,
+    is_candidate,
+    report_bytes,
+    response_bytes,
+)
 from repro.obs.probe import Probe
 from repro.obs.registry import StatRegistry
 from repro.obs.timers import PHASE_VICTIM_SELECT, PhaseTimers
+from repro.schemes.base import StepObserver
 
 
-class Instruments:
+class NodeCounters(StepObserver):
+    """One node's request counters, fed by the walk's steps at the node:
+    hits, misses, the serving read, insertion writes, failovers and --
+    with ``piggyback``, for a scheme exchanging the coordinated
+    protocol's records -- the node's share of the protocol's wire bytes
+    (see ``docs/protocol.md``), the last step's share kept as
+    ``charged``.  The node's registry row is taken at its first lookup,
+    so an origin attachment that caches nothing gets none.
+    """
+
+    __slots__ = ("registry", "node", "piggyback", "stats", "charged")
+
+    def __init__(self, registry: StatRegistry, node: int, piggyback: bool) -> None:
+        self.registry = registry
+        self.node = node
+        self.piggyback = piggyback
+        self.stats = None
+        self.charged = 0
+
+    def looked_up(self, walk, hit: bool, report) -> None:
+        stats = self.stats
+        if stats is None:
+            stats = self.stats = self.registry.node(self.node)
+        if hit:
+            stats.hits += 1
+            stats.bytes_read += walk.size
+            return
+        stats.misses += 1
+        added = report_bytes(report) if self.piggyback and report is not None else 0
+        self.charged = added
+        stats.piggyback_bytes += added
+
+    def failed_over(self, walk, index: int) -> None:
+        stats = self.stats
+        stats.failovers += 1
+        added = SKIPPED_NODE_BYTES if self.piggyback else 0
+        self.charged = added
+        stats.piggyback_bytes += added
+
+    def delivered(self, walk, stored: bool, came_from: int) -> None:
+        stats = self.stats
+        if stored:
+            stats.insertions += 1
+            stats.bytes_written += walk.size
+        if self.piggyback:
+            # The accumulator is charged to its first downstream carrier:
+            # the position the response reached straight from the
+            # serving one, whatever failover bypassed in between.
+            added = self.charged = response_bytes(
+                self.node in walk.decision["cache_at"],
+                came_from == walk.hit_index,
+            )
+            stats.piggyback_bytes += added
+
+
+class Instruments(StepObserver):
     """Probe + registry + timers riding along one simulation run.
 
     ``snapshot_every`` records a registry snapshot (and emits a
@@ -40,7 +105,10 @@ class Instruments:
     ``instruments.active`` check is all that separates "off" from "on".
     """
 
-    __slots__ = ("probe", "registry", "timers", "snapshot_every", "request_index")
+    __slots__ = (
+        "probe", "registry", "timers", "snapshot_every", "request_index",
+        "protocol",
+    )
 
     def __init__(
         self,
@@ -60,6 +128,7 @@ class Instruments:
         # Advanced by the engine once per request so cache- and
         # scheme-level events can stamp the request they belong to.
         self.request_index = -1
+        self.protocol = False
 
     @property
     def active(self) -> bool:
@@ -70,18 +139,63 @@ class Instruments:
             or self.timers is not None
         )
 
+    def bind(self, scheme) -> bool:
+        """Bind to the scheme whose walks this observes; whether any step
+        observer is on."""
+        self.protocol = getattr(scheme, "protocol_stats", None) is not None
+        return self.registry is not None or self.probe is not None
+
+    def steps_at(self, node: int) -> tuple:
+        """The step observers of a walk position at ``node``: its
+        counters, then this bundle's ``placement`` events."""
+        steps = () if self.probe is None else (self,)
+        if self.registry is None:
+            return steps
+        return (NodeCounters(self.registry, node, self.protocol), *steps)
+
+    def delivered(self, walk, stored: bool, came_from: int) -> None:
+        """Emit the walk's ``placement`` event once the requester's
+        delivery finished it: the candidates -- the reports' DP
+        candidates for a scheme exchanging the protocol's records, else
+        every cache below the serving node -- ``chosen`` (the shipped
+        decision) and ``inserted`` (what landed).  A walk with no
+        candidate emits nothing."""
+        if walk.index:
+            return
+        hit_index, decision = walk.hit_index, walk.decision
+        if self.protocol:
+            candidates = [r["n"] for r in walk.reports if is_candidate(r)]
+            gain = decision["gain"]
+        else:
+            candidates = walk.path[:hit_index]
+            gain = 0.0
+        probe = self.probe
+        if not candidates or not probe.sample("placement"):
+            return
+        probe.write(
+            "placement",
+            i=self.request_index,
+            t=walk.now,
+            object=walk.object_id,
+            hit_node=walk.path[hit_index],
+            origin=hit_index == len(walk.path) - 1,
+            candidates=list(candidates),
+            chosen=list(decision["cache_at"]),
+            inserted=list(walk.inserted),
+            gain=gain,
+        )
+
     def begin(self, engine, collector) -> None:
         engine.scheme.attach_instruments(self)
 
     def outcome(self, index, now, object_id, outcome, latency, measured) -> None:
         probe = self.probe
         registry = self.registry
-        if registry is not None:
-            registry.observe_outcome(outcome)
-            if self.snapshot_every and (index + 1) % self.snapshot_every == 0:
-                snap = registry.take_snapshot(index + 1)
-                if probe is not None and probe.sample("snapshot"):
-                    probe.write("snapshot", **snap)
+        every = self.snapshot_every
+        if registry is not None and every and (index + 1) % every == 0:
+            snap = registry.take_snapshot(index + 1)
+            if probe is not None and probe.sample("snapshot"):
+                probe.write("snapshot", **snap)
         if probe is not None and probe.sample("request"):
             path = outcome.path
             probe.write(
@@ -114,7 +228,21 @@ class Instruments:
         return DcacheObserver(node, self)
 
 
-class CacheObserver:
+class _NodeObserver:
+    """A per-node hook object: its node, the bundle, and the node's
+    :class:`~repro.obs.registry.NodeStats` (``None`` without a
+    registry), whose fields the hooks write directly."""
+
+    __slots__ = ("node", "instruments", "stats")
+
+    def __init__(self, node: int, instruments: Instruments) -> None:
+        self.node = node
+        self.instruments = instruments
+        registry = instruments.registry
+        self.stats = None if registry is None else registry.node(node)
+
+
+class CacheObserver(_NodeObserver):
     """Per-node hook object installed on a main cache's ``observer`` slot.
 
     The :class:`~repro.cache.base.Cache` base class calls these at its
@@ -122,11 +250,7 @@ class CacheObserver:
     emits one event.
     """
 
-    __slots__ = ("node", "instruments")
-
-    def __init__(self, node: int, instruments: Instruments) -> None:
-        self.node = node
-        self.instruments = instruments
+    __slots__ = ()
 
     def select_victims(self, cache, needed_bytes: int, now: float, exclude):
         """Run (and, when timed, attribute) the policy's victim selection."""
@@ -140,10 +264,11 @@ class CacheObserver:
 
     def on_evictions(self, cache, victims: List, now: float) -> None:
         freed = sum(v.size for v in victims)
+        stats = self.stats
+        if stats is not None:
+            stats.evictions += len(victims)
+            stats.evicted_bytes += freed
         inst = self.instruments
-        registry = inst.registry
-        if registry is not None:
-            registry.record_eviction(self.node, len(victims), freed)
         probe = inst.probe
         if probe is not None and probe.sample("eviction"):
             probe.write(
@@ -157,30 +282,24 @@ class CacheObserver:
             )
 
     def on_occupancy(self, used_bytes: int) -> None:
-        registry = self.instruments.registry
-        if registry is not None:
-            registry.record_occupancy(self.node, used_bytes)
+        stats = self.stats
+        if stats is not None and used_bytes > stats.occupancy_hwm:
+            stats.occupancy_hwm = used_bytes
 
     def on_invalidation(self, entry) -> None:
-        registry = self.instruments.registry
-        if registry is not None:
-            registry.record_invalidation(self.node)
+        if self.stats is not None:
+            self.stats.invalidations += 1
 
 
-class DcacheObserver:
+class DcacheObserver(_NodeObserver):
     """Hook object installed on a node's d-cache ``observer`` slot."""
 
-    __slots__ = ("node", "instruments")
-
-    def __init__(self, node: int, instruments: Instruments) -> None:
-        self.node = node
-        self.instruments = instruments
+    __slots__ = ()
 
     def on_evictions(self, dcache, victims: List) -> None:
+        if self.stats is not None:
+            self.stats.dcache_evictions += len(victims)
         inst = self.instruments
-        registry = inst.registry
-        if registry is not None:
-            registry.record_dcache_eviction(self.node, len(victims))
         probe = inst.probe
         if probe is not None and probe.sample("dcache-eviction"):
             probe.write(

@@ -10,10 +10,13 @@ carries.
 
 Counters cover the **whole** replay, warm-up included (like the
 interval collector): placement dynamics during warm-up are exactly what
-the per-node lens is for.  The registry is fed by the instruments
-bundle observing the run (request outcomes), by per-cache observers (evictions, occupancy, invalidation
-removals -- see :mod:`repro.obs.instruments`) and by the coordinated
-scheme (piggyback bytes).  It never feeds anything back: an instrumented
+the per-node lens is for.  Every feed writes a node's
+:class:`NodeStats` fields directly, through the one observer set of
+:mod:`repro.obs.instruments`: the walk's per-node
+:class:`~repro.obs.instruments.NodeCounters` (lookups, reads, writes,
+failovers, piggyback bytes -- the same observer in the simulator and on
+a serving node) and the per-cache observers (evictions, occupancy,
+invalidation removals).  It never feeds anything back: an instrumented
 run's metrics are bit-identical to an uninstrumented one.
 """
 
@@ -111,52 +114,25 @@ class StatRegistry:
     # -- feeds ---------------------------------------------------------------
 
     def observe_outcome(self, outcome) -> None:
-        """Fold one request outcome into the per-node counters.
+        """Fold one finished request's outcome into the per-node counters
+        (for a replay of recorded outcomes; a live run's walk feeds them
+        step by step).
 
         Every node strictly below the serving position missed; the
         serving node (when it is a cache, not the origin) hit and read
         the object; every node the scheme inserted at wrote it.
         """
-        path = outcome.path
-        hit_index = outcome.hit_index
-        size = outcome.size
-        nodes = self._nodes
-        for i in range(hit_index):
-            stats = nodes.get(path[i])
-            if stats is None:
-                stats = self.node(path[i])
-            stats.misses += 1
+        path, hit_index, size = outcome.path, outcome.hit_index, outcome.size
+        for node in path[:hit_index]:
+            self.node(node).misses += 1
         if hit_index < len(path) - 1:
-            stats = nodes.get(path[hit_index])
-            if stats is None:
-                stats = self.node(path[hit_index])
+            stats = self.node(path[hit_index])
             stats.hits += 1
             stats.bytes_read += size
         for node in outcome.inserted_nodes:
-            stats = nodes.get(node)
-            if stats is None:
-                stats = self.node(node)
+            stats = self.node(node)
             stats.insertions += 1
             stats.bytes_written += size
-
-    def record_eviction(self, node: int, victims: int, freed_bytes: int) -> None:
-        stats = self.node(node)
-        stats.evictions += victims
-        stats.evicted_bytes += freed_bytes
-
-    def record_dcache_eviction(self, node: int, victims: int) -> None:
-        self.node(node).dcache_evictions += victims
-
-    def record_occupancy(self, node: int, used_bytes: int) -> None:
-        stats = self.node(node)
-        if used_bytes > stats.occupancy_hwm:
-            stats.occupancy_hwm = used_bytes
-
-    def record_invalidation(self, node: int) -> None:
-        self.node(node).invalidations += 1
-
-    def add_piggyback(self, node: int, nbytes: int) -> None:
-        self.node(node).piggyback_bytes += nbytes
 
     # -- readouts ------------------------------------------------------------
 

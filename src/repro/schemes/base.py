@@ -111,6 +111,25 @@ class RequestOutcome:
         return self.size * len(self.inserted_nodes)
 
 
+class StepObserver:
+    """An observer on the walk's step seam (see :class:`Walk`): every
+    hook is a no-op here, and a subclass overrides those it needs."""
+
+    __slots__ = ()
+
+    def looked_up(self, walk: "Walk", hit: bool, report) -> None:
+        pass
+
+    def failed_over(self, walk: "Walk", index: int) -> None:
+        pass
+
+    def decided(self, walk: "Walk") -> None:
+        pass
+
+    def delivered(self, walk: "Walk", stored: bool, came_from: int) -> None:
+        pass
+
+
 class Walk:
     """One request walk: the paper's step order as a sans-I/O machine.
 
@@ -125,25 +144,31 @@ class Walk:
     from) and the reply -- ``hit_index``, ``decision``, ``inserted`` in
     response order, ``evictions``.
 
-    Two drivers run it.  :meth:`CachingScheme.process_request` gives no
-    ``observer``: every position is its scheme's, and :meth:`run` goes
-    from lookup to reply in one call.  A serving node's walk
-    (:meth:`repro.serve.node.CacheNode._walk`) has an observer that sees
-    every step -- ``looked_up(walk, hit, report)``, ``failed_over(walk,
-    index)``, ``decided(walk)``, ``delivered(walk, stored, came_from)``,
-    with ``index``/``now`` kept at the current position -- and enters
-    every next position (``enter(walk, index)``: its scheme, or ``None``
-    when the driver cannot enter it without waiting).  ``None`` stops the
-    walk there; the driver resumes it with the outcome -- :meth:`run`
-    with the scheme once reached, :meth:`fail_over` when unreachable,
-    :meth:`run` with a remote ``reply`` to unwind from.  The observer is
-    handed the walk rather than holding it, so a walk is never part of a
-    reference cycle and is freed as soon as its driver lets go.
+    Two drivers run it, and both observe it through one seam: the
+    :class:`StepObserver` tuple ``steps`` of the current position, whose
+    hooks every step calls with ``index``/``now`` kept at the position
+    -- ``looked_up(walk, hit, report)``, ``failed_over(walk, index)``,
+    ``decided(walk)``, ``delivered(walk, stored, came_from)``.  An
+    unobserved simulator walk (:meth:`CachingScheme.process_request`)
+    has no ``observer`` and no steps: every position is its scheme's,
+    and :meth:`run` goes from lookup to reply in one call.  An observed
+    walk's ``observer`` -- the scheme of an instrumented simulator run
+    (:meth:`CachingScheme.enter`), or a serving node's walk
+    (:meth:`repro.serve.node.CacheNode._walk`) -- enters every next
+    position (``enter(walk, index)``: it sets ``steps`` and returns the
+    position's scheme, or ``None`` when it cannot enter it without
+    waiting).  ``None`` stops the walk there; the driver resumes it with
+    the outcome -- :meth:`run` with the scheme once reached,
+    :meth:`fail_over` when unreachable, :meth:`run` with a remote
+    ``reply`` to unwind from.  Observers are handed the walk rather than
+    holding it, so a walk is never part of a reference cycle and is
+    freed as soon as its driver lets go.
     """
 
     __slots__ = (
         "path", "object_id", "size", "now", "index", "reports", "skipped",
-        "observer", "hit_index", "decision", "inserted", "evictions", "_below",
+        "observer", "steps", "hit_index", "decision", "inserted", "evictions",
+        "_below",
     )
 
     def __init__(
@@ -159,7 +184,9 @@ class Walk:
         self.reports = [] if reports is None else reports
         self.skipped = [] if skipped is None else skipped
         self.observer = observer
-        # (index, scheme, now) of each position waiting for the response.
+        self.steps: tuple = ()
+        # (index, scheme, now, steps) of each position waiting for the
+        # response.
         self._below: List[tuple] = []
 
     def run(self, scheme, reply: Optional[dict] = None) -> bool:
@@ -175,6 +202,7 @@ class Walk:
         object_id = self.object_id
         size = self.size
         observer = self.observer
+        steps = self.steps
         below = self._below
         if reply is None:
             reports = self.reports
@@ -184,13 +212,13 @@ class Walk:
             # The origin attachment serves without a lookup.
             while index < last:
                 hit, report = scheme.lookup_step(path[index], object_id, size, now)
-                if observer is not None:
-                    observer.looked_up(self, hit, report)
+                for step in steps:
+                    step.looked_up(self, hit, report)
                 if hit:
                     break
                 if report is not None:
                     reports.append(report)
-                below.append((index, scheme, now))
+                below.append((index, scheme, now, steps))
                 index += 1
                 if observer is not None:
                     self.index = index
@@ -198,12 +226,13 @@ class Walk:
                     if scheme is None:
                         return False
                     now = self.now
+                    steps = self.steps
             self.hit_index = came_from = index
             self.decision = decision = scheme.decide_step(
                 path, index, reports, object_id, size, now
             )
-            if observer is not None:
-                observer.decided(self)
+            for step in steps:
+                step.decided(self)
             self.inserted = inserted = []
             evictions = 0
         else:
@@ -215,17 +244,18 @@ class Walk:
         # The response crossed every link from came_from down to each
         # position (a bypassed node's router still forwards).
         while below:
-            index, scheme, now = below.pop()
+            index, scheme, now, steps = below.pop()
             stored, victims = scheme.deliver_step(
                 index, path, decision, object_id, size, now, came_from=came_from
             )
             if stored:
                 inserted.append(path[index])
             evictions += victims
-            if observer is not None:
+            if steps:
                 self.index = index
                 self.now = now
-                observer.delivered(self, stored, came_from)
+                for step in steps:
+                    step.delivered(self, stored, came_from)
             came_from = index
         self.evictions = evictions
         return True
@@ -240,8 +270,8 @@ class Walk:
         if index >= len(self.path) - 1:
             raise error
         self.skipped.append(index)
-        if self.observer is not None:
-            self.observer.failed_over(self, index)
+        for step in self.steps:
+            step.failed_over(self, index)
         self.index = index + 1
 
 
@@ -276,7 +306,10 @@ class CachingScheme(abc.ABC):
         self._caches: Dict[int, Cache] = {}
         # Instrumentation bundle (repro.obs.instruments.Instruments),
         # attached by the engine on instrumented runs; None otherwise.
+        # With any of its step observers on, node -> that node's step
+        # observers, built on first entry (enter); None otherwise.
         self._instruments = None
+        self._positions: Optional[dict] = None
 
     @abc.abstractmethod
     def _new_cache(self, node: int) -> Cache:
@@ -289,36 +322,28 @@ class CachingScheme(abc.ABC):
 
         The simulator's driver of the one :class:`Walk`: every position
         is this scheme's, entered at ``now``, so the walk runs to its
-        reply in one call and is never resumed.
+        reply in one call and is never resumed.  On an observed run it
+        drives the walk itself (:meth:`enter`).
         """
-        walk = Walk(path, object_id, size, now)
-        walk.run(self)
-        if self._instruments is not None:
-            self._observe_request(walk)
+        if self._positions is None:
+            walk = Walk(path, object_id, size, now)
+            walk.run(self)
+        else:
+            walk = Walk(path, object_id, size, now, observer=self)
+            walk.run(self.enter(walk, 0))
         return RequestOutcome(
             path, walk.hit_index, size, tuple(walk.inserted), walk.evictions
         )
 
-    def _observe_request(self, walk: Walk) -> None:
-        """Instrumented-run hook, called once per finished walk.
-
-        Emits the ``placement`` event: the candidates are the caches
-        below the serving node, ``chosen`` is the shipped decision and
-        ``inserted`` what landed -- an admission refusal shows as
-        chosen-but-not-inserted, exactly like a cache too small for the
-        object.  Purely observational.
-        """
-        hit_index = walk.hit_index
-        if hit_index > 0:
-            self._emit_placement(
-                walk.now,
-                walk.object_id,
-                walk.path,
-                hit_index,
-                walk.path[:hit_index],
-                walk.decision["cache_at"],
-                walk.inserted,
-            )
+    def enter(self, walk: Walk, index: int) -> "CachingScheme":
+        """Enter position ``index`` of an observed walk, attaching the
+        step observers the instruments give its node."""
+        node = walk.path[index]
+        steps = self._positions.get(node)
+        if steps is None:
+            steps = self._positions[node] = self._instruments.steps_at(node)
+        walk.steps = steps
+        return self
 
     # -- shared helpers ------------------------------------------------------
 
@@ -335,11 +360,16 @@ class CachingScheme(abc.ABC):
         """Wire an :class:`~repro.obs.instruments.Instruments` bundle in.
 
         Installs a per-node cache observer on every cache materialized so
-        far; caches created later are wired at creation.  Attaching
-        ``None`` detaches.  Purely observational -- an instrumented run's
-        decisions and metrics are bit-identical to an uninstrumented one.
+        far; caches created later are wired at creation.  When any of the
+        bundle's step observers is on, :meth:`process_request` observes
+        its walks.  Attaching ``None`` detaches.  Purely observational --
+        an instrumented run's decisions and metrics are bit-identical to
+        an uninstrumented one.
         """
         self._instruments = instruments
+        self._positions = (
+            {} if instruments is not None and instruments.bind(self) else None
+        )
         for node, cache in self._caches.items():
             cache.observer = (
                 instruments.cache_observer(node)
@@ -351,43 +381,6 @@ class CachingScheme(abc.ABC):
         """Give a newly created cache its observer, if instrumented."""
         if self._instruments is not None:
             cache.observer = self._instruments.cache_observer(node)
-
-    def _emit_placement(
-        self,
-        now: float,
-        object_id: int,
-        path: Sequence[int],
-        hit_index: int,
-        candidates: Sequence[int],
-        chosen: Sequence[int],
-        inserted: Sequence[int],
-        gain: float = 0.0,
-    ) -> None:
-        """Emit one ``placement`` event (candidate set, decision, result).
-
-        ``chosen`` is what the scheme's placement rule selected;
-        ``inserted`` what actually landed (insertions can be refused by
-        :class:`~repro.cache.base.CacheTooSmallError` or an admission
-        filter).  No-op unless a probe is attached and sampling passes.
-        """
-        instruments = self._instruments
-        if instruments is None:
-            return
-        probe = instruments.probe
-        if probe is None or not probe.sample("placement"):
-            return
-        probe.write(
-            "placement",
-            i=instruments.request_index,
-            t=now,
-            object=object_id,
-            hit_node=path[hit_index],
-            origin=hit_index == len(path) - 1,
-            candidates=list(candidates),
-            chosen=list(chosen),
-            inserted=list(inserted),
-            gain=gain,
-        )
 
     # -- per-node protocol steps ---------------------------------------------
     #

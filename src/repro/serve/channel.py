@@ -63,6 +63,7 @@ from repro.coherency.stats import (
     SUB_BYTES,
     CoherencyStats,
 )
+from repro.schemes.base import StepObserver
 from repro.serve.protocol import (
     MSG_CATCHUP,
     MSG_CATCHUP_OK,
@@ -216,8 +217,9 @@ class ChannelBroker:
         }
 
 
-class ChannelSubscriber:
-    """One cache node's view of the channel: apply, dedup, catch up."""
+class ChannelSubscriber(StepObserver):
+    """One cache node's view of the channel: apply, dedup, catch up; as
+    a step observer of the node's walks, it notes hits and fresh copies."""
 
     def __init__(
         self,
@@ -258,6 +260,14 @@ class ChannelSubscriber:
     def note_insert(self, object_id: int, now: float) -> None:
         """A fresh copy arrived from upstream (postdates every update)."""
         self._insert_times[object_id] = now
+
+    def looked_up(self, walk, hit: bool, report) -> None:
+        if hit:
+            self.note_hit(walk.object_id, walk.now, walk.size)
+
+    def delivered(self, walk, stored: bool, came_from: int) -> None:
+        if stored:
+            self.note_insert(walk.object_id, walk.now)
 
     # -- event application ---------------------------------------------------
 

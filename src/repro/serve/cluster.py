@@ -433,6 +433,7 @@ class Cluster(ControlPlane):
                 node.subscriber = ChannelSubscriber(
                     node_id, node.scheme, self.groups, self._call_broker
                 )
+                node.steps += (node.subscriber,)
                 await self._call_broker(
                     {"type": MSG_SUB, "node": node_id, "groups": "*"}
                 )

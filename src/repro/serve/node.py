@@ -14,10 +14,13 @@ adds only what a network needs:
   another process.  Where a frame enters a process, every field a step
   will read is checked once (:func:`_walk_fields`; a ``fwd`` path
   against routing), refusing a malformed frame before any state moves;
-* entering a position -- the node's clock clamp, request count, inflight
-  slot and span -- and the position's accounting as the machine reports
-  each step: registry counters, piggyback bytes, channel hit/insert
-  notes (:class:`_WalkObserver`);
+* entering a position -- the node's clock clamp, request count and
+  inflight slot (:class:`_WalkObserver`) -- and attaching the position's
+  step observers, which the machine calls at each step: the node's
+  request counters and piggyback bytes, the same observer the simulator
+  attaches (:class:`~repro.obs.instruments.NodeCounters`); a traced
+  walk's spans (:class:`~repro.serve.tracing.WalkSpans`); in channel
+  mode, the subscriber's hit and insert notes;
 * reaching the next position: in memory when the process hosts it, else
   one ``fwd`` frame whose ``resp`` the walk unwinds from -- exactly the
   paper's response path.  A one-process cluster hosts every node, so its
@@ -28,10 +31,9 @@ adds only what a network needs:
   other process -- so a broadcast costs one frame per process.
 
 Every node carries a live :class:`~repro.obs.registry.StatRegistry` fed
-the same way the simulator's engine feeds it (lookup hits/misses, serving
-reads, insertion writes, piggyback bytes; evictions and occupancy arrive
-through the attached cache observers), so ``stats`` frames and the
-``/metrics`` endpoint expose the standard per-node counters.
+by the same observers as the simulator's (the walk's counters; evictions
+and occupancy through the attached cache observers), so ``stats`` frames
+and the ``/metrics`` endpoint expose the standard per-node counters.
 
 **Resilience.**  A hop nothing can hold is a plain call: a co-hosted
 node with no fault seat and no ``max_inflight`` bound is entered
@@ -72,13 +74,8 @@ import time
 from math import inf
 from typing import Awaitable, Callable, Dict, Mapping, Optional
 
-from repro.core.piggyback import (
-    REPORT_KEYS,
-    SKIPPED_NODE_BYTES,
-    report_bytes,
-    response_bytes,
-)
-from repro.obs.instruments import Instruments
+from repro.core.piggyback import REPORT_KEYS
+from repro.obs.instruments import Instruments, NodeCounters
 from repro.obs.registry import StatRegistry
 from repro.schemes.base import CachingScheme, Walk
 from repro.serve.protocol import (
@@ -102,7 +99,7 @@ from repro.serve.protocol import (
     ProtocolError,
     raise_if_error,
 )
-from repro.serve.tracing import NodeTracer
+from repro.serve.tracing import NodeTracer, WalkSpans
 from repro.serve.transport import CircuitBreaker, RetryPolicy
 from repro.sim.architecture import Architecture
 
@@ -160,25 +157,20 @@ def _walk_fields(message: dict) -> tuple:
 class _WalkObserver:
     """What a network adds to each position a walk enters in this process.
 
-    The :class:`~repro.schemes.base.Walk` machine calls it with itself:
-    :meth:`enter` crosses into a position -- clock clamp, request count,
-    inflight slot, span -- and the step hooks feed that position's
-    registry counters, piggyback bytes, channel hit/insert notes and
-    span.  ``hops`` holds the ``(node, span)`` of every position entered
-    here, bottom first; ``ctx`` is the trace context a position entered
-    next hangs off.  A span's step timings are the intervals between the
-    hooks' clock readings (``mark``); until its position is left, its
-    ``wall`` holds the position's start and its ``upstream`` the start of
-    the position's wait.
+    The :class:`~repro.schemes.base.Walk` machine calls :meth:`enter` to
+    cross into a position: the node's clock clamp, its request count, an
+    inflight slot, and the position's step observers -- the node's
+    :attr:`CacheNode.steps`, then the walk's spans when it is traced
+    (``trace``, a :class:`~repro.serve.tracing.WalkSpans`).  ``nodes``
+    holds the node of every position entered here, bottom first.
     """
 
-    __slots__ = ("hosted", "ctx", "hops", "mark")
+    __slots__ = ("hosted", "trace", "nodes")
 
-    def __init__(self, hosted: Mapping, ctx: Optional[dict]) -> None:
+    def __init__(self, hosted: Mapping, trace: Optional[WalkSpans]) -> None:
         self.hosted = hosted
-        self.ctx = ctx
-        self.hops: list = []
-        self.mark = 0.0
+        self.trace = trace
+        self.nodes: list = []
 
     def enter(self, walk: Walk, index: int, node: Optional["CacheNode"] = None):
         """Enter position ``index`` at ``node``, reached by the driver, or
@@ -194,22 +186,15 @@ class _WalkObserver:
         else:
             node._clock = walk.now
         node.requests_handled += 1
-        if self.hops:  # the first position's slot is CacheNode.handle's
+        if self.nodes:  # the first position's slot is CacheNode.handle's
             node.inflight += 1
-        span = None
-        if node._tracer is not None and self.ctx is not None:
-            span = node._tracer.span(self.ctx, "walk")
-            span.update(
-                t=walk.now, object=walk.object_id, size=walk.size, index=index,
-                path=list(walk.path), skipped=[], retries=0, failovers=0,
-                piggyback=0, xshard=False, inflight=node.inflight,
-                start=time.time(),
-            )
-            self.ctx = {"id": span["trace"], "parent": span["span"]}
-            self.mark = span["wall"] = time.perf_counter()
+        self.nodes.append(node)
+        trace = self.trace
+        if trace is None:
+            walk.steps = node.steps
         else:
-            self.ctx = None
-        self.hops.append((node, span))
+            trace.open(walk, index, node._tracer, node.counters, node.inflight)
+            walk.steps = (*node.steps, trace)
         return node.scheme
 
     def frame(self, walk: Walk) -> dict:
@@ -234,111 +219,18 @@ class _WalkObserver:
             "reports": list(walk.reports),
             "skipped": list(walk.skipped),
         }
-        if self.ctx is not None:
-            frame["trace"] = self.ctx
+        if self.trace is not None:
+            frame["trace"] = self.trace.ctx
         return frame
 
-    def looked_up(self, walk: Walk, hit: bool, report) -> None:
-        node, span = self.hops[-1]
-        t = None if span is None else self._charge(span, "lookup")
-        stats = node.registry.node(node.node_id)
-        if hit:
-            stats.hits += 1
-            stats.bytes_read += walk.size
-            if node.subscriber is not None:
-                # Channel mode: log the hit so a later event can judge
-                # retroactively whether it was served off a stale copy.
-                node.subscriber.note_hit(walk.object_id, walk.now, walk.size)
-            return
-        stats.misses += 1
-        if span is not None:
-            span["upstream"] = t
-        if report is not None and node._piggyback:
-            added = report_bytes(report)
-            stats.piggyback_bytes += added
-            if span is not None:
-                span["piggyback"] += added
-
-    def failed_over(self, walk: Walk, index: int) -> None:
-        node, span = self.hops[-1]
-        stats = node.registry.node(node.node_id)
-        stats.failovers += 1
-        if node._piggyback:
-            stats.piggyback_bytes += SKIPPED_NODE_BYTES
-        if span is not None:
-            span["failovers"] += 1
-            span["skipped"].append(index)
-            if node._piggyback:
-                span["piggyback"] += SKIPPED_NODE_BYTES
-
-    def decided(self, walk: Walk) -> None:
-        node, span = self._leave()
-        if span is not None:
-            self._charge(span, "decide")
-            self._close(node, span, walk.hit_index)
-
-    def delivered(self, walk: Walk, stored: bool, came_from: int) -> None:
-        node, span = self._leave()
-        if span is not None:
-            span["upstream"] = self.mark - span["upstream"]
-            self._charge(span, "deliver")
-        stats = node.registry.node(node.node_id)
-        if stored:
-            stats.insertions += 1
-            stats.bytes_written += walk.size
-            if node.subscriber is not None:
-                node.subscriber.note_insert(walk.object_id, walk.now)
-        if node._piggyback:
-            # The accumulator is charged to its first downstream carrier:
-            # the position the response reached straight from the
-            # serving one, whatever failover bypassed in between.
-            added = response_bytes(
-                node.node_id in walk.decision["cache_at"],
-                came_from == walk.hit_index,
-            )
-            stats.piggyback_bytes += added
-            if span is not None:
-                span["piggyback"] += added
-        if span is not None:
-            self._close(node, span, walk.hit_index)
-
-    def abort(self, status: str) -> None:
-        """The walk failed at or above every position still entered."""
-        t = time.perf_counter()
-        while self.hops:
-            node, span = self._leave()
-            if span is not None:
-                if "upstream" in span:
-                    span["upstream"] = t - span["upstream"]
-                self._close(node, span, status=status)
-
-    def _leave(self) -> tuple:
-        """Pop the top position and give back its slot."""
-        node, span = hop = self.hops.pop()
-        if self.hops:
+    def leave(self, status: Optional[str] = None) -> None:
+        """Give back every slot taken, once the walk is answered or has
+        failed (``status``).  Unwinding never waits, so no other walk
+        sees a slot its position would already have given back."""
+        for node in self.nodes[1:]:
             node.inflight -= 1
-        return hop
-
-    def _charge(self, span: dict, step: str) -> float:
-        """Charge the time since the last reading to ``span[step]``."""
-        t = time.perf_counter()
-        span[step] = t - self.mark
-        self.mark = t
-        return t
-
-    def _close(
-        self, node: "CacheNode", span: dict, hit_index=None, status: str = "ok"
-    ) -> None:
-        """Emit a left position's span: ``hit_index`` once served, else the
-        error that ended the walk at or above it."""
-        if status == "ok":
-            span["hit_index"] = hit_index
-        else:
-            span["status"] = status
-        span["wall"] = time.perf_counter() - span["wall"]
-        node._tracer.emit(span)
-        # The position below waited through this one's emit too.
-        self.mark = time.perf_counter()
+        if status is not None and self.trace is not None:
+            self.trace.abort(status)
 
 
 class CacheNode:
@@ -404,17 +296,17 @@ class CacheNode:
         self.breakers: Dict[int, CircuitBreaker] = {}
         self.registry = registry if registry is not None else StatRegistry()
         # Cache-level events (evictions, occupancy, invalidation removals)
-        # flow through the standard observer wiring; request-level counts
-        # are fed by the walk's observer, mirroring the engine's feeds.
+        # flow through the standard observer wiring.
         scheme.attach_instruments(Instruments(registry=self.registry))
         # Piggyback byte accounting and invalidation-frame pricing apply
         # to any scheme that exposes protocol counters; the reports
         # themselves are shipped as the scheme's steps return them.
         self._piggyback = getattr(scheme, "protocol_stats", None) is not None
+        # The step observers of this node's walk positions: its request
+        # counters, then in channel mode the cluster's ChannelSubscriber.
+        self.counters = NodeCounters(self.registry, node_id, self._piggyback)
+        self.steps: tuple = (self.counters,)
         self._tracer = tracer
-        # Channel-mode coherency: the cluster attaches a
-        # ChannelSubscriber after construction; None = in-band mode and
-        # the exact pre-channel code path.
         self.subscriber = None
         self.requests_handled = 0
         self.inflight = 0
@@ -565,19 +457,22 @@ class CacheNode:
         records it, every slot taken is given back, and the caller sees
         one ``error`` frame -- not retried, not failed over.
         """
-        observer = _WalkObserver(self.hosted, ctx)
+        trace = None if ctx is None else WalkSpans(ctx)
+        observer = _WalkObserver(self.hosted, trace)
         walk = Walk(*fields, observer)
         reply = None
         try:
             done = walk.run(observer.enter(walk, walk.index, self))
             while not done:
-                node, span = observer.hops[-1]
+                node = observer.nodes[-1]
+                span = None if trace is None else trace.spans[-1][0]
                 target = walk.path[walk.index]
                 upstream = self.hosted.get(target)
                 try:
                     if upstream is not None:
                         await node._call_upstream(
-                            target, span, upstream._admit, observer.ctx,
+                            target, span, upstream._admit,
+                            None if trace is None else trace.ctx,
                             walk.now, walk.object_id,
                         )
                     else:
@@ -594,7 +489,8 @@ class CacheNode:
                 except RETRYABLE_ERRORS as error:
                     walk.fail_over(error)
                     continue
-                observer.mark = time.perf_counter()
+                if trace is not None:
+                    trace.mark = time.perf_counter()
                 if upstream is not None:
                     done = walk.run(observer.enter(walk, walk.index, upstream))
                 elif reply.get("type") != MSG_RESP:
@@ -604,17 +500,18 @@ class CacheNode:
                 else:
                     done = walk.run(None, reply)
         except BaseException as error:
-            observer.abort(type(error).__name__)
+            observer.leave(type(error).__name__)
             raise
+        observer.leave()
         if reply is not None:
             reply["evictions"] = walk.evictions
             return reply
         reply = {"type": MSG_RESP, "hit_index": walk.hit_index,
                  "decision": walk.decision, "inserted": walk.inserted,
                  "evictions": walk.evictions}
-        if observer.ctx is not None:
-            # The serving span's context, which the observer still holds.
-            reply["trace"] = {"id": observer.ctx["id"], "span": observer.ctx["parent"]}
+        if trace is not None:
+            # The serving span's context, which the trace still holds.
+            reply["trace"] = {"id": trace.ctx["id"], "span": trace.ctx["parent"]}
         return reply
 
     async def _call_upstream(

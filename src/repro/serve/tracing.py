@@ -24,13 +24,15 @@ different nodes/shards can never collide.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from repro.obs.probe import Probe
+from repro.schemes.base import StepObserver
 
-__all__ = ["NodeTracer", "TracingConfig", "shard_trace_path"]
+__all__ = ["NodeTracer", "TracingConfig", "WalkSpans", "shard_trace_path"]
 
 
 @dataclass(frozen=True)
@@ -118,3 +120,86 @@ class NodeTracer:
     def emit(self, span: dict) -> None:
         """Write one finished span event."""
         self.probe.write("span", **span)
+
+
+class WalkSpans(StepObserver):
+    """The ``walk`` spans of one traced walk in one process.
+
+    The node's walk driver opens a span at each position it enters here
+    (:meth:`open`) and attaches this observer after the node's own, so
+    the hooks time the position's steps -- the intervals between their
+    clock readings (``mark``) -- and copy the piggyback bytes the node's
+    counters just charged.  ``spans`` holds the ``(span, tracer,
+    counters)`` of every position still entered, bottom first; until a
+    position is left, its span's ``wall`` holds its start and its
+    ``upstream`` the start of its wait.  ``ctx`` is the trace context a
+    position entered next hangs off.
+    """
+
+    __slots__ = ("ctx", "spans", "mark")
+
+    def __init__(self, ctx: dict) -> None:
+        self.ctx = ctx
+        self.spans: list = []
+        self.mark = 0.0
+
+    def open(self, walk, index: int, tracer: NodeTracer, counters, inflight: int):
+        span = tracer.span(self.ctx, "walk")
+        span.update(
+            t=walk.now, object=walk.object_id, size=walk.size, index=index,
+            path=list(walk.path), skipped=[], retries=0, failovers=0,
+            piggyback=0, xshard=False, inflight=inflight, start=time.time(),
+        )
+        self.ctx = {"id": span["trace"], "parent": span["span"]}
+        self.mark = span["wall"] = time.perf_counter()
+        self.spans.append((span, tracer, counters))
+
+    def looked_up(self, walk, hit: bool, report) -> None:
+        span, _, counters = self.spans[-1]
+        t = self._charge(span, "lookup")
+        if not hit:
+            span["upstream"] = t
+            span["piggyback"] += counters.charged
+
+    def failed_over(self, walk, index: int) -> None:
+        span, _, counters = self.spans[-1]
+        span["failovers"] += 1
+        span["skipped"].append(index)
+        span["piggyback"] += counters.charged
+
+    def decided(self, walk) -> None:
+        span, tracer, _ = self.spans.pop()
+        self._charge(span, "decide")
+        self._close(tracer, span, "hit_index", walk.hit_index)
+
+    def delivered(self, walk, stored: bool, came_from: int) -> None:
+        span, tracer, counters = self.spans.pop()
+        span["upstream"] = self.mark - span["upstream"]
+        self._charge(span, "deliver")
+        span["piggyback"] += counters.charged
+        self._close(tracer, span, "hit_index", walk.hit_index)
+
+    def abort(self, status: str) -> None:
+        """The walk failed at or above every position still entered."""
+        t = time.perf_counter()
+        while self.spans:
+            span, tracer, _ = self.spans.pop()
+            if "upstream" in span:
+                span["upstream"] = t - span["upstream"]
+            self._close(tracer, span, "status", status)
+
+    def _charge(self, span: dict, step: str) -> float:
+        """Charge the time since the last reading to ``span[step]``."""
+        t = time.perf_counter()
+        span[step] = t - self.mark
+        self.mark = t
+        return t
+
+    def _close(self, tracer: NodeTracer, span: dict, key: str, value) -> None:
+        """Emit a left position's span, ending with how it ended: its
+        ``hit_index`` once served, or the ``status`` that failed it."""
+        span[key] = value
+        span["wall"] = time.perf_counter() - span["wall"]
+        tracer.emit(span)
+        # The position below waited through this one's emit too.
+        self.mark = time.perf_counter()

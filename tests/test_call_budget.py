@@ -47,16 +47,20 @@ from repro.sim.factory import build_scheme
 from repro.verify.auditor import Auditor
 from repro.workload.generator import BoeingLikeTraceGenerator
 
-# Measured at 66.9 calls per request (CPython 3.11); about 1.25x that.
-# The walk before the per-hop call cuts measured 152.2 here.
+# Measured at 68.9 calls per request (CPython 3.11); the bound is about
+# 1.25x the 66.9 it was set at.  The walk before the per-hop call cuts
+# measured 152.2 here.
 CALLS_PER_REQUEST_BOUND = 84.0
 
-# Measured at 133.3 calls per request (CPython 3.11); about 1.25x that.
-# The per-seam hooks before the one observer fan-out measured 132.8 here.
+# Measured at 124.2 calls per request (CPython 3.11); the bound is about
+# 1.25x the 133.3 measured before the walk's one step seam fed the
+# registry.  The per-seam hooks before the one observer fan-out measured
+# 132.8 here.
 OBSERVED_CALLS_PER_REQUEST_BOUND = 167.0
 
-# Measured at 129.2 calls per request (CPython 3.11); about 1.25x that.
-# The node walk before the one step machine measured 145.9 here.
+# Measured at 113.5 calls per request (CPython 3.11); the bound is about
+# 1.25x the 129.2 measured before the node's counters became a step
+# observer.  The node walk before the one step machine measured 145.9.
 SERVED_CALLS_PER_REQUEST_BOUND = 162.0
 
 _REQUESTS = 4_000

@@ -30,6 +30,7 @@ from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
+from repro.schemes.base import StepObserver
 from repro.serve import Cluster, InProcessTransport, LoadGenerator, ShardPlan
 from repro.serve.transport import Transport
 from repro.sim.config import SimulationConfig
@@ -55,8 +56,23 @@ def seeded_trace():
     return generator.generate(), generator.catalog
 
 
-def simulate(arch, catalog, scheme_name, trace, updates=(), registry=None):
-    """One engine run with the standard execute_point derivation."""
+class ObservedInstruments(Instruments):
+    """Instruments that also attach ``observer`` to every walk position."""
+
+    __slots__ = ("observer",)
+
+    def __init__(self, observer, **channels):
+        super().__init__(**channels)
+        self.observer = observer
+
+    def steps_at(self, node):
+        return (*super().steps_at(node), self.observer)
+
+
+def simulate(arch, catalog, scheme_name, trace, updates=(), registry=None,
+             observer=None):
+    """One engine run with the standard execute_point derivation;
+    ``observer`` joins every walk position's step observers."""
     cost_model = LatencyCostModel(arch.network, catalog.mean_size)
     capacity = CONFIG.capacity_bytes(catalog.total_bytes)
     dcache = CONFIG.dcache_entries(catalog.total_bytes, catalog.mean_size)
@@ -64,16 +80,24 @@ def simulate(arch, catalog, scheme_name, trace, updates=(), registry=None):
     engine = SimulationEngine(
         arch, cost_model, scheme, warmup_fraction=CONFIG.warmup_fraction
     )
-    instruments = Instruments(registry=registry) if registry is not None else None
+    instruments = None
+    if observer is not None:
+        instruments = ObservedInstruments(observer, registry=registry)
+    elif registry is not None:
+        instruments = Instruments(registry=registry)
     return engine.run(trace, updates=updates, instruments=instruments)
 
 
-def serve_replay(arch, catalog, scheme_name, trace, updates=()):
-    """The same trace through a live in-process cluster, trace order."""
+def serve_replay(arch, catalog, scheme_name, trace, updates=(), observer=None):
+    """The same trace through a live in-process cluster, trace order;
+    ``observer`` joins every node's step observers."""
 
     async def scenario():
         cluster = Cluster.build(arch, catalog, scheme_name, config=CONFIG)
         await cluster.start()
+        if observer is not None:
+            for node in cluster.nodes.values():
+                node.steps += (observer,)
         loadgen = LoadGenerator(
             cluster,
             trace,
@@ -217,6 +241,45 @@ class TestNodeRegistryEquivalence:
         simulate(arch, catalog, scheme_name, trace, registry=registry)
         _, merged = serve_replay(arch, catalog, scheme_name, trace)
         assert merged.snapshot() == registry.snapshot()
+
+
+class StepRecorder(StepObserver):
+    """Logs ``(node, step, hit | stored)`` for every step it observes."""
+
+    def __init__(self):
+        self.log = []
+
+    def looked_up(self, walk, hit, report):
+        self.log.append((walk.path[walk.index], "looked_up", hit))
+
+    def failed_over(self, walk, index):
+        self.log.append((walk.path[walk.index], "failed_over", index))
+
+    def decided(self, walk):
+        self.log.append((walk.path[walk.index], "decided", None))
+
+    def delivered(self, walk, stored, came_from):
+        self.log.append((walk.path[walk.index], "delivered", stored))
+
+
+class TestOneStepSequence:
+    """Both drivers report one step sequence through the walk's seam."""
+
+    @pytest.mark.parametrize("arch_name", ["en-route", "hierarchical"])
+    @pytest.mark.parametrize("scheme_name", ["coordinated", "lru"])
+    def test_simulator_and_cluster_see_the_same_steps(
+        self, seeded_trace, scheme_name, arch_name
+    ):
+        trace, catalog = seeded_trace
+        arch = build_architecture(arch_name, WORKLOAD, seed=2)
+        simulated, served = StepRecorder(), StepRecorder()
+        simulate(arch, catalog, scheme_name, trace, registry=StatRegistry(),
+                 observer=simulated)
+        serve_replay(arch, catalog, scheme_name, trace, observer=served)
+        steps = Counter(step for _, step, _ in simulated.log)
+        assert steps["decided"] == len(trace)
+        assert steps["delivered"] > 0
+        assert served.log == simulated.log
 
 
 class TestClusterLifecycle:

@@ -28,7 +28,7 @@ import pytest
 
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
-from repro.schemes.base import Walk
+from repro.schemes.base import StepObserver, Walk
 from repro.serve import Cluster, LoadGenerator
 from repro.sim.factory import build_scheme
 from repro.topology.builder import build_chain
@@ -59,9 +59,10 @@ class SpyScheme:
         return path[index] in decision["cache_at"], 1
 
 
-class ScriptedDriver:
-    """An observer that refuses to enter the positions in ``waits``
-    (each once) and records every hook the machine calls."""
+class ScriptedDriver(StepObserver):
+    """A driver that refuses to enter the positions in ``waits`` (each
+    once), attaches itself as every position's step observer and records
+    every hook the machine calls."""
 
     def __init__(self, scheme, waits=()):
         self.scheme = scheme
@@ -73,6 +74,7 @@ class ScriptedDriver:
             self.waits.discard(index)
             return None
         self.hooks.append(("enter", index))
+        walk.steps = (self,)
         return self.scheme
 
     def looked_up(self, walk, hit, report):
@@ -86,6 +88,13 @@ class ScriptedDriver:
 
     def delivered(self, walk, stored, came_from):
         self.hooks.append(("delivered", stored, came_from))
+
+
+def observed_walk(driver):
+    """A walk ``driver`` drives, starting at a position it observes."""
+    walk = Walk(PATH, 7, 100, 1.0, observer=driver)
+    walk.steps = (driver,)
+    return walk
 
 
 def test_lookups_to_the_first_hit_one_decide_then_delivers_in_reverse():
@@ -119,7 +128,7 @@ def test_the_origin_attachment_serves_without_a_lookup():
 def test_the_observer_sees_every_step_in_walk_order():
     scheme = SpyScheme(holds={12})
     driver = ScriptedDriver(scheme)
-    walk = Walk(PATH, 7, 100, 1.0, observer=driver)
+    walk = observed_walk(driver)
     assert walk.run(scheme) is True
     assert driver.hooks == [
         ("looked_up", False),
@@ -136,7 +145,7 @@ def test_the_observer_sees_every_step_in_walk_order():
 def test_an_unreachable_position_is_skipped_and_charged_below_it():
     scheme = SpyScheme(holds={14})
     driver = ScriptedDriver(scheme, waits={2})
-    walk = Walk(PATH, 7, 100, 1.0, observer=driver)
+    walk = observed_walk(driver)
     # The driver cannot enter position 2 without waiting: control
     # comes back to it there, with the walk parked at that position.
     assert walk.run(scheme) is False
@@ -157,7 +166,7 @@ def test_an_unreachable_position_is_skipped_and_charged_below_it():
 def test_an_unreachable_last_position_raises_and_does_not_fail_over():
     scheme = SpyScheme()
     driver = ScriptedDriver(scheme, waits={4})
-    walk = Walk(PATH, 7, 100, 1.0, observer=driver)
+    walk = observed_walk(driver)
     assert walk.run(scheme) is False
     assert walk.index == 4
     error = ConnectionError("origin attachment is down")
@@ -172,7 +181,7 @@ def test_an_unreachable_last_position_raises_and_does_not_fail_over():
 def test_a_remote_reply_unwinds_with_its_own_decision_and_hit_index():
     scheme = SpyScheme()
     driver = ScriptedDriver(scheme, waits={2})
-    walk = Walk(PATH, 7, 100, 1.0, observer=driver)
+    walk = observed_walk(driver)
     assert walk.run(scheme) is False
     decision = {"cache_at": [11]}
     reply = {"hit_index": 3, "decision": decision, "inserted": [12],

@@ -2,10 +2,13 @@
 
 A spawned worker unpickles ``repro.serve.shard._shard_worker_main`` and
 its :class:`~repro.serve.shard.ShardSpec`, so what that import and that
-pickle pull in is paid once per worker process.  Three checks:
+pickle pull in is paid once per worker process.  Four checks:
 
 * a fresh interpreter importing ``repro.serve.shard`` loads neither
   numpy nor sqlite3 nor the experiment, analysis and audit layers;
+* nor does one importing ``repro.cli``, which a worker spawned under
+  the ``cascade-repro`` console script imports too, load numpy or the
+  experiment and analysis layers;
 * a ``ShardSpec`` built by ``ShardedCluster`` from a real
   ``ObjectCatalog`` pickles without a numpy global;
 * the workers of a started two-shard cluster map no numpy file.
@@ -45,14 +48,15 @@ def small_sharded_cluster(num_shards: int = 2) -> ShardedCluster:
     )
 
 
-def test_the_worker_import_closure_is_the_serving_plane():
+def fresh_import(module: str) -> set:
+    """The modules a fresh interpreter holds once it imported ``module``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [
             sys.executable,
             "-c",
             "import json, sys\n"
-            "import repro.serve.shard\n"
+            f"import {module}\n"
             "print(json.dumps(sorted(sys.modules)))",
         ],
         env=env,
@@ -61,8 +65,22 @@ def test_the_worker_import_closure_is_the_serving_plane():
         check=True,
     ).stdout
     loaded = set(json.loads(out))
-    assert "repro.serve.shard" in loaded
+    assert module in loaded
+    return loaded
+
+
+def test_the_worker_import_closure_is_the_serving_plane():
+    loaded = fresh_import("repro.serve.shard")
     assert sorted(loaded.intersection(NOT_IN_A_WORKER)) == []
+
+
+def test_the_console_script_module_loads_no_experiment_layer():
+    """Multiprocessing re-runs the ``cascade-repro`` console script as
+    each shard worker's ``__mp_main__``, so every worker it spawns
+    imports ``repro.cli`` too."""
+    loaded = fresh_import("repro.cli")
+    heavy = {"numpy", "repro.experiments", "repro.analysis"}
+    assert sorted(loaded & heavy) == []
 
 
 def test_a_shard_spec_pickles_without_numpy():

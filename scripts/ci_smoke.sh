@@ -146,9 +146,12 @@ echo "== one request store =="
 # A Trace is a view over one ColumnarTrace: to_trace() of a 1M-row trace
 # shares the columns and builds no row, and the columnar kernels read the
 # trace in row blocks, so a kernel run over 8x the rows peaks at most one
-# block's lists higher.  Memory only, so host load cannot move it.  Prints
-# the to_trace peak and each kernel's peak growth beside their bounds;
-# exits 1 over either.
+# block's lists higher.  A row of the store is 24 bytes (int32 ids and
+# sizes, float64 times), and generate_columnar() of 1M rows peaks at
+# most 26 bytes a row: no whole int64 column.  Memory only, so host load
+# cannot move it.  Prints the to_trace peak, each kernel's peak growth,
+# the store's bytes a row and the generation peak a row beside their
+# bounds; exits 1 over any.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_trace_store.py
 
 echo "== worker footprint =="

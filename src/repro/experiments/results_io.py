@@ -145,38 +145,6 @@ class CheckpointWriter:
         self.close()
 
 
-def iter_checkpoint_lines(path: str | Path):
-    """Stream a checkpoint file's well-formed raw lines, in file order.
-
-    The permissive counterpart of :func:`load_checkpoint` for consumers
-    that want *every* line rather than last-wins resolution (the results
-    warehouse dedupes on content instead): yields the parsed dicts of
-    lines that carry the expected schema version, a string ``"key"`` and
-    a ``"point"``; everything malformed is skipped the usual way.
-    """
-    path = Path(path)
-    if not path.exists():
-        return
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(raw, dict):
-                continue
-            if raw.get("schema_version") != _CHECKPOINT_SCHEMA_VERSION:
-                continue
-            if not isinstance(raw.get("key"), str):
-                continue
-            if not isinstance(raw.get("point"), dict):
-                continue
-            yield raw
-
-
 def load_checkpoint(path: str | Path) -> Dict[str, Tuple[SweepPoint, dict]]:
     """Read a checkpoint file into ``{key: (point, record)}``.
 

@@ -179,19 +179,6 @@ class GridResult:
     points: List[SweepPoint]
     records: List[RunRecord]
 
-    @property
-    def executed_count(self) -> int:
-        return sum(1 for r in self.records if not r.reused)
-
-    @property
-    def reused_count(self) -> int:
-        return sum(1 for r in self.records if r.reused)
-
-    @property
-    def total_duration_seconds(self) -> float:
-        """Summed single-point wall-clock time (CPU-side, not elapsed)."""
-        return sum(r.duration_seconds for r in self.records if not r.reused)
-
 
 def execute_point(
     architecture: Architecture,

@@ -78,15 +78,6 @@ class NodeStats:
         for name in self.__slots__:
             setattr(self, name, 0)
 
-    @property
-    def requests_seen(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        seen = self.requests_seen
-        return self.hits / seen if seen else 0.0
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 

@@ -216,6 +216,11 @@ class ChannelBroker:
             "latest": self.latest(),
         }
 
+    def detach(self) -> None:
+        """Drop the fan-out into the hosting cluster (see
+        :meth:`~repro.serve.node.CacheNode.detach`)."""
+        self._fanout = None
+
 
 class ChannelSubscriber(StepObserver):
     """One cache node's view of the channel: apply, dedup, catch up; as
@@ -372,6 +377,11 @@ class ChannelSubscriber(StepObserver):
             max(0, seq - self.applied.get(group, 0))
             for group, seq in self.latest_known.items()
         )
+
+    def detach(self) -> None:
+        """Drop the broker call into the hosting cluster (see
+        :meth:`~repro.serve.node.CacheNode.detach`)."""
+        self._call_broker = None
 
     def to_dict(self) -> dict:
         """The node's channel section in stats frames and snapshots."""

@@ -560,6 +560,12 @@ class Cluster(ControlPlane):
             await server.close()
         self.metrics_servers.clear()
         await self.transport.close()
+        # The node map stays readable; only the links back to this
+        # cluster go, so nothing of a stopped cluster is cyclic garbage.
+        for node in self.nodes.values():
+            node.detach()
+        if self.broker is not None:
+            self.broker.detach()
         if self.trace_writer is not None:
             self.trace_writer.close()
             self.trace_writer = None

@@ -319,6 +319,16 @@ class CacheNode:
         # simulator-equivalence oracle.
         self._clock = float("-inf")
 
+    def detach(self) -> None:
+        """Drop the links to the hosting cluster: its node map, its
+        forwarder and the subscriber's broker call.  A stopped cluster
+        detaches its nodes, so reference counting alone frees them; a
+        detached node forwards nothing."""
+        self.hosted = {}
+        self._forward = None
+        if self.subscriber is not None:
+            self.subscriber.detach()
+
     # -- dispatch ------------------------------------------------------------
 
     async def handle(self, message: dict) -> dict:

@@ -49,6 +49,21 @@ from repro.serve.protocol import (
 
 Handler = Callable[[dict], Awaitable[dict]]
 
+# Bytes one socket read may take.  asyncio's selector transport reads up
+# to 256 KiB per recv() and shrinks the result; glibc can hand the freed
+# tail back to the OS and fault it in again on the next read, which in a
+# shard worker came to ~3 page faults a request and ~20 % more CPU,
+# depending only on heap layout.  Frames are a few hundred bytes; 64 KiB
+# is the StreamReader's own buffer limit, and a larger frame simply takes
+# several reads.
+_READ_BYTES = 64 * 1024
+
+
+def _bound_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap the bytes each read of ``writer``'s socket allocates."""
+    if hasattr(writer.transport, "max_size"):
+        writer.transport.max_size = _READ_BYTES
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -287,6 +302,7 @@ class TCPTransport(Transport):
         frame and the connection is closed -- the stream can no longer
         be trusted past a corrupt frame.
         """
+        _bound_reads(writer)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -321,11 +337,13 @@ class TCPTransport(Transport):
             return pool.pop()
         host, port = address
         try:
-            return await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
         except OSError as error:
             raise NodeUnreachable(
                 f"cannot connect to {host}:{port}: {error!r}"
             ) from error
+        _bound_reads(writer)
+        return reader, writer
 
     async def _round_trip(
         self,

@@ -26,16 +26,19 @@ import numpy as np
 # numpy imports its random package on first use: load it with the module
 # that draws, so a run's first draw imports nothing mid-run.
 import numpy.random  # noqa: F401
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.workload.catalog import ObjectCatalog, SizeDistribution
-from repro.workload.trace import ColumnarTrace, Trace
+from repro.workload.trace import ColumnarTrace, Trace, int_column, int_dtype
 from repro.workload.zipf import ZipfSampler
 
 # Salt mixed into the streaming generator's seed sequence, fixed forever:
 # the chunked stream is its own canonical workload (see `stream`), and its
 # determinism contract is (seed, salt) -> stream, independent of chunking.
 _STREAM_SALT = 0x57A3
+
+# Rows per block of a whole-trace id draw (see `_fill`).
+_DRAW_BLOCK = 65_536
 
 # Candidate batch of the streaming diurnal thinner.  Deliberately fixed
 # (not tied to chunk_records) so the accept/reject RNG consumption -- and
@@ -124,23 +127,31 @@ class BoeingLikeTraceGenerator:
         path and shifted every draw after it.
         """
         cfg = self.config
+        n = cfg.num_requests
         rng = np.random.default_rng(cfg.seed + 1)
 
-        rank_to_object = rng.permutation(cfg.num_objects)
+        # The id columns are drawn block by block straight into arrays of
+        # the store's dtype, so no whole int64 column (nor a whole column
+        # of ranks) is built; each draw is sequential, so the values are
+        # those of one whole-array draw.
+        rank_to_object = int_column(rng.permutation(cfg.num_objects))
         sampler = ZipfSampler(cfg.num_objects, cfg.zipf_theta)
-        ranks = sampler.sample(cfg.num_requests, rng)
-        object_ids = rank_to_object[ranks]
+        object_ids = _fill(
+            np.empty(n, rank_to_object.dtype),
+            lambda count: rank_to_object[sampler.sample(count, rng)],
+        )
         if cfg.temporal_locality > 0:
             object_ids = self._apply_temporal_locality(object_ids, rng)
 
         if cfg.diurnal_amplitude > 0:
             times = self._apply_diurnal_modulation(rng)
         else:
-            inter_arrivals = rng.exponential(
-                1.0 / cfg.request_rate, size=cfg.num_requests
-            )
-            times = np.cumsum(inter_arrivals)
-        clients = rng.integers(cfg.num_clients, size=cfg.num_requests)
+            times = rng.exponential(1.0 / cfg.request_rate, size=n)
+            np.cumsum(times, out=times)
+        clients = _fill(
+            np.empty(n, int_dtype(0, cfg.num_clients - 1)),
+            lambda count: rng.integers(cfg.num_clients, size=count),
+        )
         return times, clients, object_ids
 
     def generate(self) -> Trace:
@@ -153,16 +164,21 @@ class BoeingLikeTraceGenerator:
         :meth:`generate` wraps these columns: one producer, built
         entirely from array ops with no per-record dataclasses.
         """
-        catalog = self.catalog
+        servers, sizes = self._store_tables()
         times, clients, object_ids = self._draw_columns()
-        object_ids = object_ids.astype(np.int64, copy=False)
         return ColumnarTrace(
             times=times,
             client_ids=clients,
             object_ids=object_ids,
-            server_ids=catalog.servers[object_ids],
-            sizes=catalog.sizes[object_ids],
+            server_ids=servers[object_ids],
+            sizes=sizes[object_ids],
         )
+
+    def _store_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The catalog's server and size tables in the store's dtype, so
+        a gather through them builds each column at its final width."""
+        catalog = self.catalog
+        return int_column(catalog.servers), int_column(catalog.sizes)
 
     def _apply_temporal_locality(
         self, object_ids: np.ndarray, rng: np.random.Generator
@@ -235,12 +251,12 @@ class BoeingLikeTraceGenerator:
         if chunk_records < 1:
             raise ValueError("chunk_records must be >= 1")
         cfg = self.config
-        catalog = self.catalog
+        servers, sizes = self._store_tables()
         seq = np.random.SeedSequence((cfg.seed + 1, _STREAM_SALT))
         r_perm, r_rank, r_repeat, r_offset, r_time, r_client = (
             np.random.default_rng(s) for s in seq.spawn(6)
         )
-        rank_to_object = r_perm.permutation(cfg.num_objects)
+        rank_to_object = int_column(r_perm.permutation(cfg.num_objects))
         sampler = ZipfSampler(cfg.num_objects, cfg.zipf_theta)
         window = cfg.locality_window
         tail: list[int] = []  # last `window` emitted ids (locality carry-over)
@@ -252,8 +268,7 @@ class BoeingLikeTraceGenerator:
         emitted = 0
         while emitted < cfg.num_requests:
             n = min(chunk_records, cfg.num_requests - emitted)
-            ranks = sampler.sample(n, r_rank)
-            object_ids = rank_to_object[ranks].astype(np.int64, copy=False)
+            object_ids = rank_to_object[sampler.sample(n, r_rank)]
             if cfg.temporal_locality > 0:
                 repeat = r_repeat.random(n) < cfg.temporal_locality
                 offsets = r_offset.integers(1, window + 1, size=n)
@@ -267,18 +282,30 @@ class BoeingLikeTraceGenerator:
                         j = max(0, emitted + i - int(offsets[i])) - emitted
                         ids[i] = ids[j] if j >= 0 else tail[j]
                 tail = (tail + ids)[-window:]
-                object_ids = np.array(ids, dtype=np.int64)
+                object_ids = np.array(ids, dtype=rank_to_object.dtype)
             times = arrivals.take(n)
             clients = r_client.integers(cfg.num_clients, size=n)
             yield ColumnarTrace(
                 times=times,
                 client_ids=clients,
                 object_ids=object_ids,
-                server_ids=catalog.servers[object_ids],
-                sizes=catalog.sizes[object_ids],
+                server_ids=servers[object_ids],
+                sizes=sizes[object_ids],
                 validate=False,
             )
             emitted += n
+
+
+def _fill(out: np.ndarray, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Fill ``out`` with ``draw(count)`` one ``_DRAW_BLOCK`` at a time.
+
+    numpy draws values one after another from the generator's state, so
+    the blocks hold exactly the values one ``draw(len(out))`` would.
+    """
+    for start in range(0, len(out), _DRAW_BLOCK):
+        block = out[start:start + _DRAW_BLOCK]
+        block[...] = draw(len(block))
+    return out
 
 
 class _HomogeneousArrivals:

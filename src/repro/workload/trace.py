@@ -9,11 +9,15 @@ after a straightforward field mapping.
 Every trace is stored once, as columns:
 
 * :class:`ColumnarTrace` keeps the five fields as parallel numpy arrays
-  (struct-of-arrays), ~40 bytes per request instead of one frozen
-  dataclass of several hundred.  Views (``view``, ``iter_chunks``, record
-  slices) share the parent's arrays; ``rows`` hands a per-request reader
-  each row's scalars, converted to python one block of at most
-  ``_BLOCK`` rows at a time.
+  (struct-of-arrays), 24 bytes per request instead of one frozen
+  dataclass of several hundred.  ``times`` is float64; each integer
+  column (the three ids and the size) is int32 when all its values fit,
+  else int64, chosen once where the column enters the store
+  (:func:`int_column`).  Views (``view``, ``iter_chunks``, record
+  slices) share the parent's arrays and keep their dtypes; ``rows``
+  hands a per-request reader each row's scalars, converted to python
+  one block of at most ``_BLOCK`` rows at a time, so the dtype never
+  shows in a simulated number.
 * :class:`Trace` is a thin wrapper over one ``ColumnarTrace``
   (``Trace.columns``) whose ``records`` is a read-only sequence view
   that builds a :class:`TraceRecord` only for the row asked for.  The
@@ -39,8 +43,36 @@ Row = Tuple[float, int, int, int, int]
 
 # Rows per block handed to a reader (and per batch of the record
 # iterator): bounds transient python-object memory while amortizing the
-# numpy -> python conversion.
-_BLOCK = 65_536
+# numpy -> python conversion.  A block's five lists and their scalars
+# take up to ~128 bytes a row, five times a stored row: 16 Ki rows keep
+# them at about 2 MB.
+_BLOCK = 16_384
+
+_INT32 = np.iinfo(np.int32)
+
+
+def int_dtype(low: int, high: int) -> type:
+    """The store's dtype for integers in ``[low, high]``: int32 when
+    they fit, else int64."""
+    return np.int32 if _INT32.min <= low and high <= _INT32.max else np.int64
+
+
+def int_column(values) -> np.ndarray:
+    """``values`` as an array of the store's integer dtype.
+
+    The store's one dtype rule for its integer columns (see
+    :func:`int_dtype`): an int32 array is kept as it is, anything else
+    is scanned once.  An empty column is int32.
+    """
+    column = np.asarray(values)
+    if column.dtype == np.int32:
+        return column
+    column = column.astype(np.int64, copy=False)
+    if column.size == 0:
+        return column.astype(np.int32)
+    return column.astype(
+        int_dtype(column.min(), column.max()), copy=False
+    )
 
 
 def _check_row(
@@ -86,10 +118,10 @@ class ColumnarTrace:
         validate: bool = True,
     ) -> None:
         self.times = np.asarray(times, dtype=np.float64)
-        self.client_ids = np.asarray(client_ids, dtype=np.int64)
-        self.object_ids = np.asarray(object_ids, dtype=np.int64)
-        self.server_ids = np.asarray(server_ids, dtype=np.int64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.client_ids = int_column(client_ids)
+        self.object_ids = int_column(object_ids)
+        self.server_ids = int_column(server_ids)
+        self.sizes = int_column(sizes)
         if validate:
             self._validate()
 
@@ -102,7 +134,8 @@ class ColumnarTrace:
         # The checks TraceRecord and the time order impose, vectorized.
         if float(self.times[0]) < 0:
             raise ValueError("request time must be non-negative")
-        if np.any(np.diff(self.times) < 0):
+        # A comparison, not np.diff: its mask is 1 byte a row, not 9.
+        if np.any(self.times[1:] < self.times[:-1]):
             raise ValueError("trace records must be time-ordered")
         if int(self.sizes.min()) <= 0:
             raise ValueError("object size must be positive")
@@ -119,8 +152,12 @@ class ColumnarTrace:
 
     def _take(self, index) -> "ColumnarTrace":
         """The rows ``index`` selects (a view for a slice, a gather for a
-        mask); a selection of a valid trace in order needs no re-check."""
-        return ColumnarTrace(*(c[index] for c in self.arrays), validate=False)
+        mask); a selection of a valid trace in order needs no re-check,
+        and its columns keep this trace's dtypes without a scan."""
+        taken = ColumnarTrace.__new__(ColumnarTrace)
+        for name, column in zip(self.__slots__, self.arrays):
+            setattr(taken, name, column[index])
+        return taken
 
     # -- readers --------------------------------------------------------------
 

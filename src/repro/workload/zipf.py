@@ -34,8 +34,17 @@ class ZipfSampler:
         return float(self._cdf[rank] - lower)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` ranks (dtype int64)."""
+        """Draw ``count`` ranks (dtype int64).
+
+        The ranks are the index array ``searchsorted`` builds, returned
+        without a copy.  Each rank takes one uniform draw, in order, so
+        ranks drawn in blocks equal one whole draw: the trace generator
+        gathers its int32 id column block by block through them and
+        never holds a whole column of ranks.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
         u = rng.random(count)
-        return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
+        return np.searchsorted(self._cdf, u, side="left").astype(
+            np.int64, copy=False
+        )

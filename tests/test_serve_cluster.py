@@ -22,12 +22,15 @@ This is the contract pinning the per-node step decomposition
 from __future__ import annotations
 
 import asyncio
+import gc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.coherency import CoherencyConfig
 from repro.costs.model import LatencyCostModel
-from repro.experiments.presets import build_architecture
+from repro.experiments.presets import SMALL_SCALE, build_architecture
 from repro.obs.instruments import Instruments
 from repro.obs.registry import StatRegistry
 from repro.schemes.base import StepObserver
@@ -356,6 +359,52 @@ class TestClusterLifecycle:
         assert json_module.loads(up_body) == {"live": True, "ready": True}
         assert drain_status == 503
         assert json_module.loads(drain_body) == {"live": True, "ready": False}
+
+    @pytest.mark.parametrize(
+        "scheme_name, coherency",
+        [
+            ("coordinated", None),
+            ("lru", CoherencyConfig(mode="channel", poll_interval=5.0)),
+        ],
+    )
+    def test_a_stopped_cluster_is_no_cyclic_garbage(
+        self, scheme_name, coherency
+    ):
+        """Dropping a stopped cluster frees its nodes, schemes and caches
+        by reference counting: the collector finds none of them."""
+        workload = replace(SMALL_SCALE.workload, num_requests=300, seed=5)
+        generator = BoeingLikeTraceGenerator(workload)
+        trace = generator.generate()
+        arch = build_architecture("hierarchical", workload, seed=5)
+
+        async def scenario():
+            cluster = Cluster.build(
+                arch, generator.catalog, scheme_name, coherency=coherency
+            )
+            await cluster.start()
+            await LoadGenerator(cluster, trace).run(
+                mode="closed" if coherency is None else "sequential",
+                concurrency=4 if coherency is None else 1,
+            )
+            await cluster.stop()
+            return cluster
+
+        cluster = asyncio.run(scenario())
+        assert len(cluster.nodes) == 41  # still readable after stop()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            del cluster
+            gc.collect()
+            left = Counter(type(thing).__name__ for thing in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        kinds = (
+            "Cluster", "CacheNode", "CoordinatedScheme", "NCLCache",
+            "LRUEverywhereScheme", "ChannelBroker", "ChannelSubscriber",
+        )
+        assert {kind: left[kind] for kind in kinds if left[kind]} == {}
 
     def test_closed_loop_covers_whole_trace(self, seeded_trace):
         trace, catalog = seeded_trace

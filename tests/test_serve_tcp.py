@@ -205,6 +205,41 @@ class TestTransportPool:
         assert 1 <= pooled <= 16
         assert pooled_after <= pooled
 
+    def test_socket_reads_are_bounded_on_both_ends(self):
+        """Each socket read allocates at most ``_READ_BYTES``, on the
+        calling and the serving end (asyncio's default 256 KiB read made
+        shard workers fault pages on every frame), and a frame larger
+        than one read still arrives whole."""
+        from repro.serve.transport import _READ_BYTES, TCPTransport
+
+        payload = "x" * (3 * _READ_BYTES)
+
+        async def scenario():
+            transport = TCPTransport()
+
+            async def handler(message):
+                return {
+                    "type": "pong",
+                    "echo": message["payload"],
+                    "served": [
+                        w.transport.max_size for w in transport._conn_writers
+                    ],
+                }
+
+            address = await transport.start_node(0, handler)
+            reply = await transport.call(
+                address, {"type": "ping", "payload": payload}
+            )
+            ((_, writer),) = transport._pools[tuple(address)]
+            calling = writer.transport.max_size
+            await transport.close()
+            return reply, calling
+
+        reply, calling = run(scenario())
+        assert reply["echo"] == payload
+        assert reply["served"] == [_READ_BYTES]
+        assert calling == _READ_BYTES
+
     def test_timed_out_connection_is_never_reused(self):
         """A late reply on a timed-out connection must never reach the
         next caller: the tainted connection is discarded, not pooled."""

@@ -3,15 +3,17 @@
 Pins the store's contract: ``to_trace`` and record slices share the
 columns instead of building records, the records view behaves as a
 read-only sequence, the per-request readers (the engine's reference
-loop, the columnar kernels and the load generator) build no record, and
-the kernels' working memory does not grow with the trace.
+loop, the columnar kernels and the load generator) build no record, the
+kernels' working memory does not grow with the trace, and a row costs 24
+bytes: int32 ids and sizes whenever the values fit, else int64.
 
 The memory bounds are also a CI gate that host load cannot move; run::
 
     PYTHONPATH=src python tests/test_trace_store.py
 
-to print the measured ``to_trace`` peak and the kernels' peak growth
-beside their bounds.
+to print the measured ``to_trace`` peak, the kernels' peak growth, the
+store's bytes per row and the generation peak per row beside their
+bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from repro.sim.factory import build_scheme
 from repro.workload.catalog import ObjectCatalog
 from repro.workload.generator import BoeingLikeTraceGenerator
 from repro.workload.scenarios import inject_flash_crowd, inject_scan
-from repro.workload.trace import ColumnarTrace, Trace, TraceRecord
+from repro.verify.fastpath_diff import shadow_compare
+from repro.workload.trace import (
+    ColumnarTrace,
+    Trace,
+    TraceRecord,
+    read_trace_csv,
+    write_trace_csv,
+)
 from repro.workload.updates import generate_update_events
 
 # ``to_trace`` of a 1M-row trace allocates a wrapper and a view, never a
@@ -51,6 +60,17 @@ _STORE_ROWS = 1_000_000
 # slows the kernels some 50x, so the check runs them with a small block.
 KERNEL_BLOCK = 256
 KERNEL_GROWTH_BOUND = KERNEL_BLOCK * 128
+
+# A row of the store: float64 time, int32 client, object and server ids
+# and int32 size.
+STORE_BYTES_PER_ROW = 24
+
+# generate_columnar's tracemalloc peak per row at 1M rows.  The ids are
+# drawn block by block into int32 arrays, so the peak is the finished
+# store plus the order check's one-byte mask: 25.  A whole int64 column
+# on top breaks the bound.
+GENERATION_ROWS = 1_000_000
+GENERATION_PEAK_BOUND = 26
 
 
 def _columns(rows: int) -> ColumnarTrace:
@@ -115,6 +135,24 @@ def kernel_peak_growth(scheme_name: str) -> int:
         return peak(16 * KERNEL_BLOCK) - peak(2 * KERNEL_BLOCK)
     finally:
         fastpath._BLOCK = saved
+
+
+def store_bytes_per_row(trace: ColumnarTrace) -> float:
+    return sum(column.nbytes for column in trace.arrays) / len(trace)
+
+
+def generation_peak_per_row() -> float:
+    """tracemalloc peak of ``generate_columnar`` per row, at 1M rows."""
+    generator = BoeingLikeTraceGenerator(
+        replace(SMALL_SCALE.workload, num_requests=GENERATION_ROWS, seed=7)
+    )
+    generator.catalog  # built outside the measured window
+    tracemalloc.start()
+    try:
+        generator.generate_columnar()
+        return tracemalloc.get_traced_memory()[1] / GENERATION_ROWS
+    finally:
+        tracemalloc.stop()
 
 
 def _records(columns: ColumnarTrace) -> list:
@@ -186,13 +224,150 @@ class TestSharedStorage:
         trace = Trace(_records(columns))
         assert trace.records == columns.records
         assert trace.columns.times.dtype == np.float64
-        assert trace.columns.sizes.dtype == np.int64
+        assert trace.columns.sizes.dtype == np.int32
 
     def test_trace_from_records_keeps_the_order_check(self):
         records = _records(_columns(5))
         records[1], records[2] = records[2], records[1]
         with pytest.raises(ValueError, match="time-ordered"):
             Trace(records)
+
+
+def _assert_narrow(trace: ColumnarTrace) -> None:
+    assert [column.dtype for column in trace.arrays] == [
+        np.float64, np.int32, np.int32, np.int32, np.int32
+    ]
+    assert store_bytes_per_row(trace) == STORE_BYTES_PER_ROW
+
+
+# A 3 GiB object and an object id past int32 range.
+_WIDE_SIZE = 3 * 2**30
+_WIDE_ID = 2**31 + 5
+
+
+def _wide(columns: ColumnarTrace) -> ColumnarTrace:
+    """``columns`` with the most requested object renamed to
+    ``_WIDE_ID`` and grown to ``_WIDE_SIZE`` bytes."""
+    hot = columns.object_ids == columns.most_popular(1)[0]
+    objects = columns.object_ids.astype(np.int64)
+    sizes = columns.sizes.astype(np.int64)
+    objects[hot] = _WIDE_ID
+    sizes[hot] = _WIDE_SIZE
+    return ColumnarTrace(
+        columns.times, columns.client_ids, objects, columns.server_ids,
+        sizes,
+    )
+
+
+class TestStoreDtypes:
+    def test_generated_trace_is_24_bytes_a_row(self):
+        generator, _ = _small_run()
+        _assert_narrow(generator.generate_columnar())
+        _assert_narrow(generator.generate().columns)
+
+    def test_streamed_trace_is_24_bytes_a_row(self):
+        generator, _ = _small_run()
+        _assert_narrow(ColumnarTrace.concat(list(generator.stream(256))))
+
+    def test_csv_read_trace_is_24_bytes_a_row(self, tmp_path):
+        generator, _ = _small_run()
+        trace = generator.generate()
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        read = read_trace_csv(tmp_path / "trace.csv")
+        assert read.records == trace.records
+        _assert_narrow(read.columns)
+
+    def test_filtered_and_viewed_traces_keep_the_dtypes(self):
+        columns = BoeingLikeTraceGenerator(
+            replace(SMALL_SCALE.workload, num_requests=1_500, seed=11)
+        ).generate_columnar()
+        _assert_narrow(columns.filter_objects(columns.most_popular(10)))
+        _assert_narrow(columns.view(100, 900))
+        for chunk in columns.iter_chunks(400):
+            _assert_narrow(chunk)
+
+    def test_an_int64_column_narrows_when_its_values_fit(self):
+        columns = _columns(100)
+        _assert_narrow(columns)
+        assert _columns(0).sizes.dtype == np.int32
+
+    def test_generation_peak_is_bounded(self):
+        peak = generation_peak_per_row()
+        assert peak <= GENERATION_PEAK_BOUND, (
+            f"generate_columnar of {GENERATION_ROWS} rows peaked at "
+            f"{peak:.2f} bytes a row, bound {GENERATION_PEAK_BOUND}: it "
+            "builds a whole int64 column"
+        )
+
+
+class TestWideValues:
+    """Values past int32 range keep their columns int64, end to end."""
+
+    def test_wide_columns_stay_int64(self):
+        generator, _ = _small_run()
+        wide = _wide(generator.generate_columnar())
+        assert [column.dtype for column in wide.arrays] == [
+            np.float64, np.int32, np.int64, np.int32, np.int64
+        ]
+        assert int(wide.object_ids.max()) == _WIDE_ID
+        assert int(wide.sizes.max()) == _WIDE_SIZE
+
+    def test_round_trips(self, tmp_path):
+        generator, _ = _small_run()
+        wide = _wide(generator.generate_columnar())
+        write_trace_csv(wide.to_trace(), tmp_path / "wide.csv")
+        read = read_trace_csv(tmp_path / "wide.csv")
+        assert read.records == wide.records
+        assert read.columns.sizes.dtype == np.int64
+        piece = wide.view(10, 1_000)
+        assert piece.object_ids.dtype == np.int64
+        assert np.shares_memory(piece.sizes, wide.sizes)
+        assert Trace(wide.records[10:1_000]).records == piece.records
+        hot = wide[int(np.argmax(wide.sizes))]
+        assert (hot.object_id, hot.size) == (_WIDE_ID, _WIDE_SIZE)
+        assert isinstance(hot.size, int)
+
+    @pytest.mark.parametrize(
+        "scheme_name, kernel",
+        [("lru", "_run_lru_family"), ("coordinated", "_run_coordinated")],
+    )
+    def test_reference_loop_and_kernels_agree(
+        self, monkeypatch, scheme_name, kernel
+    ):
+        generator, architecture = _small_run()
+        wide = _wide(generator.generate_columnar())
+        catalog = generator.catalog
+        served = []
+        loop = getattr(fastpath, kernel)
+
+        def spy(*args):
+            served.append(kernel)
+            return loop(*args)
+
+        monkeypatch.setattr(fastpath, kernel, spy)
+        cost_model = LatencyCostModel(architecture.network, catalog.mean_size)
+        schemes = []
+
+        def scheme():
+            # Room for the 3 GiB object plus some of the rest.
+            schemes.append(build_scheme(
+                scheme_name, cost_model,
+                _WIDE_SIZE + catalog.total_bytes // 20, 64,
+            ))
+            return schemes[-1]
+
+        # Asserts equal results and equal final cache state.
+        result = shadow_compare(
+            architecture, cost_model, scheme, wide.to_trace(), wide,
+            tag=scheme_name,
+        )
+        assert served == [kernel]
+        assert result.requests_total == len(wide)
+        assert any(
+            cache.entries.get(_WIDE_ID) is not None
+            and cache.entries[_WIDE_ID].size == _WIDE_SIZE
+            for cache in schemes[-1].caches().values()
+        )
 
 
 class TestKernelMemory:
@@ -377,4 +552,16 @@ if __name__ == "__main__":
             f"bytes (bound {KERNEL_GROWTH_BOUND})"
         )
         ok = ok and growth <= KERNEL_GROWTH_BOUND
+    generator, _ = _small_run()
+    per_row = store_bytes_per_row(generator.generate_columnar())
+    print(
+        f"store: {per_row:g} bytes a row (bound {STORE_BYTES_PER_ROW})"
+    )
+    ok = ok and per_row <= STORE_BYTES_PER_ROW
+    generation = generation_peak_per_row()
+    print(
+        f"generate_columnar of {GENERATION_ROWS} rows: tracemalloc peak "
+        f"{generation:.2f} bytes a row (bound {GENERATION_PEAK_BOUND})"
+    )
+    ok = ok and generation <= GENERATION_PEAK_BOUND
     sys.exit(0 if ok else 1)

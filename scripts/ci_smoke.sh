@@ -153,6 +153,12 @@ echo "== one request store =="
 # the store's bytes a row and the generation peak a row beside their
 # bounds; exits 1 over any.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_trace_store.py
+# The generator draws its Zipf ranks through a guide table: each rank
+# must be the one np.searchsorted(cdf, u, side="left") gives.  Prints the
+# table's buckets and correction passes and the adversarial draws (every
+# CDF value and bucket edge with both neighbours, 0, 1 - 2**-53) it was
+# exact on, per catalog shape; exits 1 on any mismatch.
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tests/test_zipf_sampler.py
 
 echo "== worker footprint =="
 # A shard worker loads only the serving plane: a fresh import of the

@@ -6,9 +6,11 @@ hierarchy and a ``path_cost`` call.  This module removes that for the
 hot schemes while staying **bit-identical** to the reference loop:
 
 * the trace is read in row blocks, as :meth:`ColumnarTrace.rows` does:
-  a set-up pass checks every id and routes each unique (client, server)
-  pair once, and the loop gathers each block's path indices as it
-  converts that block -- no per-request list as long as the trace;
+  one set-up pass checks every id and marks the (client node, server
+  node) pairs in a dense table, each unique pair is routed once, and
+  the loop gathers each block's path indices through a dense pair ->
+  path table as it converts that block -- no per-request list as long
+  as the trace;
 * warmup/measurement split and update-event merge points are computed
   with array ops (``np.searchsorted``) before the loop starts;
 * the three hot schemes -- ``lru``, ``modulo`` and ``coordinated`` -- run
@@ -131,7 +133,7 @@ class _Prep:
         "clients",
         "servers",
         "stride",
-        "codes",
+        "path_index",
         "paths",
         "lasts",
         "warmup_end",
@@ -141,49 +143,61 @@ class _Prep:
     )
 
 
-def _node_table(mapping: dict, ids: np.ndarray) -> np.ndarray:
-    """Dense id -> node lookup; an unknown id raises KeyError like a dict,
-    checked in every block before the first request (never mid-run)."""
-    lookup = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+def _node_table(mapping: dict) -> np.ndarray:
+    """Dense id -> node lookup over the mapping's own ids (-1: no node),
+    so its size is set by the architecture, never by the trace."""
+    lookup = np.full(max(mapping) + 1, -1, dtype=np.intp)
     for ext_id, node in mapping.items():
-        if 0 <= ext_id < len(lookup):
+        if ext_id >= 0:
             lookup[ext_id] = node
-    for start in range(0, len(ids), _BLOCK):
-        missing = lookup[ids[start:start + _BLOCK]] < 0
-        if missing.any():
-            raise KeyError(int(ids[start + int(np.argmax(missing))]))
     return lookup
 
 
-def _pair_codes(prep: _Prep, block: ColumnarTrace) -> np.ndarray:
-    """``client node * stride + server node`` of every request of a block."""
-    return (
-        prep.clients[block.client_ids] * prep.stride
-        + prep.servers[block.server_ids]
-    )
+def _checked_nodes(lookup: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The node of every id of a block; an id the architecture lacks
+    raises KeyError like a dict."""
+    if int(ids.max()) >= len(lookup):
+        raise KeyError(int(ids[int(np.argmax(ids >= len(lookup)))]))
+    nodes = lookup[ids]
+    missing = nodes < 0
+    if missing.any():
+        raise KeyError(int(ids[int(np.argmax(missing))]))
+    return nodes
 
 
 def _path_ids(prep: _Prep, block: ColumnarTrace) -> List[int]:
     """The index into ``prep.paths`` of every request of a block."""
-    return np.searchsorted(prep.codes, _pair_codes(prep, block)).tolist()
+    return prep.path_index[
+        prep.clients[block.client_ids] * prep.stride
+        + prep.servers[block.server_ids]
+    ].tolist()
 
 
 def _prepare(engine, trace: ColumnarTrace, updates: Sequence[UpdateEvent]) -> _Prep:
     prep = _Prep()
     prep.trace = trace
     architecture = engine.architecture
-    prep.clients = _node_table(architecture.client_nodes, trace.client_ids)
-    prep.servers = _node_table(architecture.server_nodes, trace.server_ids)
-    prep.stride = stride = int(prep.servers.max()) + 1
-    # Sorted unique pair codes: paths are numbered in (client node,
-    # server node) order, the order the write-back builds caches in.
-    prep.codes = np.unique(np.concatenate([
-        np.unique(_pair_codes(prep, block))
-        for block in trace.iter_chunks(_BLOCK)
-    ]))
+    prep.clients = clients = _node_table(architecture.client_nodes)
+    prep.servers = servers = _node_table(architecture.server_nodes)
+    prep.stride = stride = int(servers.max()) + 1
+    # One pass over the trace checks every id (before the first request)
+    # and marks the pair code ``client node * stride + server node`` of
+    # every request in a dense table: the codes span at most the node
+    # count squared, whatever the trace length.
+    seen = np.zeros((int(clients.max()) + 1) * stride, dtype=bool)
+    for block in trace.iter_chunks(_BLOCK):
+        seen[
+            _checked_nodes(clients, block.client_ids) * stride
+            + _checked_nodes(servers, block.server_ids)
+        ] = True
+    # Paths are numbered in code order, i.e. (client node, server node)
+    # order, the order the write-back builds caches in.
+    codes = np.flatnonzero(seen)
+    prep.path_index = np.zeros(len(seen), dtype=np.intp)
+    prep.path_index[codes] = np.arange(len(codes))
     request_path = architecture.routing.request_path
     paths: List[List[int]] = []
-    for code in prep.codes.tolist():
+    for code in codes.tolist():
         cnode, snode = divmod(code, stride)
         paths.append(request_path(cnode, snode))
     prep.paths = paths

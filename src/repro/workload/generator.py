@@ -187,16 +187,26 @@ class BoeingLikeTraceGenerator:
 
         With probability ``temporal_locality`` a request references one of
         the last ``locality_window`` *distinct positions* uniformly -- the
-        LRU-stack burst model layered over the Zipf base draw.
+        LRU-stack burst model layered over the Zipf base draw.  The
+        whole repeat mask is drawn first, then the offsets (the order of
+        one whole-array draw of each), and ``object_ids`` is rewritten in
+        place one ``_DRAW_BLOCK`` at a time.
         """
         cfg = self.config
-        result = object_ids.copy()
-        repeat = rng.random(len(result)) < cfg.temporal_locality
-        offsets = rng.integers(1, cfg.locality_window + 1, size=len(result))
-        for i in range(len(result)):
-            if repeat[i] and i > 0:
-                result[i] = result[max(0, i - int(offsets[i]))]
-        return result
+        n = len(object_ids)
+        window = cfg.locality_window
+        repeat = _fill(
+            np.empty(n, dtype=bool),
+            lambda count: rng.random(count) < cfg.temporal_locality,
+        )
+        for start in range(0, n, _DRAW_BLOCK):
+            end = min(n, start + _DRAW_BLOCK)
+            offsets = rng.integers(1, window + 1, size=end - start)
+            _repeat_recent(
+                object_ids[max(0, start - window):end],
+                repeat[start:end], offsets, start,
+            )
+        return object_ids
 
     def _apply_diurnal_modulation(self, rng: np.random.Generator) -> np.ndarray:
         """Arrival times of an inhomogeneous Poisson process by thinning.
@@ -259,7 +269,7 @@ class BoeingLikeTraceGenerator:
         rank_to_object = int_column(r_perm.permutation(cfg.num_objects))
         sampler = ZipfSampler(cfg.num_objects, cfg.zipf_theta)
         window = cfg.locality_window
-        tail: list[int] = []  # last `window` emitted ids (locality carry-over)
+        tail = rank_to_object[:0]  # last `window` emitted ids (locality carry-over)
         arrivals = (
             _DiurnalThinner(cfg, r_time)
             if cfg.diurnal_amplitude > 0
@@ -272,17 +282,10 @@ class BoeingLikeTraceGenerator:
             if cfg.temporal_locality > 0:
                 repeat = r_repeat.random(n) < cfg.temporal_locality
                 offsets = r_offset.integers(1, window + 1, size=n)
-                ids = object_ids.tolist()
-                for i in range(n):
-                    if repeat[i] and emitted + i > 0:
-                        # Global reference index max(0, g - offset), as in
-                        # _apply_temporal_locality; negative local indices
-                        # land in the previous chunks' tail (`tail` stays
-                        # frozen while this chunk is rewritten).
-                        j = max(0, emitted + i - int(offsets[i])) - emitted
-                        ids[i] = ids[j] if j >= 0 else tail[j]
-                tail = (tail + ids)[-window:]
-                object_ids = np.array(ids, dtype=rank_to_object.dtype)
+                recent = np.concatenate([tail, object_ids])
+                _repeat_recent(recent, repeat, offsets, emitted)
+                tail = recent[-window:]
+                object_ids = recent[-n:]
             times = arrivals.take(n)
             clients = r_client.integers(cfg.num_clients, size=n)
             yield ColumnarTrace(
@@ -294,6 +297,38 @@ class BoeingLikeTraceGenerator:
                 validate=False,
             )
             emitted += n
+
+
+def _repeat_recent(
+    ids: np.ndarray, repeat: np.ndarray, offsets: np.ndarray, start: int
+) -> None:
+    """Resolve one block of temporal-locality repeats in place.
+
+    The last ``len(repeat)`` entries of ``ids`` are the block, whose
+    first row has global index ``start``; the entries before it are the
+    already resolved ids of the ``len(ids) - len(repeat)`` rows just
+    before it (every row an offset can reach).  A repeating row takes
+    the id of global row ``max(0, g - offset)``, after that row's own
+    repeat: as in a per-row rewrite in order.  Each row points at its
+    source row (itself when it does not repeat) and pointer jumping
+    (``src = src[src]``) takes every row to the end of its chain in a
+    logarithmic number of array passes.
+    """
+    n = len(repeat)
+    before = len(ids) - n
+    rows = np.arange(before, len(ids))
+    src = np.arange(len(ids))
+    # Local index of global row max(0, g - offset); global row 0 is
+    # local row before - start.
+    src[before:] = np.where(
+        repeat, np.maximum(rows - offsets, before - start), rows
+    )
+    while True:
+        hop = src[src]
+        if np.array_equal(hop, src):
+            break
+        src = hop
+    ids[before:] = ids[src[before:]]
 
 
 def _fill(out: np.ndarray, draw: Callable[[int], np.ndarray]) -> np.ndarray:

@@ -335,6 +335,96 @@ class TestUnknownIds:
         assert getattr(scheme, "_nodes", {}) == {}
 
 
+    def test_a_far_id_is_refused_before_a_table_is_sized_by_it(
+        self, workload, architectures
+    ):
+        """The id lookups are sized by the architecture: a stray id of
+        10**7 in the last block costs no 80 MB table before the
+        KeyError."""
+        import tracemalloc
+
+        catalog = workload[0].catalog
+        arch = architectures["hier"]
+        rows = 2 * fastpath._BLOCK + 100
+        index = np.arange(rows, dtype=np.int64)
+        client_ids = index % _NUM_CLIENTS
+        client_ids[-1] = 10**7
+        objects = index % _NUM_OBJECTS
+        trace = ColumnarTrace(
+            times=index * 0.25,
+            client_ids=client_ids,
+            object_ids=objects,
+            server_ids=catalog.servers[objects],
+            sizes=catalog.sizes[objects],
+        )
+        cost = LatencyCostModel(arch.network, catalog.mean_size)
+        engine = SimulationEngine(
+            arch, cost, build_scheme("lru", cost, _capacity(catalog), 64)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyError) as raised:
+                engine.run(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raised.value.args == (10**7,)
+        assert peak <= 1 << 20
+
+
+class TestPrepare:
+    """The kernels' set-up pass: one read of the trace, paths numbered in
+    (client node, server node) order."""
+
+    def _engine(self, workload, arch):
+        catalog = workload[0].catalog
+        cost = LatencyCostModel(arch.network, catalog.mean_size)
+        return SimulationEngine(
+            arch, cost, build_scheme("lru", cost, _capacity(catalog), 64)
+        )
+
+    def test_reads_the_trace_once(self, workload, architectures):
+        """The pass sees the trace only as one run of row blocks: a
+        stand-in with no whole columns serves it."""
+        columnar = workload[2]
+
+        class BlocksOnly:
+            def __init__(self):
+                self.reads = []
+
+            def iter_chunks(self, chunk_records):
+                for block in columnar.iter_chunks(chunk_records):
+                    self.reads.append(len(block))
+                    yield block
+
+            def split_warmup(self, fraction):
+                return columnar.split_warmup(fraction)
+
+        trace = BlocksOnly()
+        fastpath._prepare(
+            self._engine(workload, architectures["hier"]), trace, ()
+        )
+        assert sum(trace.reads) == len(columnar)
+
+    @pytest.mark.parametrize("arch_name", ["hier", "enroute"])
+    def test_path_numbering(self, workload, architectures, arch_name):
+        arch = architectures[arch_name]
+        columnar = workload[2]
+        prep = fastpath._prepare(self._engine(workload, arch), columnar, ())
+        pairs = [
+            (arch.client_nodes[c], arch.server_nodes[s])
+            for c, s in zip(
+                columnar.client_ids.tolist(), columnar.server_ids.tolist()
+            )
+        ]
+        ordered = sorted(set(pairs))
+        assert prep.paths == [
+            arch.routing.request_path(c, s) for c, s in ordered
+        ]
+        number = {pair: i for i, pair in enumerate(ordered)}
+        assert fastpath._path_ids(prep, columnar) == [number[p] for p in pairs]
+
+
 class TestStreamingMemory:
     """stream() holds O(chunk) state, never the full trace."""
 

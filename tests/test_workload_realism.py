@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workload import generator as generator_module
 from repro.workload.generator import BoeingLikeTraceGenerator, WorkloadConfig
+from repro.workload.zipf import ZipfSampler
 
 
 def make_config(**kwargs) -> WorkloadConfig:
@@ -132,3 +134,72 @@ class TestTemporalLocality:
             )
         )
         assert local > base
+
+
+def per_row_repeats(
+    object_ids: np.ndarray, repeat: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Reference temporal locality: rewrite the rows one by one, in order."""
+    result = object_ids.copy()
+    for i in range(len(result)):
+        if repeat[i] and i > 0:
+            result[i] = result[max(0, i - int(offsets[i]))]
+    return result
+
+
+@pytest.mark.parametrize("window", [1, 16, 128])
+@pytest.mark.parametrize("locality", [0.3, 0.9])
+class TestLocalityEqualsPerRowRewrite:
+    """The array rewrite (pointer jumping over each block) gives the ids
+    the per-row loop gives, and consumes the same draws."""
+
+    ROWS = 2_000
+
+    def config(self, locality, window):
+        return make_config(
+            num_requests=self.ROWS, temporal_locality=locality,
+            locality_window=window,
+        )
+
+    @pytest.mark.parametrize("draw_block", [97, 65_536])
+    def test_generate_columnar(self, monkeypatch, locality, window, draw_block):
+        monkeypatch.setattr(generator_module, "_DRAW_BLOCK", draw_block)
+        cfg = self.config(locality, window)
+        n = cfg.num_requests
+        rng = np.random.default_rng(cfg.seed + 1)
+        rank_to_object = rng.permutation(cfg.num_objects)
+        sampler = ZipfSampler(cfg.num_objects, cfg.zipf_theta)
+        ids = rank_to_object[sampler.sample(n, rng)]
+        repeat = rng.random(n) < locality
+        offsets = rng.integers(1, window + 1, size=n)
+        expected = per_row_repeats(ids, repeat, offsets)
+        times = np.cumsum(rng.exponential(1.0 / cfg.request_rate, size=n))
+
+        trace = BoeingLikeTraceGenerator(cfg).generate_columnar()
+        np.testing.assert_array_equal(trace.object_ids, expected)
+        # The draws after the rewrite are where they were.
+        np.testing.assert_array_equal(trace.times, times)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 65_536])
+    def test_stream(self, locality, window, chunk):
+        cfg = self.config(locality, window)
+        n = cfg.num_requests
+        seq = np.random.SeedSequence((cfg.seed + 1, generator_module._STREAM_SALT))
+        r_perm, r_rank, r_repeat, r_offset, _, _ = (
+            np.random.default_rng(s) for s in seq.spawn(6)
+        )
+        rank_to_object = r_perm.permutation(cfg.num_objects)
+        ids = rank_to_object[
+            ZipfSampler(cfg.num_objects, cfg.zipf_theta).sample(n, r_rank)
+        ]
+        expected = per_row_repeats(
+            ids,
+            r_repeat.random(n) < locality,
+            r_offset.integers(1, window + 1, size=n),
+        )
+
+        chunks = list(BoeingLikeTraceGenerator(cfg).stream(chunk))
+        assert max(len(c) for c in chunks) <= chunk
+        np.testing.assert_array_equal(
+            np.concatenate([c.object_ids for c in chunks]), expected
+        )
